@@ -2,9 +2,10 @@
 
 Coefficients are arbitrary-precision integers in ascending degree order.
 Real-root counting goes through Sturm sequences over exact rationals,
-roots of unity are recognised by Graeffe squaring, and irreducibility
-testing combines the rational-root test, factor-degree patterns modulo
-small primes and a Kronecker-style bounded search for monic factors.
+roots of unity are recognised by trial division by cyclotomic
+polynomials, and irreducibility testing combines the rational-root
+test, factor-degree patterns modulo small primes and a Kronecker-style
+bounded search for monic factors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 
 from .rational import RationalInterval
 
@@ -155,21 +156,8 @@ class IntPolynomial:
         """Polynomial division over Q, returned as Fraction coefficient lists."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        div = [Fraction(c) for c in divisor.coeffs]
-        dn = len(div) - 1
-        if len(rem) - 1 < dn:
-            return [], rem
-        quot = [Fraction(0)] * (len(rem) - dn)
-        for k in range(len(rem) - dn - 1, -1, -1):
-            q = rem[dn + k] / div[dn]
-            quot[k] = q
-            if q:
-                for j in range(dn + 1):
-                    rem[j + k] -= q * div[j]
-        while rem and rem[-1] == 0:
-            rem.pop()
-        return quot, rem
+        return _divmod_fractions([Fraction(c) for c in self.coeffs],
+                                 [Fraction(c) for c in divisor.coeffs])
 
     def divides(self, other: "IntPolynomial") -> bool:
         _, rem = other.divmod_by(self)
@@ -202,6 +190,27 @@ class IntPolynomial:
         return "IntPolynomial(" + " + ".join(terms) + ")"
 
 
+def _divmod_fractions(f: list[Fraction], g: list[Fraction]):
+    """Quotient and remainder of ascending coefficient lists over Q.
+
+    g must have a nonzero leading coefficient. The remainder carries no
+    trailing zeros; the quotient has length max(len(f) - deg g, 0).
+    """
+    rem = list(f)
+    dn = len(g) - 1
+    quot = [Fraction(0)] * max(len(rem) - dn, 0)
+    while len(rem) > dn:
+        k = len(rem) - 1 - dn
+        q = rem[-1] / g[-1]
+        quot[k] = q
+        for j in range(dn):
+            rem[j + k] -= q * g[j]
+        rem.pop()  # cancelled exactly
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
+
 def poly_from_string(text: str) -> IntPolynomial:
     """Parse comma-separated ascending coefficients, e.g. '1,-1,-1,-1,1'."""
     return IntPolynomial.from_coeffs(int(t) for t in text.split(","))
@@ -218,28 +227,11 @@ def gcd_poly(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Monic gcd over Q, returned as a primitive integer polynomial."""
     fa = [Fraction(c) for c in a.coeffs]
     fb = [Fraction(c) for c in b.coeffs]
-
-    def rem(f, g):
-        f = f[:]
-        dn = len(g) - 1
-        while len(f) - 1 >= dn and f:
-            q = f[-1] / g[-1]
-            k = len(f) - 1 - dn
-            for j in range(dn + 1):
-                f[j + k] -= q * g[j]
-            while f and f[-1] == 0:
-                f.pop()
-        return f
-
     while fb:
-        fa, fb = fb, rem(fa, fb)
+        fa, fb = fb, _divmod_fractions(fa, fb)[1]
     if not fa:
         return IntPolynomial.zero()
-    from math import lcm
-
-    denom = 1
-    for c in fa:
-        denom = lcm(denom, c.denominator)
+    denom = lcm(*[c.denominator for c in fa])
     ints = [int(c * denom) for c in fa]
     out = IntPolynomial.from_coeffs(ints).primitive()
     if out.leading < 0:
@@ -286,21 +278,8 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
 def _sturm_chain(p: IntPolynomial) -> list[list[Fraction]]:
     chain = [[Fraction(c) for c in p.coeffs],
              [Fraction(c) for c in p.derivative().coeffs]]
-
-    def rem(f, g):
-        f = f[:]
-        dn = len(g) - 1
-        while f and len(f) - 1 >= dn:
-            q = f[-1] / g[-1]
-            k = len(f) - 1 - dn
-            for j in range(dn + 1):
-                f[j + k] -= q * g[j]
-            while f and f[-1] == 0:
-                f.pop()
-        return f
-
     while chain[-1]:
-        r = rem(chain[-2], chain[-1])
+        _, r = _divmod_fractions(chain[-2], chain[-1])
         chain.append([-c for c in r])
     chain.pop()
     return chain
@@ -365,16 +344,8 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p in _factorize(n):
+        result -= result // p
     return result
 
 
@@ -419,51 +390,28 @@ def strip_cyclotomic_factors(p: IntPolynomial):
         if phi_n.degree > rem.degree:
             continue
         mult = 0
-        while rem.degree >= phi_n.degree and phi_n.divides(rem):
-            rem = rem.exact_div(phi_n)
+        while rem.degree >= phi_n.degree:
+            quot, r = rem.divmod_by(phi_n)
+            if r:
+                break
+            # phi_n is monic, so an exact quotient is integral
+            rem = IntPolynomial.from_coeffs(q.numerator for q in quot)
             mult += 1
         if mult:
             found.append((n, mult))
     return rem, found
 
 
-def _graeffe(p: IntPolynomial) -> IntPolynomial:
-    """Monic polynomial whose roots are the squares of the roots of p."""
-    n = p.degree
-    prod = p * p.mirror()
-    even = [prod.coeffs[2 * k] if 2 * k < len(prod.coeffs) else 0 for k in range(n + 1)]
-    if n % 2 == 1:
-        even = [-c for c in even]
-    return IntPolynomial.from_coeffs(even)
-
-
 def is_cyclotomic_product(p: IntPolynomial) -> bool:
     """True iff every root of p is a root of unity.
 
-    Graeffe squaring with cycle detection: the root set of a product of
-    cyclotomics is a finite set of roots of unity, stable as a set under
-    repeated squaring, so the squarefree iterates must cycle. A root off
-    the unit circle forces doubly-exponential coefficient growth instead,
-    caught by the binomial bound. 2*deg + 8 iterations suffice for the
-    supported degrees.
+    A monic integer polynomial has only roots of unity as roots exactly
+    when it is a product of cyclotomic polynomials, and stripping those
+    is complete because each such factor has phi(n) <= deg p.
     """
     if not p.is_monic:
         raise ValueError("monic polynomial required")
-    if p.degree == 0:
-        return True
-    if p.constant == 0:
-        return False
-    q = squarefree_part(p)
-    seen = {q.coeffs}
-    for _ in range(2 * p.degree + 8):
-        q = squarefree_part(_graeffe(q))
-        n = q.degree
-        if any(abs(c) > comb(n, k) for k, c in enumerate(q.coeffs)):
-            return False
-        if q.coeffs in seen:
-            return True
-        seen.add(q.coeffs)
-    return False
+    return strip_cyclotomic_factors(p)[0].degree == 0
 
 
 def trace_polynomial(p: IntPolynomial) -> IntPolynomial:
@@ -510,21 +458,26 @@ def _pm_mul(a, b, p):
     return out
 
 
-def _pm_mod(a, m, p):
-    a = a[:]
+def _pm_divmod(a, m, p):
+    """Quotient and trimmed remainder of a by m over GF(p)."""
+    rem = a[:]
+    quot = [0] * max(len(a) - len(m) + 1, 0)
     inv_lead = pow(m[-1], -1, p)
-    while len(a) >= len(m):
-        c = (a[-1] * inv_lead) % p
-        k = len(a) - len(m)
-        for j in range(len(m)):
-            a[j + k] = (a[j + k] - c * m[j]) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+    while len(rem) >= len(m):
+        c = (rem[-1] * inv_lead) % p
+        k = len(rem) - len(m)
+        quot[k] = c
+        for j in range(len(m) - 1):
+            rem[j + k] = (rem[j + k] - c * m[j]) % p
+        rem.pop()  # cancelled exactly
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
 
 def _pm_gcd(a, b, p):
     while b:
-        a, b = b, _pm_mod(a, b, p)
+        a, b = b, _pm_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [(c * inv) % p for c in a]
@@ -533,11 +486,11 @@ def _pm_gcd(a, b, p):
 
 def _pm_powmod(base, e, m, p):
     result = [1]
-    base = _pm_mod(base, m, p)
+    base = _pm_divmod(base, m, p)[1]
     while e:
         if e & 1:
-            result = _pm_mod(_pm_mul(result, base, p), m, p)
-        base = _pm_mod(_pm_mul(base, base, p), m, p)
+            result = _pm_divmod(_pm_mul(result, base, p), m, p)[1]
+        base = _pm_divmod(_pm_mul(base, base, p), m, p)[1]
         e >>= 1
     return result
 
@@ -573,26 +526,12 @@ def _ddf_degrees(poly: IntPolynomial, p: int) -> list[int] | None:
         if len(g) > 1:
             for _ in range((len(g) - 1) // d):
                 degrees.append(d)
-            f = _pm_mod_exact(f, g, p)
-            h = _pm_mod(h, f, p)
+            f = _pm_divmod(f, g, p)[0]
+            h = _pm_divmod(h, f, p)[1]
         d += 1
     if len(f) > 1:
         degrees.append(len(f) - 1)
     return degrees
-
-
-def _pm_mod_exact(a, g, p):
-    # exact quotient a / g over GF(p)
-    a = a[:]
-    out = [0] * (len(a) - len(g) + 1)
-    inv = pow(g[-1], -1, p)
-    for k in range(len(out) - 1, -1, -1):
-        c = (a[len(g) - 1 + k] * inv) % p
-        out[k] = c
-        if c:
-            for j in range(len(g)):
-                a[j + k] = (a[j + k] - c * g[j]) % p
-    return out
 
 
 def _possible_proper_degrees(p: IntPolynomial) -> set[int]:
@@ -668,12 +607,20 @@ def _pollard_split(n: int, out: dict[int, int]) -> int:
     return 1
 
 
+# psi_12: the least strong pseudoprime to every prime base 2..37, so the
+# Miller-Rabin test below is a proof of primality for every n under it
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+MILLER_RABIN_BOUND = 318665857834031151167461
+
+
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True  # a composite without a factor up to 37 is at least 41^2
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -722,17 +669,16 @@ def _mignotte_factor_bound(p: IntPolynomial, d: int) -> int:
     return max(comb(d - 1, j) * norm + comb(d - 1, max(j - 1, 0)) for j in range(d))
 
 
-def _interpolate_monic(points: list[int], values: list[int], d: int) -> IntPolynomial | None:
-    """Monic degree-d integer polynomial through the given points, or None."""
+def _interpolate_monic(points: list[int], values: list[int]) -> IntPolynomial | None:
+    """Monic integer polynomial of degree len(points) through the points, or None."""
     # g = x^d + h with deg h < d; interpolate h by Lagrange
-    n = len(points)
-    assert n == d
+    d = len(points)
     coeffs = [Fraction(0)] * d
-    for i in range(n):
+    for i in range(d):
         target = Fraction(values[i] - points[i] ** d)
         num = [Fraction(1)]
         denom = Fraction(1)
-        for j in range(n):
+        for j in range(d):
             if j == i:
                 continue
             new = [Fraction(0)] * (len(num) + 1)
@@ -776,7 +722,7 @@ def _kronecker_factor(p: IntPolynomial, d: int) -> IntPolynomial | None:
     pts = [points[i] for i in order]
     lists = [divisor_lists[i] for i in order]
     for values in itertools.product(*lists):
-        g = _interpolate_monic(pts, list(values), d)
+        g = _interpolate_monic(pts, list(values))
         if g is None or g.degree != d:
             continue
         if any(abs(c) > bound for c in g.coeffs[:-1]):

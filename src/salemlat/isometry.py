@@ -13,13 +13,16 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import mpmath
 
 from . import linalg
 from .intpoly import (
     IntPolynomial,
+    SturmContext,
+    _factorize,
+    cauchy_root_bound,
     count_real_roots,
     gcd_poly,
     is_irreducible_over_integers,
@@ -33,7 +36,7 @@ from .intpoly import (
 from .lattice import GramLattice, SublatticeEmbedding
 from .linalg import IntMatrix, IntVector
 from .rational import RationalInterval, interval_max
-from .salem import SalemCertificate, classify_salem
+from .salem import SalemCertificate, _bisect_enclosure, classify_salem
 
 DEFAULT_SEED = 1729
 
@@ -142,25 +145,10 @@ def order(g: LatticeIsometry) -> int | None:
     if linalg.mat_pow(g.matrix, candidate) != linalg.identity(g.rank):
         return None
     k = candidate
-    for p in _prime_factors(candidate):
+    for p in _factorize(candidate):
         while k % p == 0 and linalg.mat_pow(g.matrix, k // p) == linalg.identity(g.rank):
             k //= p
     return k
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 @dataclass(frozen=True)
@@ -200,7 +188,8 @@ def classify_isometry(g: LatticeIsometry) -> IsometryClassification:
         cert = classify_salem(phi) if phi.degree >= 2 else None
         if isinstance(cert, SalemCertificate):
             det = g.determinant()
-            assert det == 1, "a Salem characteristic polynomial forces det +1"
+            if det != 1:
+                raise ArithmeticError("a Salem characteristic polynomial forces det +1")
             return SalemType(certificate=cert, determinant=det)
     factors: list[IntPolynomial] = []
     for f, mult in monic_irreducible_factors(phi):
@@ -220,16 +209,9 @@ def is_primary_charpoly(g: LatticeIsometry) -> bool:
     base = squarefree_part(phi)
     if phi.degree % base.degree != 0:
         return False
-    if phi != _poly_power(base, phi.degree // base.degree):
+    if phi != prod([base] * (phi.degree // base.degree), start=IntPolynomial.one()):
         return False
     return is_irreducible_over_integers(base)
-
-
-def _poly_power(p: IntPolynomial, k: int) -> IntPolynomial:
-    out = IntPolynomial.one()
-    for _ in range(k):
-        out = out * p
-    return out
 
 
 def has_simple_spectrum(g: LatticeIsometry) -> bool:
@@ -239,8 +221,6 @@ def has_simple_spectrum(g: LatticeIsometry) -> bool:
 
 def _largest_real_root_above_one(p: IntPolynomial, precision: Fraction) -> RationalInterval | None:
     """Certified enclosure of the largest real root in (1, infinity), if any."""
-    from .intpoly import SturmContext, cauchy_root_bound
-
     q = squarefree_part(p)
     ctx = SturmContext(q)
     hi = cauchy_root_bound(q)
@@ -250,19 +230,8 @@ def _largest_real_root_above_one(p: IntPolynomial, precision: Fraction) -> Ratio
     if ctx.count(lo, hi) == 0:
         return None
     far = hi + 1
-    isolated = False
     while hi - lo >= precision:
         mid = (lo + hi) / 2
-        if isolated:
-            # one simple root in the bracket: plain sign bisection
-            v = q(mid)
-            if v == 0:
-                return RationalInterval(mid, mid)
-            if (v > 0) == (q(hi) > 0):
-                hi = mid
-            else:
-                lo = mid
-            continue
         while q(mid) == 0:
             mid += (hi - lo) / 17
         if ctx.count(mid, far) >= 1:
@@ -271,7 +240,8 @@ def _largest_real_root_above_one(p: IntPolynomial, precision: Fraction) -> Ratio
             hi = mid
         if ctx.count(lo, hi) == 1 and q(lo) != 0 and q(hi) != 0 \
                 and (q(lo) > 0) != (q(hi) > 0):
-            isolated = True
+            # one simple root in the bracket: plain sign bisection
+            return _bisect_enclosure(q if q(hi) > 0 else -q, lo, hi, precision)
     return RationalInterval(lo, hi)
 
 
@@ -327,7 +297,8 @@ def entropy(g: LatticeIsometry,
             enclosure = _largest_real_root_above_one(side, root_precision)
             if enclosure is not None:
                 candidates.append(enclosure)
-        assert candidates, "off-circle spectrum must have a real root beyond 1"
+        if not candidates:
+            raise ArithmeticError("off-circle spectrum must have a real root beyond 1")
         radius = candidates[0]
         for other in candidates[1:]:
             radius = interval_max(radius, other)

@@ -24,6 +24,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import linalg
+from .intpoly import MILLER_RABIN_BOUND, _is_probable_prime
 from .isometry import LatticeIsometry, verify_isometry
 from .lattice import (
     GramLattice,
@@ -57,17 +58,6 @@ class ShapeViolationError(ValueError):
     pass
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 @dataclass(frozen=True)
 class PrimeSelection:
     p: int
@@ -80,7 +70,10 @@ class PrimeSelection:
             raise ValueError("p_list and q_list must each hold 8 primes")
         everyone = (self.p, self.q, *self.p_list, *self.q_list)
         for x in everyone:
-            if not _is_prime(x):
+            if x >= MILLER_RABIN_BOUND:
+                raise ValueError(
+                    f"{x} is too large to certify as prime (limit {MILLER_RABIN_BOUND})")
+            if not _is_probable_prime(x):
                 raise ValueError(f"{x} is not prime")
         if len(set(everyone)) != 18:
             raise ValueError("the 18 primes must be pairwise distinct")
@@ -147,24 +140,25 @@ class K3Sublattices:
     def f0(self) -> IntVector:
         return _unit(_F0)
 
+    @property
+    def t_split(self) -> SublatticeEmbedding:
+        """T in the basis e0 followed by the basis of Tbar."""
+        return SublatticeEmbedding.from_rows(self.ambient, (self.e0, *self.tbar.basis))
+
 
 def build_sublattices(primes: PrimeSelection) -> K3Sublattices:
     ambient = k3_lattice()
-    rows: list[list[int]] = []
 
-    def vec(**entries) -> list[int]:
+    def minus(i: int, c: int, j: int) -> list[int]:
+        # the row of b_i - c b_j
         v = [0] * _RANK
-        for idx, val in entries.items():
-            v[int(idx[1:])] = val
+        v[i] = 1
+        v[j] = -c
         return v
 
-    w1 = vec(i2=1, i3=-primes.p)          # e1 - p f1
-    w2 = vec(i4=1, i5=-primes.q)          # e2 - q f2
-    rows = [w1, w2]
-    for j, pj in enumerate(primes.p_list):
-        rows.append(vec(i2=1, **{f"i{_V1 + j}": -pj}))   # e1 - p_j v_1j
-    for j, qj in enumerate(primes.q_list):
-        rows.append(vec(i4=1, **{f"i{_V2 + j}": -qj}))   # e2 - q_j v_2j
+    rows = [minus(_E1, primes.p, _F1), minus(_E2, primes.q, _F2)]
+    rows += [minus(_E1, pj, _V1 + j) for j, pj in enumerate(primes.p_list)]
+    rows += [minus(_E2, qj, _V2 + j) for j, qj in enumerate(primes.q_list)]
     nbar = SublatticeEmbedding.from_rows(ambient, rows)
     n = SublatticeEmbedding.from_rows(ambient, [list(_unit(_E0))] + rows)
     l = SublatticeEmbedding.from_rows(
@@ -231,10 +225,8 @@ def _structural_checks(subs: K3Sublattices) -> list[CheckResult]:
     checks.append(CheckResult("n_primitive", is_primitive(subs.n)))
     checks.append(CheckResult("l_primitive", is_primitive(subs.l)))
 
-    split = SublatticeEmbedding.from_rows(
-        subs.ambient, [list(subs.e0)] + [list(r) for r in subs.tbar.basis])
     checks.append(CheckResult(
-        "t_splits_as_e0_plus_tbar", subs.t.spans_same(split),
+        "t_splits_as_e0_plus_tbar", subs.t.spans_same(subs.t_split),
         detail=f"rank T = {subs.t.rank}"))
 
     if n_class == LatticeClass.PARABOLIC:
@@ -288,7 +280,8 @@ def build_phi(i: int, l_lat: GramLattice) -> LatticeIsometry:
     adj = _adjugate_cached(q)
     c = tuple(-adj[i - 1][k] for k in range(s))
     norm_c = sum(c[a] * q[a][b] * c[b] for a in range(s) for b in range(s))
-    assert norm_c % 2 == 0, "even lattice guarantees an integral gamma"
+    if norm_c % 2:
+        raise ArithmeticError("even lattice guarantees an integral gamma")
     gamma = -norm_c // 2
     r = s + 2
     cols = []
@@ -526,13 +519,11 @@ class TorelliCertificate:
 
     fixes_t_pointwise: bool
     fixes_period: bool
-    period_eigenvalue_one: bool
     fixes_e0: bool
 
     @property
     def passed(self) -> bool:
-        return (self.fixes_t_pointwise and self.fixes_period
-                and self.period_eigenvalue_one and self.fixes_e0)
+        return self.fixes_t_pointwise and self.fixes_period and self.fixes_e0
 
 
 def torelli_certificate(phi: LatticeIsometry, sigma: PeriodPoint,
@@ -556,7 +547,6 @@ def torelli_certificate(phi: LatticeIsometry, sigma: PeriodPoint,
     return TorelliCertificate(
         fixes_t_pointwise=fixes_t,
         fixes_period=fixes_period,
-        period_eigenvalue_one=fixes_period,
         fixes_e0=phi.apply(tuple(e0)) == tuple(e0),
     )
 
@@ -665,15 +655,14 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
 
     if extensions_ok:
         sigma = period_point(subs.tbar.induced_gram(), subs.t.induced_gram())
-        t_as_split = SublatticeEmbedding.from_rows(
-            subs.ambient, [list(subs.e0)] + [list(r) for r in subs.tbar.basis])
-        certs = [torelli_certificate(phi, sigma, t_as_split, subs.e0)
+        t_split = subs.t_split
+        certs = [torelli_certificate(phi, sigma, t_split, subs.e0)
                  for phi in big_phis]
         checks.append(CheckResult(
             "phis_fix_e0", all(c.fixes_e0 for c in certs)))
         checks.append(CheckResult(
             "phis_fix_t_pointwise",
-            all(c.fixes_t_pointwise and c.period_eigenvalue_one for c in certs)))
+            all(c.fixes_t_pointwise and c.fixes_period for c in certs)))
         commute = all(
             linalg.mat_mul(a.matrix, b.matrix) == linalg.mat_mul(b.matrix, a.matrix)
             for idx, a in enumerate(big_phis) for b in big_phis[idx + 1:])

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, lcm, prod
 
 from . import linalg
-from .linalg import IntMatrix, IntVector
+from .linalg import IntMatrix, IntVector, smith_normal_form
 from .rational import floor_sqrt
 
 
@@ -262,11 +262,6 @@ class SublatticeEmbedding:
                 == linalg.hermite_normal_form(other.basis))
 
 
-def smith_normal_form(m: IntMatrix):
-    """(U, D, V) with U m V = D diagonal, non-negative, divisibility chain."""
-    return linalg.smith_normal_form(m)
-
-
 def saturation(emb: SublatticeEmbedding) -> SublatticeEmbedding:
     """Minimal primitive sublattice containing the embedding.
 
@@ -276,7 +271,7 @@ def saturation(emb: SublatticeEmbedding) -> SublatticeEmbedding:
     """
     if not emb.basis:
         return emb
-    _, _, v = linalg.smith_normal_form(emb.basis)
+    _, _, v = smith_normal_form(emb.basis)
     v_inv = linalg.unimodular_inverse(v)
     rows = v_inv[: len(emb.basis)]
     return SublatticeEmbedding(emb.ambient, linalg.hermite_normal_form(rows))
@@ -305,10 +300,7 @@ def index_of_sum(a: SublatticeEmbedding, b: SublatticeEmbedding) -> int | None:
     nonzero = [d for d in diag if d != 0]
     if len(nonzero) < a.ambient.rank:
         return None
-    idx = 1
-    for d in nonzero:
-        idx *= d
-    return idx
+    return prod(nonzero)
 
 
 @dataclass(frozen=True)
@@ -323,11 +315,7 @@ def discriminant_group(lattice: GramLattice) -> DiscriminantGroup:
     if det == 0:
         raise DegenerateLatticeError("discriminant group needs a nondegenerate form")
     diag = linalg.snf_diagonal(lattice.gram)
-    factors = tuple(d for d in diag if d > 1)
-    order = 1
-    for d in diag:
-        order *= d
-    return DiscriminantGroup(factors, order)
+    return DiscriminantGroup(tuple(d for d in diag if d > 1), prod(diag))
 
 
 def radical(lattice: GramLattice) -> SublatticeEmbedding:
@@ -342,7 +330,7 @@ def _radical_split(lattice: GramLattice):
     if rad.rank != 1:
         raise RadicalRankError(f"radical has rank {rad.rank}, expected 1")
     v = rad.basis[0]
-    _, _, vm = linalg.smith_normal_form((v,))
+    _, _, vm = smith_normal_form((v,))
     v_inv = linalg.unimodular_inverse(vm)
     first = v_inv[0]
     if first != v and tuple(-x for x in first) != v:

@@ -113,7 +113,8 @@ def charpoly_coeffs(a: IntMatrix) -> list[int]:
     for k in range(2, n + 1):
         m = mat_mul(a, mat_add(m, mat_scale(identity(n), c)))
         tr = sum(m[i][i] for i in range(n))
-        assert tr % k == 0
+        if tr % k:
+            raise ArithmeticError("Faddeev-LeVerrier trace is not divisible by k")
         c = -tr // k
         coeffs[n - k] = c
     return coeffs
@@ -133,25 +134,40 @@ def unimodular_inverse(a: IntMatrix) -> IntMatrix:
     return tuple(out)
 
 
+def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
+    """Bring Fraction rows to reduced row echelon form in place.
+
+    Pivots are searched only in the first ncols columns, so augmented
+    columns ride along. Returns the (row, col) pivot positions.
+    """
+    m = len(rows)
+    pivots: list[tuple[int, int]] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == m:
+            break
+        piv = next((r for r in range(row, m) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[row], rows[piv] = rows[piv], rows[row]
+        # entries left of col are already zero in the pivot row
+        prow = rows[row]
+        inv_p = 1 / prow[col]
+        prow[col:] = [x * inv_p for x in prow[col:]]
+        for r in range(m):
+            f = rows[r][col]
+            if r != row and f != 0:
+                rows[r][col:] = [x - f * y for x, y in zip(rows[r][col:], prow[col:])]
+        pivots.append((row, col))
+    return pivots
+
+
 def fraction_inverse(a) -> tuple[tuple[Fraction, ...], ...]:
     n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(a)]
+    if len(_gauss_jordan(aug, n)) < n:
+        raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in aug)
 
 
@@ -163,31 +179,10 @@ def fraction_solve(a, b) -> list[Fraction] | None:
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv_p = 1 / aug[row][col]
-        aug[row] = [x * inv_p for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    pivots = _gauss_jordan(aug, n)
+    if any(aug[r][n] != 0 for r in range(len(pivots), m)):
+        return None
     x = [Fraction(0)] * n
     for r, c in pivots:
         x[c] = aug[r][n]
@@ -195,29 +190,9 @@ def fraction_solve(a, b) -> list[Fraction] | None:
 
 
 def rational_rank(a) -> int:
-    m = len(a)
-    if m == 0:
+    if not a:
         return 0
-    n = len(a[0])
-    work = [[Fraction(x) for x in row] for row in a]
-    rank = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, m):
-            if work[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv_p = 1 / work[rank][col]
-        work[rank] = [x * inv_p for x in work[rank]]
-        for r in range(m):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
+    return len(_gauss_jordan([[Fraction(x) for x in row] for row in a], len(a[0])))
 
 
 def adjugate(a: IntMatrix) -> IntMatrix:
@@ -231,7 +206,8 @@ def adjugate(a: IntMatrix) -> IntMatrix:
         out_row = []
         for x in row:
             y = x * d
-            assert y.denominator == 1
+            if y.denominator != 1:
+                raise ArithmeticError("det(a) * a^-1 is not integral")
             out_row.append(y.numerator)
         out.append(tuple(out_row))
     return tuple(out)

@@ -69,7 +69,7 @@ class UndecidableComparisonError(ValueError):
 
 def _bisect_enclosure(p: IntPolynomial, lo: Fraction, hi: Fraction,
                       precision: Fraction) -> RationalInterval:
-    # invariant: p(lo) < 0 < p(hi); the unique root above 1 sits between
+    # invariant: p(lo) < 0 < p(hi) and the bracket holds one root, above 1
     while hi - lo >= precision or lo <= 1:
         mid = (lo + hi) / 2
         v = p(mid)

@@ -2,7 +2,8 @@
 
 Nothing here shares code paths with the package: Salem recognition goes
 through high-precision numeric root isolation plus sympy factorization,
-short-vector lists come from a naive box search, and normal forms are
+short-vector lists come from a naive box search, and normal forms,
+exact elimination, polynomial division, gcds and real-root counts are
 cross-checked against sympy.
 """
 
@@ -91,3 +92,66 @@ def divides_x_power_minus_one(p: IntPolynomial, k_bound: int) -> bool:
         if p.divides(xk):
             return True
     return False
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.p), int(c.q))
+
+
+def _ascending_fractions(values) -> list[Fraction]:
+    out = [_fraction(c) for c in values]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _sympy_poly(p: IntPolynomial, domain: str = "ZZ") -> sympy.Poly:
+    return sympy.Poly(list(reversed(p.coeffs)), sympy.symbols("x"), domain=domain)
+
+
+def sympy_divmod(f: IntPolynomial, g: IntPolynomial):
+    """(quotient, remainder) over Q as ascending Fraction lists, no trailing zeros."""
+    q, r = sympy.div(_sympy_poly(f, "QQ"), _sympy_poly(g, "QQ"))
+    return (_ascending_fractions(reversed(q.all_coeffs())),
+            _ascending_fractions(reversed(r.all_coeffs())))
+
+
+def sympy_primitive_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """gcd over Q scaled to a primitive integer polynomial, positive leading term."""
+    _, h = sympy.gcd(_sympy_poly(f), _sympy_poly(g)).primitive()
+    coeffs = [int(c) for c in reversed(h.all_coeffs())]
+    if coeffs[-1] < 0:
+        coeffs = [-c for c in coeffs]
+    return IntPolynomial.from_coeffs(coeffs)
+
+
+def sympy_is_squarefree(p: IntPolynomial) -> bool:
+    return _sympy_poly(p).is_sqf
+
+
+def sympy_real_root_count(p: IntPolynomial) -> int:
+    return len(sympy.real_roots(_sympy_poly(p)))
+
+
+def sympy_rank(matrix) -> int:
+    return sympy.Matrix([list(r) for r in matrix]).rank()
+
+
+def sympy_inverse(matrix):
+    """Exact inverse as a tuple of Fraction rows; None when singular."""
+    m = sympy.Matrix([list(r) for r in matrix])
+    if m.det() == 0:
+        return None
+    inv = m.inv()
+    return tuple(tuple(_fraction(c) for c in inv.row(i)) for i in range(inv.rows))
+
+
+def sympy_solve(matrix, rhs) -> list[Fraction] | None:
+    """A solution of matrix x = rhs with every free parameter 0; None if inconsistent."""
+    try:
+        sol, params = sympy.Matrix([list(r) for r in matrix]).gauss_jordan_solve(
+            sympy.Matrix(list(rhs)))
+    except ValueError:
+        return None
+    sol = sol.subs({t: 0 for t in params})
+    return [_fraction(c) for c in sol]

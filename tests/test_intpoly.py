@@ -16,6 +16,7 @@ from salemlat.intpoly import (
     cyclotomic_order,
     cyclotomic_polynomial,
     euler_phi,
+    gcd_poly,
     is_cyclotomic_product,
     is_irreducible_over_integers,
     is_reciprocal,
@@ -28,7 +29,14 @@ from salemlat.intpoly import (
 )
 from salemlat.rational import RationalInterval
 
-from oracles import divides_x_power_minus_one, sympy_factor_multiset
+from oracles import (
+    divides_x_power_minus_one,
+    sympy_divmod,
+    sympy_factor_multiset,
+    sympy_is_squarefree,
+    sympy_primitive_gcd,
+    sympy_real_root_count,
+)
 
 P = IntPolynomial.from_coeffs
 
@@ -82,6 +90,43 @@ class TestSturm:
         assert count_real_roots(P([1, 0, 1])) == 0
 
 
+def random_poly(rng, max_degree, bound=9):
+    while True:
+        p = P([rng.randint(-bound, bound) for _ in range(rng.randint(1, max_degree + 1))])
+        if not p.is_zero:
+            return p
+
+
+class TestKernelsAgainstSympy:
+    def test_divmod_by(self, suite_seed):
+        rng = random.Random(suite_seed + 10)
+        for _ in range(80):
+            f, g = random_poly(rng, 8), random_poly(rng, 4)
+            assert f.divmod_by(g) == sympy_divmod(f, g)
+
+    def test_gcd_poly(self, suite_seed):
+        rng = random.Random(suite_seed + 11)
+        for _ in range(60):
+            common = random_poly(rng, 3, 4)
+            f = random_poly(rng, 4, 5) * common
+            g = random_poly(rng, 4, 5) * common
+            assert gcd_poly(f, g) == sympy_primitive_gcd(f, g)
+
+    def test_count_real_roots(self, suite_seed):
+        rng = random.Random(suite_seed + 12)
+        checked = 0
+        while checked < 60:
+            # distinct integer roots guarantee real roots are present
+            roots = rng.sample(range(-6, 7), rng.randint(0, 4))
+            p = random_poly(rng, 4, 6)
+            for r in roots:
+                p = p * P([-r, 1])
+            if p.degree < 1 or not sympy_is_squarefree(p):
+                continue
+            assert count_real_roots(p) == sympy_real_root_count(p)
+            checked += 1
+
+
 class TestIrreducibility:
     def test_quadratic_cyclotomic(self):
         assert is_irreducible_over_integers(P([1, 1, 1]))
@@ -117,6 +162,7 @@ class TestIrreducibility:
 class TestCyclotomic:
     def test_third_roots(self):
         assert is_cyclotomic_product(P([1, 1, 1]))
+        assert is_cyclotomic_product(P([1, 1, 1]) * P([1, 1, 1]) * P([-1, 1]))
 
     def test_x_minus_one(self):
         assert is_cyclotomic_product(P([-1, 1]))
@@ -130,11 +176,11 @@ class TestCyclotomic:
         assert cyclotomic_order(poly_from_string("1,-1,-1,-1,1")) is None
 
     def test_divisibility_cross_check(self):
-        # graeffe route agrees with the p | x^k - 1 route
+        # stripping cyclotomic factors agrees with the p | x^k - 1 route
         samples = [P([1, 1, 1]), P([-1, 1]), P([1, 0, 1]), P([1, -3, 1]),
                    P([1, -1, 1]) * P([1, 1]), P([1, -6, 1]),
                    cyclotomic_polynomial(12) * cyclotomic_polynomial(5),
-                   poly_from_string("1,-1,-1,-1,1")]
+                   poly_from_string("1,-1,-1,-1,1"), P([0, 1]) * P([1, 1])]
         for p in samples:
             orders = [n for n, _ in strip_cyclotomic_factors(p)[1]]
             from math import lcm

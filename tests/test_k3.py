@@ -1,8 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from salemlat import linalg
+from salemlat.intpoly import MILLER_RABIN_BOUND, _is_probable_prime
 from salemlat.isometry import identity_isometry, verify_isometry
 from salemlat.k3 import (
     DEFAULT_PRIMES,
@@ -77,6 +80,29 @@ class TestPrimeSelection:
         with pytest.raises(ValueError):
             PrimeSelection(p=4, q=3, p_list=(7, 11, 13, 17, 19, 23, 29, 31),
                            q_list=(37, 41, 43, 47, 53, 59, 61, 67))
+
+    def test_large_prime_accepted_quickly(self):
+        start = time.monotonic()
+        PrimeSelection(p=2**61 - 1, q=3, p_list=(7, 11, 13, 17, 19, 23, 29, 31),
+                       q_list=(37, 41, 43, 47, 53, 59, 61, 67))
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("composite", [
+        3215031751,                  # strong pseudoprime to the bases 2, 3, 5, 7
+        MILLER_RABIN_BOUND,          # strong pseudoprime to every base 2..37
+    ])
+    def test_pseudoprimes_rejected(self, composite):
+        with pytest.raises(ValueError):
+            PrimeSelection(p=composite, q=3, p_list=(7, 11, 13, 17, 19, 23, 29, 31),
+                           q_list=(37, 41, 43, 47, 53, 59, 61, 67))
+
+    def test_primality_against_sympy(self):
+        assert all(_is_probable_prime(n) == sympy.isprime(n) for n in range(-2, 5000))
+
+    def test_bound_is_a_miller_rabin_liar(self):
+        # composite, yet passes the test: primes at or above it are refused
+        assert _is_probable_prime(MILLER_RABIN_BOUND)
+        assert not sympy.isprime(MILLER_RABIN_BOUND)
 
     def test_from_dict(self):
         data = {"p": 2, "q": 3,

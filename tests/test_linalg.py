@@ -4,7 +4,13 @@ import pytest
 
 from salemlat import linalg
 
-from oracles import sympy_charpoly, sympy_invariant_factors
+from oracles import (
+    sympy_charpoly,
+    sympy_inverse,
+    sympy_invariant_factors,
+    sympy_rank,
+    sympy_solve,
+)
 
 
 def random_matrix(rng, m, n, lo=-30, hi=30):
@@ -121,3 +127,34 @@ class TestKernelAndInverse:
         a = ((2, 1), (1, 2))
         adj = linalg.adjugate(a)
         assert adj == ((2, -1), (-1, 2))
+
+
+class TestEliminationAgainstSympy:
+    def test_rank_inverse_solve(self, suite_seed):
+        rng = random.Random(suite_seed + 5)
+        singular = inconsistent = 0
+        for trial in range(90):
+            m = rng.randint(1, 5)
+            n = m if trial % 3 == 0 else rng.randint(1, 5)
+            if trial % 2:
+                # a product through k < min(m, n) columns is rank-deficient
+                k = rng.randint(1, max(1, min(m, n) - 1))
+                a = linalg.mat_mul(random_matrix(rng, m, k, -4, 4),
+                                   random_matrix(rng, k, n, -4, 4))
+            else:
+                a = random_matrix(rng, m, n, -6, 6)
+            assert linalg.rational_rank(a) == sympy_rank(a)
+            if m == n:
+                expected = sympy_inverse(a)
+                if expected is None:
+                    singular += 1
+                    with pytest.raises(ValueError):
+                        linalg.fraction_inverse(a)
+                else:
+                    assert linalg.fraction_inverse(a) == expected
+            x0 = [rng.randint(-3, 3) for _ in range(n)]
+            for b in (linalg.mat_vec(a, x0), [rng.randint(-9, 9) for _ in range(m)]):
+                x = linalg.fraction_solve(a, b)
+                assert x == sympy_solve(a, b)
+                inconsistent += x is None
+        assert singular > 0 and inconsistent > 0
