@@ -18,14 +18,19 @@ and a failure is reported with an explicit witness vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from . import linalg
 from .intpoly import MILLER_RABIN_BOUND, _is_probable_prime
-from .isometry import LatticeIsometry, verify_isometry
+from .isometry import (
+    DeterminantError,
+    GramViolationError,
+    LatticeIsometry,
+    verify_isometry,
+)
 from .lattice import (
     GramLattice,
     LatticeClass,
@@ -44,6 +49,7 @@ from .lattice import (
     signature,
 )
 from .linalg import IntMatrix, IntVector
+from .parabolic import abelian_rank_of_image
 
 
 class NonIntegralExtensionError(ValueError):
@@ -259,8 +265,9 @@ def _split_u_block(l_lat: GramLattice) -> IntMatrix:
 
 
 @lru_cache(maxsize=8)
-def _adjugate_cached(q: IntMatrix) -> IntMatrix:
-    return linalg.adjugate(q)
+def _integral_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:
+    """(adj a, det a), so that a^-1 = adj a / det a; a must be nonsingular."""
+    return linalg.adjugate(a), linalg.det_bareiss(a)
 
 
 def build_phi(i: int, l_lat: GramLattice) -> LatticeIsometry:
@@ -277,7 +284,7 @@ def build_phi(i: int, l_lat: GramLattice) -> LatticeIsometry:
     m = linalg.det_bareiss(q)
     if m == 0:
         raise ShapeViolationError("the block Q is degenerate")
-    adj = _adjugate_cached(q)
+    adj, _ = _integral_inverse(q)
     c = tuple(-adj[i - 1][k] for k in range(s))
     norm_c = sum(c[a] * q[a][b] * c[b] for a in range(s) for b in range(s))
     if norm_c % 2:
@@ -297,43 +304,74 @@ def build_phi(i: int, l_lat: GramLattice) -> LatticeIsometry:
     return verify_isometry(matrix, l_lat)
 
 
+@lru_cache(maxsize=8)
+def _extension_cap(l_lat: GramLattice) -> int:
+    """|L*/L| times the exponent of L*/L."""
+    disc = discriminant_group(l_lat)
+    return disc.order * max(disc.invariant_factors, default=1)
+
+
+SparseRows = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _nonzero_entries(a: IntMatrix) -> SparseRows:
+    """Each row of a as the (column, entry) pairs of its nonzero entries."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
+
+
+def _sparse_mul(a: SparseRows, b: SparseRows, ncols: int) -> IntMatrix:
+    """The dense product a b; only nonzero entries are multiplied."""
+    out = []
+    for row in a:
+        acc = [0] * ncols
+        for k, x in row:
+            for j, y in b[k]:
+                acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _minus_identity(a: IntMatrix) -> SparseRows:
+    """The nonzero entries of a - I."""
+    return _nonzero_entries(linalg.mat_sub(a, linalg.identity(len(a))))
+
+
+def _commute(a_minus_i: SparseRows, b_minus_i: SparseRows) -> bool:
+    """Whether ab = ba, given a - I and b - I by _minus_identity.
+
+    ab - ba = (a - I)(b - I) - (b - I)(a - I). For the extended generators
+    a - I has about 21 nonzero entries out of 484, so comparing the two
+    products of differences is exact and far cheaper than ab against ba.
+    """
+    n = len(a_minus_i)
+    return _sparse_mul(a_minus_i, b_minus_i, n) == _sparse_mul(b_minus_i, a_minus_i, n)
+
+
 def extension_order(phi: LatticeIsometry, l_lat: GramLattice) -> int:
     """Least k with phi^k acting as the identity on the dual quotient L*/L.
 
-    phi^k is trivial on L*/L iff (phi^k - I) G^{-1} is an integer matrix.
-    The search is capped at |L*/L| times the exponent of the group; going
-    past |L*/L| already contradicts the expected bound and is reported.
+    phi^k is trivial on L*/L iff (phi^k - I) G^{-1} is an integer matrix,
+    that is iff (phi^k - I) adj(G) vanishes modulo det G; adj(G), det G
+    and the cap are computed once per lattice. The search is capped at
+    |L*/L| times the exponent of the group; going past |L*/L| already
+    contradicts the expected bound and is reported.
     """
     if phi.lattice != l_lat:
         raise ValueError("isometry does not act on the given lattice")
-    disc = discriminant_group(l_lat)
-    cap = disc.order * (max(disc.invariant_factors) if disc.invariant_factors else 1)
-    g_inv = linalg.fraction_inverse(l_lat.gram)
+    cap = _extension_cap(l_lat)
+    adj, det = _integral_inverse(l_lat.gram)
+    adj_entries = _nonzero_entries(adj)
     n = l_lat.rank
     power = phi.matrix
-    ident = linalg.identity(n)
     k = 1
     while k <= cap:
-        diff = linalg.mat_sub(power, ident)
-        if _matrix_times_fraction_is_integral(diff, g_inv):
+        scaled = _sparse_mul(_minus_identity(power), adj_entries, n)
+        if all(x % det == 0 for row in scaled for x in row):
             return k
         power = linalg.mat_mul(power, phi.matrix)
         k += 1
     raise BoundExceededError(
         f"no power up to {cap} acts trivially on the discriminant group")
-
-
-def _matrix_times_fraction_is_integral(a: IntMatrix, b_fr) -> bool:
-    n = len(a)
-    for i in range(n):
-        for j in range(n):
-            acc = Fraction(0)
-            for k in range(n):
-                if a[i][k]:
-                    acc += a[i][k] * b_fr[k][j]
-            if acc.denominator != 1:
-                return False
-    return True
 
 
 def extend_to_lambda(phi_power: LatticeIsometry,
@@ -342,9 +380,12 @@ def extend_to_lambda(phi_power: LatticeIsometry,
     """Unique ambient isometry restricting to phi_power on L, identity on Tbar.
 
     L + Tbar has finite index in the ambient lattice, so the block map
-    extends uniquely over Q; integrality on the ambient basis is exactly
-    the discriminant-triviality of phi_power and is checked entry by
-    entry.
+    extends uniquely over Q: with S the stacked basis [L; Tbar] and
+    B = blockdiag(phi_power^T, I), the extension is M with
+    det(S) M^T = adj(S) B S. Integrality on the ambient basis is exactly
+    the discriminant-triviality of phi_power; it holds iff every entry of
+    adj(S) B S is divisible by det S, with adj(S) and det S computed once
+    per basis.
     """
     ambient = l_emb.ambient
     if tbar_emb.ambient != ambient:
@@ -352,27 +393,16 @@ def extend_to_lambda(phi_power: LatticeIsometry,
     rows = linalg.row_stack(l_emb.basis, tbar_emb.basis)
     if len(rows) != ambient.rank:
         raise ValueError("L + Tbar does not have full rank")
-    s_inv = linalg.fraction_inverse(rows)
-    r_l = len(l_emb.basis)
-    m_t = linalg.transpose(phi_power.matrix)
-    cols = []
-    for i in range(ambient.rank):
-        coords = [s_inv[i][j] for j in range(ambient.rank)]
-        c_l = coords[:r_l]
-        c_t = coords[r_l:]
-        c_l_new = [sum(c_l[a] * m_t[a][b] for a in range(r_l)) for b in range(r_l)]
-        new_coords = c_l_new + c_t
-        image = [sum(new_coords[a] * rows[a][j] for a in range(ambient.rank))
-                 for j in range(ambient.rank)]
-        col = []
-        for x in image:
-            if x.denominator != 1:
-                raise NonIntegralExtensionError(
-                    "block map does not preserve the ambient lattice; "
-                    "the power does not act trivially on the discriminant group")
-            col.append(x.numerator)
-        cols.append(col)
-    matrix = linalg.transpose(linalg.freeze(cols))
+    adj, det = _integral_inverse(rows)
+    moved = linalg.row_stack(
+        linalg.mat_mul(linalg.transpose(phi_power.matrix), l_emb.basis),
+        tbar_emb.basis)
+    scaled = linalg.mat_mul(adj, moved)
+    if any(x % det for row in scaled for x in row):
+        raise NonIntegralExtensionError(
+            "block map does not preserve the ambient lattice; "
+            "the power does not act trivially on the discriminant group")
+    matrix = linalg.transpose(tuple(tuple(x // det for x in row) for row in scaled))
     return verify_isometry(matrix, ambient)
 
 
@@ -489,6 +519,21 @@ def period_point(tbar: GramLattice, t: GramLattice) -> PeriodPoint:
     return PeriodPoint(a_param=big_a, coordinates=coords)
 
 
+def _integral_components(sigma: PeriodPoint) -> list[list[int]]:
+    """The nonzero component vectors of sigma over the basis 1, r, w, rw.
+
+    Each is given in the basis of T and scaled to an integer vector by
+    the lcm of its denominators.
+    """
+    rows = []
+    for part in range(4):
+        row = [x.parts[part] for x in sigma.coordinates]
+        if any(row):
+            denom = lcm(*[x.denominator for x in row])
+            rows.append([x.numerator * (denom // x.denominator) for x in row])
+    return rows
+
+
 def minimal_primitive_sublattice(sigma: PeriodPoint,
                                  ambient: GramLattice) -> SublatticeEmbedding:
     """Saturation of the rational span of sigma's four component vectors.
@@ -500,13 +545,7 @@ def minimal_primitive_sublattice(sigma: PeriodPoint,
     rank = ambient.rank
     if len(sigma.coordinates) != rank:
         raise ShapeViolationError("coordinate count must match the ambient rank")
-    rows = []
-    for part in range(4):
-        row = [sigma.coordinates[i].parts[part] for i in range(rank)]
-        if all(x == 0 for x in row):
-            continue
-        denom = lcm(*[x.denominator for x in row])
-        rows.append([int(x * denom) for x in row])
+    rows = _integral_components(sigma)
     if not rows:
         return SublatticeEmbedding.from_rows(ambient, [])
     hnf = linalg.hermite_normal_form(linalg.freeze(rows))
@@ -530,20 +569,11 @@ def torelli_certificate(phi: LatticeIsometry, sigma: PeriodPoint,
                         t_emb: SublatticeEmbedding,
                         e0: IntVector) -> TorelliCertificate:
     fixes_t = all(phi.apply(row) == tuple(row) for row in t_emb.basis)
-    # components of sigma in ambient coordinates transform under phi
-    fixes_period = True
-    for part in range(4):
-        comp = [Fraction(0)] * phi.rank
-        for i, row in enumerate(t_emb.basis):
-            coeff = sigma.coordinates[i].parts[part]
-            if coeff:
-                for j in range(phi.rank):
-                    comp[j] += coeff * row[j]
-        image = [sum(Fraction(phi.matrix[a][b]) * comp[b] for b in range(phi.rank))
-                 for a in range(phi.rank)]
-        if image != comp:
-            fixes_period = False
-            break
+    # components of sigma in ambient coordinates transform under phi; a
+    # nonzero integer multiple of a component is fixed iff the component is
+    basis_t = linalg.transpose(t_emb.basis)
+    fixes_period = all(phi.apply(v) == v for v in (
+        linalg.mat_vec(basis_t, row) for row in _integral_components(sigma)))
     return TorelliCertificate(
         fixes_t_pointwise=fixes_t,
         fixes_period=fixes_period,
@@ -582,8 +612,6 @@ def alpha_map(g: LatticeIsometry, subs: K3Sublattices) -> tuple[int, ...]:
 
 def group_rank_via_alpha(generators: list[LatticeIsometry],
                          subs: K3Sublattices) -> int:
-    from .parabolic import abelian_rank_of_image
-
     return abelian_rank_of_image([alpha_map(g, subs) for g in generators])
 
 
@@ -617,29 +645,32 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
     checks = _structural_checks(subs)
     structural_ok = all(c.passed for c in checks)
 
-    disc_order = None
-    sum_index = None
-    corank = None
-    tbar_gram = None
-    quartic_a = None
+    report = K3ConstructionReport(primes=primes, checks=())
     if structural_ok:
         l_lat = subs.l.induced_gram()
-        disc_order = discriminant_group(l_lat).order
-        sum_index = index_of_sum(subs.l, subs.tbar)
-        stacked = linalg.row_stack(subs.n.basis, subs.t.basis)
-        corank = subs.ambient.rank - linalg.rational_rank(stacked)
         tbar_gram = subs.tbar.induced_gram().gram
-        quartic_a = (tbar_gram[0][0] * tbar_gram[1][1]
-                     - tbar_gram[0][1] * tbar_gram[0][1])
+        stacked = linalg.row_stack(subs.n.basis, subs.t.basis)
+        report = replace(
+            report,
+            disc_order=discriminant_group(l_lat).order,
+            sum_index_l_tbar=index_of_sum(subs.l, subs.tbar),
+            n_plus_t_corank=subs.ambient.rank - linalg.rational_rank(stacked),
+            tbar_gram=tbar_gram,
+            quartic_a=(tbar_gram[0][0] * tbar_gram[1][1]
+                       - tbar_gram[0][1] * tbar_gram[0][1]))
 
     if skip_extension or not structural_ok:
-        return K3ConstructionReport(
-            primes=primes, checks=tuple(checks), disc_order=disc_order,
-            sum_index_l_tbar=sum_index, n_plus_t_corank=corank,
-            tbar_gram=tbar_gram, quartic_a=quartic_a)
+        return replace(report, checks=tuple(checks))
 
-    l_lat = subs.l.induced_gram()
-    phis = [build_phi(i, l_lat) for i in range(1, 19)]
+    phis = []
+    for i in range(1, 19):
+        try:
+            phis.append(build_phi(i, l_lat))
+        except (GramViolationError, DeterminantError) as exc:
+            checks.append(CheckResult(
+                "phi_isometries_on_l", False,
+                witness=getattr(exc, "witness", None), detail=f"phi_{i}: {exc}"))
+            return replace(report, checks=tuple(checks))
     checks.append(CheckResult("phi_isometries_on_l", True,
                               detail="all 18 verified"))
     orders = [extension_order(phi, l_lat) for phi in phis]
@@ -663,9 +694,9 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
         checks.append(CheckResult(
             "phis_fix_t_pointwise",
             all(c.fixes_t_pointwise and c.fixes_period for c in certs)))
-        commute = all(
-            linalg.mat_mul(a.matrix, b.matrix) == linalg.mat_mul(b.matrix, a.matrix)
-            for idx, a in enumerate(big_phis) for b in big_phis[idx + 1:])
+        diffs = [_minus_identity(g.matrix) for g in big_phis]
+        commute = all(_commute(a, b)
+                      for idx, a in enumerate(diffs) for b in diffs[idx + 1:])
         checks.append(CheckResult("phis_commute", commute))
         minimal = minimal_primitive_sublattice(sigma, subs.t.induced_gram())
         full = SublatticeEmbedding.from_rows(
@@ -673,7 +704,7 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
         checks.append(CheckResult(
             "period_minimal_sublattice_is_t", minimal.spans_same(full)))
         alpha_vectors = tuple(alpha_map(g, subs) for g in big_phis)
-        rank = group_rank_via_alpha(big_phis, subs)
+        rank = abelian_rank_of_image(list(alpha_vectors))
         checks.append(CheckResult("alpha_rank_18", rank == 18,
                                   detail=f"rank {rank}"))
     else:
@@ -681,14 +712,9 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
         rank = None
 
     all_ok = all(c.passed for c in checks)
-    return K3ConstructionReport(
-        primes=primes,
+    return replace(
+        report,
         checks=tuple(checks),
-        disc_order=disc_order,
-        sum_index_l_tbar=sum_index,
-        n_plus_t_corank=corank,
-        tbar_gram=tbar_gram,
-        quartic_a=quartic_a,
         extension_orders=tuple(orders),
         alpha_vectors=alpha_vectors,
         group_rank=rank if all_ok else None,

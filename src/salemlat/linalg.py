@@ -58,19 +58,25 @@ def mat_scale(a, k):
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
-    """a**k by binary powering; k < 0 uses the exact unimodular inverse."""
-    n = len(a)
+    """a**k by binary powering; k < 0 uses the exact unimodular inverse.
+
+    The product starts at the lowest set bit of k and the base is not
+    squared past the highest, so a**1 costs no multiplication.
+    """
+    if k == 0:
+        return identity(len(a))
     if k < 0:
         a = unimodular_inverse(a)
         k = -k
-    result = identity(n)
+    result = None
     base = a
-    while k:
+    while True:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = base if result is None else mat_mul(result, base)
         k >>= 1
-    return result
+        if not k:
+            return result
+        base = mat_mul(base, base)
 
 
 def det_bareiss(a: IntMatrix) -> int:

@@ -1,12 +1,15 @@
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from salemlat import k3 as k3_module
+from salemlat import lattice as lattice_module
 from salemlat import linalg
 from salemlat.intpoly import MILLER_RABIN_BOUND, _is_probable_prime
-from salemlat.isometry import identity_isometry, verify_isometry
+from salemlat.isometry import identity_isometry, reflection_in_vector, verify_isometry
 from salemlat.k3 import (
     DEFAULT_PRIMES,
     K3Sublattices,
@@ -15,6 +18,9 @@ from salemlat.k3 import (
     PrimeSelection,
     QuarticAlgebraElement,
     ShapeViolationError,
+    _commute,
+    _minus_identity,
+    _unit,
     alpha_map,
     build_phi,
     build_sublattices,
@@ -43,6 +49,14 @@ TOY_L = GramLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
 SMALL_PRIME_SELECTION = PrimeSelection(
     p=2, q=3, p_list=(7, 11, 13, 17, 19, 23, 29, 31),
     q_list=(37, 41, 43, 47, 53, 59, 61, 67))
+
+# valid selections besides DEFAULT_PRIMES: every structural check passes
+OTHER_VALID_SELECTIONS = (
+    PrimeSelection(p=5, q=7, p_list=(41, 43, 47, 53, 59, 61, 67, 71),
+                   q_list=(73, 79, 83, 89, 97, 101, 103, 107)),
+    PrimeSelection(p=3, q=2, p_list=(101, 103, 107, 109, 113, 127, 131, 137),
+                   q_list=(139, 149, 151, 157, 163, 167, 173, 179)),
+)
 
 ADVERSARIAL = PrimeSelection(
     p=29, q=37, p_list=(3, 5, 7, 11, 13, 17, 19, 23),
@@ -206,6 +220,56 @@ class TestExtension:
             assert big.apply(row) == tuple(row)
 
 
+def fraction_extension(phi_power, l_emb, tbar_emb):
+    """The block map glued over Q entry by entry: the reference formula."""
+    rows = linalg.row_stack(l_emb.basis, tbar_emb.basis)
+    s_inv = linalg.fraction_inverse(rows)
+    n = len(rows)
+    r_l = len(l_emb.basis)
+    m_t = linalg.transpose(phi_power.matrix)
+    cols = []
+    for i in range(n):
+        c_l = s_inv[i][:r_l]
+        new_coords = [sum(c_l[a] * m_t[a][b] for a in range(r_l))
+                      for b in range(r_l)] + list(s_inv[i][r_l:])
+        cols.append([sum(new_coords[a] * rows[a][j] for a in range(n))
+                     for j in range(n)])
+    return linalg.transpose(cols)
+
+
+class TestExtensionAgainstFractions:
+    @pytest.mark.parametrize("primes", (DEFAULT_PRIMES, *OTHER_VALID_SELECTIONS))
+    def test_integer_extension_matches_fraction_formula(self, primes):
+        subs = build_sublattices(primes)
+        l_lat = subs.l.induced_gram()
+        for i in (1, 2, 3, 18):
+            phi = build_phi(i, l_lat)
+            power = phi.power(extension_order(phi, l_lat))
+            big = extend_to_lambda(power, subs.l, subs.tbar)
+            assert big.matrix == fraction_extension(power, subs.l, subs.tbar)
+
+    def test_fraction_formula_is_not_integral_where_extension_fails(self, subs):
+        l_lat = subs.l.induced_gram()
+        neg = verify_isometry(linalg.mat_neg(linalg.identity(20)), l_lat)
+        oracle = fraction_extension(neg, subs.l, subs.tbar)
+        assert any(x.denominator != 1 for row in oracle for x in row)
+        with pytest.raises(NonIntegralExtensionError):
+            extend_to_lambda(neg, subs.l, subs.tbar)
+
+
+class TestCommute:
+    # v_11, v_12, v_13 sit at indices 6, 7, 8; in E8(-1) v_11 pairs to 0
+    # with v_12 and to 1 with v_13, so only the first two reflections commute
+    @pytest.mark.parametrize("other, commutes", ((7, True), (8, False)))
+    def test_reflections(self, other, commutes):
+        lat = k3_lattice()
+        first = reflection_in_vector(lat, _unit(6)).matrix
+        second = reflection_in_vector(lat, _unit(other)).matrix
+        dense = linalg.mat_mul(first, second) == linalg.mat_mul(second, first)
+        assert dense is commutes
+        assert _commute(_minus_identity(first), _minus_identity(second)) is commutes
+
+
 class TestPeriod:
     def test_a2_identities(self):
         tbar = GramLattice.from_rows([[2, 1], [1, 2]])
@@ -286,6 +350,7 @@ class TestTorelliAndAlpha:
         neg = verify_isometry(linalg.mat_neg(linalg.identity(22)), subs.ambient)
         cert = torelli_certificate(neg, sigma, subs.t, subs.e0)
         assert not cert.fixes_e0
+        assert not cert.fixes_period
         assert not cert.passed
 
     def test_alpha_identity_zero(self, subs):
@@ -373,6 +438,44 @@ class TestFullPipeline:
         names = [c.name for c in report.checks]
         assert "alpha_rank_18" not in names
         assert all(c.passed for c in report.checks)
+
+    def test_non_isometry_fails_phi_check_with_witness(self, monkeypatch):
+        def doubling(i, l_lat):
+            return verify_isometry(
+                linalg.mat_scale(linalg.identity(l_lat.rank), 2), l_lat)
+
+        monkeypatch.setattr(k3_module, "build_phi", doubling)
+        report = run_k3(DEFAULT_PRIMES)
+        check = report.checks[-1]
+        assert check.name == "phi_isometries_on_l"
+        assert not check.passed
+        assert check.witness == (0, 1)
+        assert check.detail.startswith("phi_1: ")
+        assert report.extension_orders is None
+        assert report.group_rank is None
+
+    def test_shared_inverses_are_computed_once(self, monkeypatch):
+        # one inverse each of Q, G and [L; Tbar], plus the unimodular
+        # inverses in _radical_split and saturation; per-generator work
+        # would show up as 18 or more calls
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(linalg, "fraction_inverse",
+                            counted("fraction_inverse", linalg.fraction_inverse))
+        disc = counted("discriminant_group", discriminant_group)
+        monkeypatch.setattr(lattice_module, "discriminant_group", disc)
+        monkeypatch.setattr(k3_module, "discriminant_group", disc)
+        k3_module._integral_inverse.cache_clear()
+        k3_module._extension_cap.cache_clear()
+        assert run_k3(DEFAULT_PRIMES).all_passed
+        assert calls["fraction_inverse"] <= 5
+        assert calls["discriminant_group"] <= 2
 
     def test_failed_selection_reports_and_omits_rank(self):
         report = run_k3(SMALL_PRIME_SELECTION)

@@ -123,6 +123,29 @@ class TestKernelAndInverse:
     def test_fraction_solve_inconsistent(self):
         assert linalg.fraction_solve(((1, 0), (1, 0)), (1, 2)) is None
 
+    def test_mat_pow_against_repeated_products(self):
+        a = ((2, 1, 0), (1, 1, 1), (0, 1, 3))  # determinant 1
+        expected = linalg.identity(3)
+        for k in range(10):
+            assert linalg.mat_pow(a, k) == expected
+            expected = linalg.mat_mul(expected, a)
+        inv = linalg.mat_pow(a, -1)
+        assert linalg.mat_mul(a, inv) == linalg.identity(3)
+        assert linalg.mat_pow(a, -3) == linalg.mat_mul(inv, linalg.mat_mul(inv, inv))
+
+    @pytest.mark.parametrize("k, products", ((1, 0), (2, 1), (8, 3), (9, 4)))
+    def test_mat_pow_product_count(self, monkeypatch, k, products):
+        calls = []
+        mat_mul = linalg.mat_mul
+
+        def counted(a, b):
+            calls.append(k)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(linalg, "mat_mul", counted)
+        linalg.mat_pow(((1, 1), (0, 1)), k)
+        assert len(calls) == products
+
     def test_adjugate(self):
         a = ((2, 1), (1, 2))
         adj = linalg.adjugate(a)
