@@ -257,9 +257,7 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
         cur = chain[-1]
         chain.append(gcd_poly(cur, cur.derivative()))
     # sf_k = g_{k-1} / g_k = product of factors of multiplicity >= k
-    sf = []
-    for k in range(1, len(chain)):
-        sf.append(chain[k - 1].exact_div(chain[k]) if chain[k].degree >= 0 else chain[k - 1])
+    sf = [chain[k - 1].exact_div(chain[k]) for k in range(1, len(chain))]
     for k in range(len(sf)):
         exact = sf[k] if k + 1 >= len(sf) else sf[k].exact_div(sf[k + 1])
         if exact.degree >= 1:
@@ -782,7 +780,7 @@ def monic_irreducible_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int
             q = q.exact_div(IntPolynomial.x())
             if q.degree == 0:
                 return
-        for part, k in squarefree_decomposition(q) if gcd_poly(q, q.derivative()).degree > 0 else [(q, 1)]:
+        for part, k in squarefree_decomposition(q):
             split_squarefree(part, mult * k)
 
     def split_squarefree(q: IntPolynomial, mult: int):

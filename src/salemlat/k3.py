@@ -35,7 +35,7 @@ from .lattice import (
     GramLattice,
     LatticeClass,
     SublatticeEmbedding,
-    classify,
+    class_of_signature,
     definiteness_witness,
     direct_sum,
     discriminant_group,
@@ -199,27 +199,28 @@ def _structural_checks(subs: K3Sublattices) -> list[CheckResult]:
 
     checks.append(CheckResult("n_rank_19", subs.n.rank == 19,
                               detail=f"rank {subs.n.rank}"))
-    n_class = classify(n_lat)
+    n_sig = signature(n_lat)
+    n_class = class_of_signature(n_sig)
     checks.append(CheckResult(
         "n_parabolic", n_class == LatticeClass.PARABOLIC,
         witness=None if n_class == LatticeClass.PARABOLIC
         else definiteness_witness(n_lat, 1),
-        detail=f"signature {tuple(signature(n_lat))}"))
+        detail=f"signature {tuple(n_sig)}"))
 
-    nbar_class = classify(nbar_lat)
-    nbar_ok = nbar_class == LatticeClass.ELLIPTIC and subs.nbar.rank == 18
+    nbar_sig = signature(nbar_lat)
+    nbar_ok = nbar_sig == (0, 0, 18)  # elliptic of rank 18
     checks.append(CheckResult(
         "nbar_elliptic_rank_18", nbar_ok,
         witness=None if nbar_ok else definiteness_witness(nbar_lat, 1)
         or definiteness_witness(nbar_lat, 0),
-        detail=f"signature {tuple(signature(nbar_lat))}"))
+        detail=f"signature {tuple(nbar_sig)}"))
 
     checks.append(CheckResult("l_rank_20", subs.l.rank == 20,
                               detail=f"rank {subs.l.rank}"))
-    l_class = classify(l_lat)
+    l_sig = signature(l_lat)
     checks.append(CheckResult(
-        "l_hyperbolic", l_class == LatticeClass.HYPERBOLIC,
-        detail=f"signature {tuple(signature(l_lat))}"))
+        "l_hyperbolic", class_of_signature(l_sig) == LatticeClass.HYPERBOLIC,
+        detail=f"signature {tuple(l_sig)}"))
 
     tbar_sig = signature(tbar_lat)
     tbar_ok = subs.tbar.rank == 2 and tbar_sig == (2, 0, 0)
@@ -267,7 +268,7 @@ def _split_u_block(l_lat: GramLattice) -> IntMatrix:
 @lru_cache(maxsize=8)
 def _integral_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:
     """(adj a, det a), so that a^-1 = adj a / det a; a must be nonsingular."""
-    return linalg.adjugate(a), linalg.det_bareiss(a)
+    return linalg.integral_inverse(a)
 
 
 def build_phi(i: int, l_lat: GramLattice) -> LatticeIsometry:
@@ -281,10 +282,10 @@ def build_phi(i: int, l_lat: GramLattice) -> LatticeIsometry:
     s = len(q)
     if not 1 <= i <= s:
         raise ValueError(f"index {i} out of range 1..{s}")
-    m = linalg.det_bareiss(q)
-    if m == 0:
-        raise ShapeViolationError("the block Q is degenerate")
-    adj, _ = _integral_inverse(q)
+    try:
+        adj, m = _integral_inverse(q)
+    except ValueError:
+        raise ShapeViolationError("the block Q is degenerate") from None
     c = tuple(-adj[i - 1][k] for k in range(s))
     norm_c = sum(c[a] * q[a][b] * c[b] for a in range(s) for b in range(s))
     if norm_c % 2:

@@ -219,8 +219,12 @@ def definiteness_witness(lattice: GramLattice, wanted_sign: int) -> IntVector | 
 
 
 def classify(lattice: GramLattice) -> LatticeClass:
-    sig = signature(lattice)
-    r = lattice.rank
+    return class_of_signature(signature(lattice))
+
+
+def class_of_signature(sig: SignatureTriple) -> LatticeClass:
+    """The trichotomy class of a lattice with signature sig."""
+    r = sum(sig)
     if sig == (1, 0, r - 1):
         return LatticeClass.HYPERBOLIC
     if sig == (0, 1, r - 1):
@@ -311,10 +315,9 @@ class DiscriminantGroup:
 
 def discriminant_group(lattice: GramLattice) -> DiscriminantGroup:
     """Invariant factors of coker(gram), the dual quotient L*/L."""
-    det = lattice.determinant()
-    if det == 0:
-        raise DegenerateLatticeError("discriminant group needs a nondegenerate form")
     diag = linalg.snf_diagonal(lattice.gram)
+    if 0 in diag:
+        raise DegenerateLatticeError("discriminant group needs a nondegenerate form")
     return DiscriminantGroup(tuple(d for d in diag if d > 1), prod(diag))
 
 
@@ -434,8 +437,8 @@ def represents(lattice: GramLattice, target: int):
     reduces to the definite quotient; a witness is lifted back through the
     chosen splitting.
     """
-    cls = classify(lattice)
     sig = signature(lattice)
+    cls = class_of_signature(sig)
     if cls == LatticeClass.ELLIPTIC or sig == (lattice.rank, 0, 0):
         vecs = vectors_of_norm(lattice, target)
         return (True, vecs[0]) if vecs else (False, None)

@@ -1,8 +1,10 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices are tuples of tuples (rows). Integer routines never leave the
-integers; rational routines use fractions.Fraction. Nothing here is
-tolerant of floating point, by design.
+Matrices are tuples of tuples (rows). Determinant, adjugate, inverses,
+solve and rank all come from one Bareiss fraction-free elimination core,
+which never leaves the integers; fractions.Fraction appears only in the
+outputs of the fraction_* fronts. Nothing here is tolerant of floating
+point, by design.
 """
 
 from __future__ import annotations
@@ -82,26 +84,8 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
 def det_bareiss(a: IntMatrix) -> int:
     """Exact integer determinant by Bareiss fraction-free elimination."""
     n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    pivots, d, sign = _bareiss([list(row) for row in a], n)
+    return sign * d if len(pivots) == n else 0
 
 
 def charpoly_coeffs(a: IntMatrix) -> list[int]:
@@ -126,97 +110,85 @@ def charpoly_coeffs(a: IntMatrix) -> list[int]:
     return coeffs
 
 
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix with determinant +-1."""
-    inv = fraction_inverse(a)
-    out = []
-    for row in inv:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out_row.append(x.numerator)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
-    """Bring Fraction rows to reduced row echelon form in place.
+def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], int, int]:
+    """Bareiss fraction-free Gauss-Jordan elimination of integer rows in place.
 
     Pivots are searched only in the first ncols columns, so augmented
-    columns ride along. Returns the (row, col) pivot positions.
+    columns ride along. Every other row x becomes (p x - f y) / prev, an
+    exact division (Bareiss, Math. Comp. 22, 1968). Returns the (row, col)
+    pivots, the last pivot d and the sign of the row swaps: every pivot
+    entry ends equal to d, the reduced row echelon form is rows / d, and a
+    square nonsingular input has det = sign * d.
     """
     m = len(rows)
     pivots: list[tuple[int, int]] = []
+    prev = sign = 1
     for col in range(ncols):
-        row = len(pivots)
-        if row == m:
-            break
-        piv = next((r for r in range(row, m) if rows[r][col] != 0), None)
+        k = len(pivots)
+        piv = next((r for r in range(k, m) if rows[r][col]), None)
         if piv is None:
             continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        # entries left of col are already zero in the pivot row
-        prow = rows[row]
-        inv_p = 1 / prow[col]
-        prow[col:] = [x * inv_p for x in prow[col:]]
-        for r in range(m):
-            f = rows[r][col]
-            if r != row and f != 0:
-                rows[r][col:] = [x - f * y for x, y in zip(rows[r][col:], prow[col:])]
-        pivots.append((row, col))
-    return pivots
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        prow = rows[k]
+        p = prow[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            # with f = 0 the row is only rescaled by p / prev
+            if r != k and (f or p != prev):
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        pivots.append((k, col))
+        prev = p
+    return pivots, prev, sign
+
+
+def integral_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:
+    """(adj a, det a) from one elimination of [a | I]; ValueError if singular."""
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    pivots, d, sign = _bareiss(aug, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(sign * x for x in row[n:]) for row in aug), sign * d
+
+
+def unimodular_inverse(a: IntMatrix) -> IntMatrix:
+    """Inverse of an integer matrix with determinant +-1."""
+    adj, det = integral_inverse(a)
+    if det not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return mat_scale(adj, det)
 
 
 def fraction_inverse(a) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    if len(_gauss_jordan(aug, n)) < n:
-        raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in aug)
+    adj, det = integral_inverse(a)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
 def fraction_solve(a, b) -> list[Fraction] | None:
-    """Solve a x = b exactly; None when inconsistent.
-
-    Accepts rectangular systems (least constraints ignored are detected as
-    inconsistency). a is m x n, b length m.
-    """
+    """Solve a x = b exactly for any m x n matrix a; None when inconsistent."""
     m = len(a)
     n = len(a[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = _gauss_jordan(aug, n)
-    if any(aug[r][n] != 0 for r in range(len(pivots), m)):
+    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
+    pivots, d, _ = _bareiss(aug, n)
+    if any(aug[r][n] for r in range(len(pivots), m)):
         return None
     x = [Fraction(0)] * n
     for r, c in pivots:
-        x[c] = aug[r][n]
+        x[c] = Fraction(aug[r][n], d)
     return x
 
 
 def rational_rank(a) -> int:
     if not a:
         return 0
-    return len(_gauss_jordan([[Fraction(x) for x in row] for row in a], len(a[0])))
+    return len(_bareiss([list(row) for row in a], len(a[0]))[0])
 
 
 def adjugate(a: IntMatrix) -> IntMatrix:
-    """Adjugate matrix: det(a) * a^{-1}, always integral."""
-    d = det_bareiss(a)
-    if d == 0:
-        raise ValueError("adjugate of a singular matrix is not supported here")
-    inv = fraction_inverse(a)
-    out = []
-    for row in inv:
-        out_row = []
-        for x in row:
-            y = x * d
-            if y.denominator != 1:
-                raise ArithmeticError("det(a) * a^-1 is not integral")
-            out_row.append(y.numerator)
-        out.append(tuple(out_row))
-    return tuple(out)
+    """Adjugate matrix: det(a) * a^{-1}, always integral; a must be nonsingular."""
+    return integral_inverse(a)[0]
 
 
 def _centered_quotient(a: int, b: int) -> int:
@@ -323,10 +295,6 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def snf_diagonal(a: IntMatrix) -> list[int]:
     _, d, _ = smith_normal_form(a)
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
-def integer_rank(a: IntMatrix) -> int:
-    return sum(1 for x in snf_diagonal(a) if x != 0)
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:

@@ -4,7 +4,7 @@ An isometry of a parabolic lattice that fixes the radical generator v and
 acts as the identity on L/Zv is determined by the integer vector
 (a_1, ..., a_{r-1}) with g(u_i) = u_i + a_i v; the assignment is an
 injective group homomorphism into Z^{r-1}, so ranks of such subgroups
-reduce to Smith normal form ranks of image vectors.
+reduce to ranks of image vectors, equal over Z and Q as Z^k is torsion-free.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def abelian_rank_of_image(vectors: list[IntVector]) -> int:
     for v in vectors:
         if len(v) != k:
             raise ValueError("vectors must share a common length")
-    return linalg.integer_rank(linalg.freeze(vectors))
+    return linalg.rational_rank(linalg.freeze(vectors))
 
 
 def parabolic_group_rank(generators: list[LatticeIsometry],

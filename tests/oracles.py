@@ -137,6 +137,15 @@ def sympy_rank(matrix) -> int:
     return sympy.Matrix([list(r) for r in matrix]).rank()
 
 
+def sympy_det(matrix) -> int:
+    return int(sympy.Matrix([list(r) for r in matrix]).det())
+
+
+def sympy_adjugate(matrix):
+    adj = sympy.Matrix([list(r) for r in matrix]).adjugate()
+    return tuple(tuple(int(c) for c in adj.row(i)) for i in range(adj.rows))
+
+
 def sympy_inverse(matrix):
     """Exact inverse as a tuple of Fraction rows; None when singular."""
     m = sympy.Matrix([list(r) for r in matrix])

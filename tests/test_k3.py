@@ -457,7 +457,9 @@ class TestFullPipeline:
     def test_shared_inverses_are_computed_once(self, monkeypatch):
         # one inverse each of Q, G and [L; Tbar], plus the unimodular
         # inverses in _radical_split and saturation; per-generator work
-        # would show up as 18 or more calls
+        # would show up as 18 or more calls. One signature each of N, Nbar,
+        # L, Tbar and the definite quotient of N, and with the extension
+        # stage Tbar again in period_point.
         calls = Counter()
 
         def counted(name, f):
@@ -466,16 +468,21 @@ class TestFullPipeline:
                 return f(*args)
             return wrapper
 
-        monkeypatch.setattr(linalg, "fraction_inverse",
-                            counted("fraction_inverse", linalg.fraction_inverse))
+        monkeypatch.setattr(linalg, "integral_inverse",
+                            counted("integral_inverse", linalg.integral_inverse))
+        monkeypatch.setattr(lattice_module, "signature_with_basis",
+                            counted("signature", lattice_module.signature_with_basis))
         disc = counted("discriminant_group", discriminant_group)
         monkeypatch.setattr(lattice_module, "discriminant_group", disc)
         monkeypatch.setattr(k3_module, "discriminant_group", disc)
-        k3_module._integral_inverse.cache_clear()
-        k3_module._extension_cap.cache_clear()
-        assert run_k3(DEFAULT_PRIMES).all_passed
-        assert calls["fraction_inverse"] <= 5
-        assert calls["discriminant_group"] <= 2
+        for skip_extension, inverses, signatures in ((True, 1, 6), (False, 5, 7)):
+            calls.clear()
+            k3_module._integral_inverse.cache_clear()
+            k3_module._extension_cap.cache_clear()
+            assert run_k3(DEFAULT_PRIMES, skip_extension).all_passed
+            assert 0 < calls["integral_inverse"] <= inverses
+            assert calls["discriminant_group"] <= 2
+            assert 0 < calls["signature"] <= signatures
 
     def test_failed_selection_reports_and_omits_rank(self):
         report = run_k3(SMALL_PRIME_SELECTION)

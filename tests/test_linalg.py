@@ -5,7 +5,9 @@ import pytest
 from salemlat import linalg
 
 from oracles import (
+    sympy_adjugate,
     sympy_charpoly,
+    sympy_det,
     sympy_inverse,
     sympy_invariant_factors,
     sympy_rank,
@@ -168,16 +170,70 @@ class TestEliminationAgainstSympy:
                 a = random_matrix(rng, m, n, -6, 6)
             assert linalg.rational_rank(a) == sympy_rank(a)
             if m == n:
-                expected = sympy_inverse(a)
-                if expected is None:
-                    singular += 1
-                    with pytest.raises(ValueError):
-                        linalg.fraction_inverse(a)
-                else:
-                    assert linalg.fraction_inverse(a) == expected
+                self.check_square(a)
+                singular += sympy_det(a) == 0
             x0 = [rng.randint(-3, 3) for _ in range(n)]
             for b in (linalg.mat_vec(a, x0), [rng.randint(-9, 9) for _ in range(m)]):
                 x = linalg.fraction_solve(a, b)
                 assert x == sympy_solve(a, b)
                 inconsistent += x is None
         assert singular > 0 and inconsistent > 0
+
+    @staticmethod
+    def check_square(a):
+        det = sympy_det(a)
+        assert linalg.det_bareiss(a) == det
+        if det == 0:
+            for singular_front in (linalg.integral_inverse, linalg.fraction_inverse,
+                                   linalg.adjugate):
+                with pytest.raises(ValueError):
+                    singular_front(a)
+            return
+        adj = sympy_adjugate(a)
+        assert linalg.integral_inverse(a) == (adj, det)
+        assert linalg.adjugate(a) == adj
+        assert linalg.fraction_inverse(a) == sympy_inverse(a)
+
+    def test_zero_leading_entries_swap_rows(self, suite_seed):
+        fixed = [
+            ((0, 1), (1, 0)),
+            ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+            ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+            ((0, 2, 1), (0, 1, 3), (4, 5, 0)),
+            ((0, 3, 1, 2), (0, 0, 2, 1), (1, 1, 0, 0), (2, 0, 1, 5)),
+            ((0, 1, 2), (0, 3, 6), (0, 4, 1)),
+        ]
+        rng = random.Random(suite_seed + 6)
+        seeded = []
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            a = [list(row) for row in random_matrix(rng, n, n, -5, 5)]
+            # zero the top of the first column, and of the second below row 0
+            for i in range(rng.randint(1, n - 1)):
+                a[i][0] = 0
+            for i in range(1, rng.randint(1, n)):
+                a[i][1] = 0
+            seeded.append(linalg.freeze(a))
+        for a in fixed + seeded:
+            self.check_square(a)
+            assert linalg.rational_rank(a) == sympy_rank(a)
+
+    def test_unimodular_inverse_of_elementary_products(self, suite_seed):
+        rng = random.Random(suite_seed + 7)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            a = [list(row) for row in linalg.identity(n)]
+            for _ in range(rng.randint(0, 12)):
+                i, j, c = rng.randrange(n), rng.randrange(n), rng.randint(-3, 3)
+                step = rng.randrange(3)
+                if step == 0 and i != j:
+                    a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+                elif step == 1:
+                    a[i], a[j] = a[j], a[i]
+                else:
+                    a[i] = [-x for x in a[i]]
+            a = linalg.freeze(a)
+            inv = linalg.unimodular_inverse(a)
+            assert linalg.mat_mul(a, inv) == linalg.identity(n)
+            assert inv == tuple(tuple(int(x) for x in row) for row in sympy_inverse(a))
+            assert linalg.det_bareiss(a) == sympy_det(a) in (1, -1)

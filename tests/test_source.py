@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "salemlat"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "salemlat"
 
 
 def test_no_assert_statements():
@@ -16,3 +17,49 @@ def test_no_assert_statements():
     ]
     assert sorted(SOURCE.glob("*.py"))
     assert found == []
+
+
+def _tracer_targets():
+    # read the literal without importing or running the tracer
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/tracer.py has no TARGETS")
+
+
+def _bindings(body, name):
+    """The top-level statements of a block that bind name."""
+    found = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            names = [n.id for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        if name in names:
+            found.append(node)
+    return found
+
+
+def test_tracer_targets_are_distinct_defs():
+    # every traced (layer, name) is a function defined once, by def, in
+    # src/salemlat/<layer>.py: not deleted, aliased or rebound
+    targets = _tracer_targets()
+    for front in ("det_bareiss", "adjugate", "fraction_inverse", "rational_rank"):
+        assert ("linalg", front) in targets
+    assert len(set(targets)) == len(targets)
+    problems = []
+    for layer, qualname in targets:
+        body = ast.parse((SOURCE / f"{layer}.py").read_text()).body
+        *owners, name = qualname.split(".")
+        for owner in owners:
+            body = next((n.body for n in body
+                         if isinstance(n, ast.ClassDef) and n.name == owner), [])
+        bindings = _bindings(body, name)
+        if len(bindings) != 1 or not isinstance(bindings[0], ast.FunctionDef):
+            problems.append(f"{layer}.{qualname}")
+    assert problems == []
