@@ -3,7 +3,8 @@
 Every subcommand emits one JSON certificate with a fixed schema and key
 order, so identical inputs give byte-identical output. Exit codes:
 0 all checks pass, 1 some check fails, 2 usage or input validation
-error, 3 I/O failure.
+error, 3 I/O failure, 4 internal error (an identity the construction
+guarantees did not hold).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _certificate(command: dict, result, checks: list[dict]) -> dict:
@@ -221,6 +223,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     cert = _certificate(_command_echo(args), result, checks)
     try:
         _emit(cert, args.output)

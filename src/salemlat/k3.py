@@ -512,11 +512,11 @@ def period_point(tbar: GramLattice, t: GramLattice) -> PeriodPoint:
     )
     sigma_sq = _period_pairing(t.gram, coords, coords)
     if not sigma_sq.is_zero:
-        raise AssertionError("period identity (sigma, sigma) = 0 failed")
+        raise ArithmeticError("period identity (sigma, sigma) = 0 failed")
     pairing = _period_pairing(t.gram, coords,
                               tuple(x.conjugate() for x in coords))
     if pairing.parts != (Fraction(big_a, a), Fraction(0), Fraction(0), Fraction(0)):
-        raise AssertionError("period identity (sigma, conj sigma) = A/a failed")
+        raise ArithmeticError("period identity (sigma, conj sigma) = A/a failed")
     return PeriodPoint(a_param=big_a, coordinates=coords)
 
 

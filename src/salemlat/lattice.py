@@ -1,10 +1,10 @@
 """Integer lattices with symmetric bilinear forms.
 
-Signatures come from exact symmetric reduction over the rationals,
-sublattice questions (saturation, primitivity, complements, indices,
-discriminant groups) from Smith normal form, and short vectors of a
-definite form from Fincke-Pohst enumeration with exact rational LDL^T
-bounds.
+Signatures and their witness vectors come from a fraction-free symmetric
+Bareiss reduction in the integers, sublattice questions (saturation,
+primitivity, complements, indices, discriminant groups) from Smith normal
+form, and short vectors of a definite form from Fincke-Pohst enumeration
+with exact rational LDL^T bounds.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import floor, lcm, prod
+from math import floor, gcd, prod
 
 from . import linalg
 from .linalg import IntMatrix, IntVector, smith_normal_form
@@ -140,81 +140,76 @@ class LatticeClass(Enum):
     OTHER = "other"
 
 
-def signature_with_basis(lattice: GramLattice):
-    """Exact diagonalization by congruence.
+def _congruence_bareiss(rows: list[list[int]], n: int) -> list[tuple[int, int]]:
+    """Diagonalization by congruence of the n x n block of rows, fraction-free.
 
-    Returns (SignatureTriple, diag, basis) where basis is a list of
-    rational rows b_i with b_i G b_i^T = diag[i] and b_i G b_j^T = 0. The
-    rows witness the sign counts exactly.
+    Symmetric Bareiss elimination in place (Bareiss, Math. Comp. 22, 1968).
+    The pivot is the largest |diagonal entry| of the trailing block, the
+    first on ties; on a zero diagonal row and column j are added to i for
+    the first nonzero off-diagonal (i, j), which makes (i, i) nonzero. Row
+    operations run over whole rows, so augmented columns ride along; swaps
+    and adds also act on the first n columns. Every trailing row x becomes
+    (p x - f y) / prev, exact by Sylvester's identity, since the swaps and
+    adds are unimodular congruences on the trailing coordinates.
+
+    Returns (p_k, prev_k) per position: the k-th diagonal entry of the
+    congruent diagonal form is p_k / prev_k, and row k is prev_k times a
+    rational row b_k with b_i G b_j^T = 0 for i != j (G the n x n block).
+    Positions past the last pivot have p_k = 0.
     """
-    n = lattice.rank
-    a = [[Fraction(x) for x in row] for row in lattice.gram]
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def sym_add(dst: int, src: int, f: Fraction):
-        # basis[dst] += f * basis[src], updating the form congruently
-        for j in range(n):
-            a[dst][j] += f * a[src][j]
-        for i in range(n):
-            a[i][dst] += f * a[i][src]
-        for j in range(n):
-            basis[dst][j] += f * basis[src][j]
-
-    def swap(i: int, j: int):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        basis[i], basis[j] = basis[j], basis[i]
-
+    pairs: list[tuple[int, int]] = []
+    prev = 1
     for k in range(n):
-        # full pivoting on the diagonal of the trailing block
-        piv = None
-        best = None
+        piv, best = None, 0
         for i in range(k, n):
-            v = abs(a[i][i])
-            if v != 0 and (best is None or v > best):
-                best = v
-                piv = i
+            if abs(rows[i][i]) > best:
+                piv, best = i, abs(rows[i][i])
         if piv is None:
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                        if rows[i][j]), None)
             if off is None:
                 break  # trailing block is zero
-            sym_add(off[0], off[1], Fraction(1))
-            piv = off[0]
+            piv, j = off
+            rows[piv] = [x + y for x, y in zip(rows[piv], rows[j])]
+            for row in rows:
+                row[piv] += row[j]
         if piv != k:
-            swap(k, piv)
+            rows[k], rows[piv] = rows[piv], rows[k]
+            for row in rows:
+                row[k], row[piv] = row[piv], row[k]
+        prow = rows[k]
+        p = prow[k]
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                sym_add(i, k, -a[i][k] / a[k][k])
-    diag = [a[i][i] for i in range(n)]
-    plus = sum(1 for d in diag if d > 0)
-    minus = sum(1 for d in diag if d < 0)
-    zero = n - plus - minus
-    return SignatureTriple(plus, zero, minus), diag, basis
+            row = rows[i]
+            f = row[k]
+            # with f = 0 the row is only rescaled by p / prev
+            if f or p != prev:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        pairs.append((p, prev))
+        prev = p
+    return pairs + [(0, prev)] * (n - len(pairs))
 
 
 def signature(lattice: GramLattice) -> SignatureTriple:
-    sig, _, _ = signature_with_basis(lattice)
-    return sig
+    pairs = _congruence_bareiss([list(row) for row in lattice.gram], lattice.rank)
+    plus = sum(1 for p, prev in pairs if p * prev > 0)
+    minus = sum(1 for p, prev in pairs if p * prev < 0)
+    return SignatureTriple(plus, lattice.rank - plus - minus, minus)
 
 
 def definiteness_witness(lattice: GramLattice, wanted_sign: int) -> IntVector | None:
-    """An integer vector whose norm has the wanted sign (+1, 0 or -1), if any."""
-    _, diag, basis = signature_with_basis(lattice)
-    for d, row in zip(diag, basis):
-        if (d > 0) - (d < 0) == wanted_sign:
-            denom = lcm(*[x.denominator for x in row])
-            vec = tuple(int(x * denom) for x in row)
-            if wanted_sign == 0 and lattice.norm(vec) != 0:
-                continue
-            return vec
+    """An integer vector whose norm has the wanted sign (+1, 0 or -1), if any.
+
+    The first basis row of the congruence whose diagonal entry has that
+    sign, scaled to a primitive integer vector with the sign of the row.
+    """
+    n = lattice.rank
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(lattice.gram)]
+    for (p, prev), row in zip(_congruence_bareiss(rows, n), rows):
+        if (p * prev > 0) - (p * prev < 0) == wanted_sign:
+            g = gcd(prev, *row[n:]) if prev > 0 else -gcd(prev, *row[n:])
+            return tuple(x // g for x in row[n:])
     return None
 
 
@@ -337,7 +332,7 @@ def _radical_split(lattice: GramLattice):
     v_inv = linalg.unimodular_inverse(vm)
     first = v_inv[0]
     if first != v and tuple(-x for x in first) != v:
-        raise AssertionError("basis completion lost the radical generator")
+        raise ArithmeticError("basis completion lost the radical generator")
     rows = [v] + [tuple(r) for r in v_inv[1:]]
     return v, tuple(rows)
 

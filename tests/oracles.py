@@ -2,15 +2,17 @@
 
 Nothing here shares code paths with the package: Salem recognition goes
 through high-precision numeric root isolation plus sympy factorization,
-short-vector lists come from a naive box search, and normal forms,
-exact elimination, polynomial division, gcds and real-root counts are
-cross-checked against sympy.
+short-vector lists come from a naive box search, signatures and their
+witnesses from a congruence reduction in fractions.Fraction, and normal
+forms, exact elimination, polynomial division, gcds, real-root counts and
+signatures are cross-checked against sympy.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import sympy
@@ -164,3 +166,95 @@ def sympy_solve(matrix, rhs) -> list[Fraction] | None:
         return None
     sol = sol.subs({t: 0 for t in params})
     return [_fraction(c) for c in sol]
+
+
+def signature_with_basis(lattice):
+    """Exact diagonalization by congruence.
+
+    Returns ((n_plus, n_zero, n_minus), diag, basis) where basis is a list
+    of rational rows b_i with b_i G b_i^T = diag[i] and b_i G b_j^T = 0.
+    The rows witness the sign counts exactly.
+    """
+    n = lattice.rank
+    a = [[Fraction(x) for x in row] for row in lattice.gram]
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def sym_add(dst: int, src: int, f: Fraction):
+        # basis[dst] += f * basis[src], updating the form congruently
+        for j in range(n):
+            a[dst][j] += f * a[src][j]
+        for i in range(n):
+            a[i][dst] += f * a[i][src]
+        for j in range(n):
+            basis[dst][j] += f * basis[src][j]
+
+    def swap(i: int, j: int):
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        basis[i], basis[j] = basis[j], basis[i]
+
+    for k in range(n):
+        # full pivoting on the diagonal of the trailing block
+        piv = None
+        best = None
+        for i in range(k, n):
+            v = abs(a[i][i])
+            if v != 0 and (best is None or v > best):
+                best = v
+                piv = i
+        if piv is None:
+            off = None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if a[i][j] != 0:
+                        off = (i, j)
+                        break
+                if off:
+                    break
+            if off is None:
+                break  # trailing block is zero
+            sym_add(off[0], off[1], Fraction(1))
+            piv = off[0]
+        if piv != k:
+            swap(k, piv)
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                sym_add(i, k, -a[i][k] / a[k][k])
+    diag = [a[i][i] for i in range(n)]
+    plus = sum(1 for d in diag if d > 0)
+    minus = sum(1 for d in diag if d < 0)
+    zero = n - plus - minus
+    return (plus, zero, minus), diag, basis
+
+
+def fraction_definiteness_witness(lattice, wanted_sign: int):
+    """The first basis row of signature_with_basis whose diagonal entry has
+    the wanted sign, scaled by the lcm of its denominators; None if none."""
+    _, diag, basis = signature_with_basis(lattice)
+    for d, row in zip(diag, basis):
+        if (d > 0) - (d < 0) == wanted_sign:
+            denom = lcm(*[x.denominator for x in row])
+            vec = tuple(int(x * denom) for x in row)
+            if wanted_sign == 0 and lattice.norm(vec) != 0:
+                continue
+            return vec
+    return None
+
+
+def descartes_signature(gram) -> tuple[int, int, int]:
+    """(n_plus, n_zero, n_minus) from the sympy characteristic polynomial.
+
+    A symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs is exact: the sign changes of the coefficients of p(x) count the
+    positive roots and those of p(-x) the negative ones.
+    """
+    coeffs = sympy_charpoly(gram)
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    plus = sign_changes(coeffs)
+    minus = sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
+    return plus, len(gram) - plus - minus, minus

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from salemlat.cli import main
+from salemlat import k3 as k3_module
+from salemlat.cli import EXIT_INTERNAL, main
 from salemlat.serialize import lattice_to_json
 from salemlat.lattice import GramLattice, diagonal_lattice, e8_minus_one
 
@@ -53,6 +54,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "k3-run", "--config", cfg)
         assert code == 2
         assert "distinct" in err
+
+    def test_internal_error_is_four(self, capsys, monkeypatch):
+        # a broken period identity raises ArithmeticError inside run_k3
+        def nonzero_pairing(gram, x, y):
+            return k3_module.QuarticAlgebraElement.of(x[0].a_param, x0=1)
+
+        monkeypatch.setattr(k3_module, "_period_pairing", nonzero_pairing)
+        code, out, err = run(capsys, "k3-run")
+        assert code == EXIT_INTERNAL == 4
+        assert out == ""
+        assert "internal error: period identity" in err
 
     def test_malformed_json_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

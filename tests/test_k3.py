@@ -470,8 +470,8 @@ class TestFullPipeline:
 
         monkeypatch.setattr(linalg, "integral_inverse",
                             counted("integral_inverse", linalg.integral_inverse))
-        monkeypatch.setattr(lattice_module, "signature_with_basis",
-                            counted("signature", lattice_module.signature_with_basis))
+        monkeypatch.setattr(lattice_module, "_congruence_bareiss",
+                            counted("signature", lattice_module._congruence_bareiss))
         disc = counted("discriminant_group", discriminant_group)
         monkeypatch.setattr(lattice_module, "discriminant_group", disc)
         monkeypatch.setattr(k3_module, "discriminant_group", disc)

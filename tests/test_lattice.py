@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from salemlat import linalg
+from salemlat.k3 import DEFAULT_PRIMES, build_sublattices
 from salemlat.lattice import (
     DegenerateLatticeError,
     GramLattice,
@@ -11,7 +13,9 @@ from salemlat.lattice import (
     RadicalRankError,
     SublatticeEmbedding,
     UnsupportedSignatureError,
+    _congruence_bareiss,
     classify,
+    definiteness_witness,
     diagonal_lattice,
     direct_sum,
     discriminant_group,
@@ -28,7 +32,13 @@ from salemlat.lattice import (
     vectors_of_norm,
 )
 
-from oracles import naive_vectors_of_norm
+from oracles import (
+    descartes_signature,
+    fraction_definiteness_witness,
+    naive_vectors_of_norm,
+    signature_with_basis,
+)
+from test_k3 import SMALL_PRIME_SELECTION
 
 U = hyperbolic_plane()
 E8 = e8_minus_one()
@@ -69,6 +79,84 @@ class TestSignature:
                 conj = linalg.mat_mul(linalg.mat_mul(p, lat.gram),
                                       linalg.transpose(p))
                 assert tuple(signature(GramLattice(conj))) == sig
+
+
+def seeded_symmetric(rng, n, kind):
+    """A random symmetric n x n matrix, entries in -4..4, of the given kind."""
+    g = [[0] * n for _ in range(n)]
+    if kind == "zero":
+        return g
+    for i in range(n):
+        for j in range(i + 1):
+            g[i][j] = g[j][i] = rng.randint(-4, 4)
+    if kind == "zero-diagonal":
+        for i in range(n):
+            g[i][i] = 0
+    elif kind == "repeated-row" and n >= 2:
+        a, b = rng.sample(range(n), 2)
+        for i in range(n):
+            g[b][i] = g[i][b] = g[a][i]
+        g[b][b] = g[a][a]
+    return g
+
+
+def congruence_inputs(seed):
+    rng = random.Random(seed)
+    for n in range(9):
+        for kind in ("general", "zero", "zero-diagonal", "repeated-row"):
+            for _ in range(4 if kind != "zero" else 1):
+                yield GramLattice.from_rows(seeded_symmetric(rng, n, kind))
+
+
+def k3_inputs():
+    for primes in (DEFAULT_PRIMES, SMALL_PRIME_SELECTION):
+        subs = build_sublattices(primes)
+        for emb in (subs.n, subs.nbar, subs.l, subs.tbar):
+            yield emb.induced_gram()
+
+
+class TestCongruenceBareiss:
+    """The integer core against the Fraction congruence loop and sympy."""
+
+    def check(self, lat):
+        sig, diag, _ = signature_with_basis(lat)
+        pairs = _congruence_bareiss([list(row) for row in lat.gram], lat.rank)
+        assert [Fraction(p, prev) for p, prev in pairs] == diag
+        assert tuple(signature(lat)) == sig
+        for wanted in (-1, 0, 1):
+            witness = definiteness_witness(lat, wanted)
+            assert witness == fraction_definiteness_witness(lat, wanted)
+            if witness is not None:
+                norm = lat.norm(witness)
+                assert (norm > 0) - (norm < 0) == wanted
+
+    def test_seeded_matrices(self, suite_seed):
+        for lat in congruence_inputs(suite_seed + 11):
+            self.check(lat)
+
+    def test_k3_sublattices(self):
+        for lat in k3_inputs():
+            self.check(lat)
+
+    def test_zero_diagonal_witnesses(self):
+        # no pivot on the diagonal: the first step adds row and column 2
+        # to 0, (0, 2) being the first nonzero off-diagonal entry
+        lat = GramLattice.from_rows([[0, 0, 1], [0, 0, 2], [1, 2, 0]])
+        assert tuple(signature(lat)) == (1, 1, 1)
+        assert definiteness_witness(lat, 1) == (1, 0, 1)
+        assert definiteness_witness(lat, -1) == (-1, 1, -1)
+        assert definiteness_witness(lat, 0) == (-2, 1, 0)
+        self.check(lat)
+
+    def test_largest_pivot_first(self):
+        # the rule pivots on |5| before the earlier 1, and the witness shows it
+        lat = GramLattice.from_rows([[1, 2], [2, 5]])
+        assert definiteness_witness(lat, 1) == (0, 1)
+        self.check(lat)
+
+    def test_signature_against_charpoly(self, suite_seed):
+        for lat in [*congruence_inputs(suite_seed + 12), *k3_inputs()]:
+            assert tuple(signature(lat)) == descartes_signature(lat.gram)
 
 
 class TestClassify:

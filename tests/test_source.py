@@ -19,6 +19,32 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_assertion_error_raised():
+    # an internal error raises ArithmeticError, which the command line
+    # reports with its own exit code; AssertionError would pass for a
+    # failed assert and leave as a traceback with exit code 1
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_congruence_core_builds_no_fraction():
+    # the signature kernel stays in the integers
+    tree = ast.parse((SOURCE / "lattice.py").read_text())
+    core = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_congruence_bareiss"]
+    assert len(core) == 1
+    names = {node.id for node in ast.walk(core[0]) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(core[0]) if isinstance(node, ast.Attribute)}
+    assert "Fraction" not in names
+    assert "rows" in names
+
+
 def _tracer_targets():
     # read the literal without importing or running the tracer
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
