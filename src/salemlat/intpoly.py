@@ -1,11 +1,14 @@
 """Exact integer polynomial arithmetic and root location.
 
 Coefficients are arbitrary-precision integers in ascending degree order.
-Real-root counting goes through Sturm sequences over exact rationals,
-roots of unity are recognised by trial division by cyclotomic
-polynomials, and irreducibility testing combines the rational-root
-test, factor-degree patterns modulo small primes and a Kronecker-style
-bounded search for monic factors.
+Division, gcds and Sturm sequences share one integer pseudo-division
+kernel: Sturm chains and gcds are primitive pseudo-remainder sequences,
+scaled by positive integers only, so every sign of the rational Sturm
+sequence survives. Signs at a rational a/b come from homogeneous integer
+Horner evaluation. Roots of unity are recognised by trial division by
+cyclotomic polynomials, and irreducibility testing combines the
+rational-root test, factor-degree patterns modulo small primes and a
+Kronecker-style bounded search for monic factors.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 
 from .rational import RationalInterval
 
@@ -136,10 +139,6 @@ class IntPolynomial:
             [c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)]
         )
 
-    def reverse(self) -> "IntPolynomial":
-        """x^deg * p(1/x): the coefficient list reversed."""
-        return IntPolynomial.from_coeffs(tuple(reversed(self.coeffs)))
-
     def content(self) -> int:
         g = 0
         for c in self.coeffs:
@@ -152,27 +151,27 @@ class IntPolynomial:
             return self
         return IntPolynomial(tuple(c // g for c in self.coeffs))
 
+    def sign_at(self, x) -> int:
+        """Sign of p(x) at a rational x, in integers."""
+        v = _horner(self.coeffs, x.numerator, x.denominator)
+        return (v > 0) - (v < 0)
+
     def divmod_by(self, divisor: "IntPolynomial"):
         """Polynomial division over Q, returned as Fraction coefficient lists."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        return _divmod_fractions([Fraction(c) for c in self.coeffs],
-                                 [Fraction(c) for c in divisor.coeffs])
+        m, quot, rem = _pseudo_divmod(self.coeffs, divisor.coeffs)
+        return [Fraction(q, m) for q in quot], [Fraction(r, m) for r in rem]
 
     def divides(self, other: "IntPolynomial") -> bool:
-        _, rem = other.divmod_by(self)
-        return not rem
+        """Whether self divides other over Q."""
+        return not _pseudo_divmod(other.coeffs, self.coeffs)[2]
 
     def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        quot, rem = self.divmod_by(divisor)
+        m, quot, rem = _pseudo_divmod(self.coeffs, divisor.coeffs)
         if rem:
             raise ValueError("division is not exact")
-        out = []
-        for q in quot:
-            if q.denominator != 1:
-                raise ValueError("quotient is not integral")
-            out.append(q.numerator)
-        return IntPolynomial.from_coeffs(out)
+        if m != 1:
+            raise ValueError("quotient is not integral")
+        return IntPolynomial.from_coeffs(quot)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -190,25 +189,67 @@ class IntPolynomial:
         return "IntPolynomial(" + " + ".join(terms) + ")"
 
 
-def _divmod_fractions(f: list[Fraction], g: list[Fraction]):
-    """Quotient and remainder of ascending coefficient lists over Q.
+def _pseudo_divmod(f, g):
+    """(m, quot, rem) with m > 0 and m f = quot g + rem, deg rem < deg g.
 
-    g must have a nonzero leading coefficient. The remainder carries no
-    trailing zeros; the quotient has length max(len(f) - deg g, 0).
+    f and g are ascending integer sequences without trailing zeros. Each
+    step clears the top of the remainder with the smallest positive
+    multiplier, so m = 1 exactly when every leading quotient is an
+    integer (always, for monic g). The remainder carries no trailing
+    zeros; the quotient has length max(len(f) - deg g, 0).
     """
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
     rem = list(f)
     dn = len(g) - 1
-    quot = [Fraction(0)] * max(len(rem) - dn, 0)
+    lead = g[-1]
+    m = 1
+    quot = [0] * max(len(rem) - dn, 0)
     while len(rem) > dn:
         k = len(rem) - 1 - dn
-        q = rem[-1] / g[-1]
-        quot[k] = q
+        t = rem[-1]
+        if lead != 1:
+            d = gcd(lead, t)
+            s, t = lead // d, t // d  # s * rem[-1] = t * lead
+            if s < 0:
+                s, t = -s, -t
+            if s != 1:
+                m *= s
+                rem = [s * r for r in rem]
+                quot = [s * q for q in quot]
+        quot[k] = t
         for j in range(dn):
-            rem[j + k] -= q * g[j]
+            rem[j + k] -= t * g[j]
         rem.pop()  # cancelled exactly
         while rem and rem[-1] == 0:
             rem.pop()
-    return quot, rem
+    return m, quot, rem
+
+
+def _remainder_sequence(a, b) -> list[list[int]]:
+    """a, b, then minus the primitive pseudo-remainder of the two terms
+    before, up to the last nonzero term.
+
+    Each term is a positive multiple of the term of the same sequence
+    over Q, so for b = a' it is a Sturm sequence; the last term is a gcd.
+    """
+    seq = [list(a), list(b)]
+    while seq[-1]:
+        rem = _pseudo_divmod(seq[-2], seq[-1])[2]
+        g = gcd(*rem)
+        seq.append([-(c // g) for c in rem])
+    seq.pop()
+    return seq
+
+
+def _horner(coeffs, a: int, b: int) -> int:
+    """b^n p(a/b) for n = deg p and b > 0: the sum of c_i a^i b^(n-i)."""
+    acc = 0
+    bk = 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * bk
+        bk *= b
+    return acc
 
 
 def poly_from_string(text: str) -> IntPolynomial:
@@ -225,18 +266,8 @@ def is_reciprocal(p: IntPolynomial) -> bool:
 
 def gcd_poly(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Monic gcd over Q, returned as a primitive integer polynomial."""
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
-    while fb:
-        fa, fb = fb, _divmod_fractions(fa, fb)[1]
-    if not fa:
-        return IntPolynomial.zero()
-    denom = lcm(*[c.denominator for c in fa])
-    ints = [int(c * denom) for c in fa]
-    out = IntPolynomial.from_coeffs(ints).primitive()
-    if out.leading < 0:
-        out = -out
-    return out
+    out = IntPolynomial.from_coeffs(_remainder_sequence(a.coeffs, b.coeffs)[-1])
+    return -out.primitive() if out.leading < 0 else out.primitive()
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
@@ -273,14 +304,8 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
-def _sturm_chain(p: IntPolynomial) -> list[list[Fraction]]:
-    chain = [[Fraction(c) for c in p.coeffs],
-             [Fraction(c) for c in p.derivative().coeffs]]
-    while chain[-1]:
-        _, r = _divmod_fractions(chain[-2], chain[-1])
-        chain.append([-c for c in r])
-    chain.pop()
-    return chain
+def _sturm_chain(p: IntPolynomial) -> list[list[int]]:
+    return _remainder_sequence(p.coeffs, p.derivative().coeffs)
 
 
 def _variations(values) -> int:
@@ -288,14 +313,10 @@ def _variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _eval_chain(chain, x: Fraction):
-    out = []
-    for cs in chain:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        out.append(acc)
-    return out
+def _eval_chain(chain, x) -> list[int]:
+    """Values at x of the chain terms, each scaled by a positive integer."""
+    a, b = x.numerator, x.denominator
+    return [_horner(cs, a, b) for cs in chain]
 
 
 class SturmContext:
@@ -305,16 +326,17 @@ class SturmContext:
         self.polynomial = p
         self._chain = _sturm_chain(p) if p.degree >= 1 else []
 
-    def count(self, lo: Fraction, hi: Fraction) -> int:
+    def count(self, lo, hi) -> int:
+        """Distinct real roots in the open interval between rationals lo, hi."""
         if not self._chain or lo == hi:
             return 0
-        p = self.polynomial
-        if p(lo) == 0:
+        at_lo = _eval_chain(self._chain, lo)
+        if at_lo[0] == 0:
             raise EndpointRootError(lo)
-        if p(hi) == 0:
+        at_hi = _eval_chain(self._chain, hi)
+        if at_hi[0] == 0:
             raise EndpointRootError(hi)
-        return (_variations(_eval_chain(self._chain, lo))
-                - _variations(_eval_chain(self._chain, hi)))
+        return _variations(at_lo) - _variations(at_hi)
 
 
 def sturm_count(p: IntPolynomial, interval: RationalInterval) -> int:
@@ -325,7 +347,7 @@ def sturm_count(p: IntPolynomial, interval: RationalInterval) -> int:
     """
     if p.degree < 1:
         return 0
-    return SturmContext(p).count(Fraction(interval.lo), Fraction(interval.hi))
+    return SturmContext(p).count(interval.lo, interval.hi)
 
 
 def count_real_roots(p: IntPolynomial) -> int:
@@ -381,23 +403,21 @@ def strip_cyclotomic_factors(p: IntPolynomial):
     Returns (remainder, [(n, multiplicity)]). Complete because a cyclotomic
     factor of p has phi(n) <= deg p.
     """
-    rem = p
+    rem = p.coeffs
     found: list[tuple[int, int]] = []
     for n in _cyclotomic_indices_up_to_degree(max(p.degree, 1)):
-        phi_n = cyclotomic_polynomial(n)
-        if phi_n.degree > rem.degree:
-            continue
+        phi_n = cyclotomic_polynomial(n).coeffs
         mult = 0
-        while rem.degree >= phi_n.degree:
-            quot, r = rem.divmod_by(phi_n)
+        while len(rem) >= len(phi_n):
+            # phi_n is monic, so this is plain integer division
+            _, quot, r = _pseudo_divmod(rem, phi_n)
             if r:
                 break
-            # phi_n is monic, so an exact quotient is integral
-            rem = IntPolynomial.from_coeffs(q.numerator for q in quot)
+            rem = quot
             mult += 1
         if mult:
             found.append((n, mult))
-    return rem, found
+    return IntPolynomial(tuple(rem)), found
 
 
 def is_cyclotomic_product(p: IntPolynomial) -> bool:

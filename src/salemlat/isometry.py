@@ -225,23 +225,22 @@ def _largest_real_root_above_one(p: IntPolynomial, precision: Fraction) -> Ratio
     ctx = SturmContext(q)
     hi = cauchy_root_bound(q)
     lo = Fraction(1)
-    if q(lo) == 0:
+    if q.sign_at(lo) == 0:
         lo = Fraction(100001, 100000)
     if ctx.count(lo, hi) == 0:
         return None
     far = hi + 1
     while hi - lo >= precision:
         mid = (lo + hi) / 2
-        while q(mid) == 0:
+        while q.sign_at(mid) == 0:
             mid += (hi - lo) / 17
         if ctx.count(mid, far) >= 1:
             lo = mid
         else:
             hi = mid
-        if ctx.count(lo, hi) == 1 and q(lo) != 0 and q(hi) != 0 \
-                and (q(lo) > 0) != (q(hi) > 0):
+        if ctx.count(lo, hi) == 1 and q.sign_at(lo) * q.sign_at(hi) == -1:
             # one simple root in the bracket: plain sign bisection
-            return _bisect_enclosure(q if q(hi) > 0 else -q, lo, hi, precision)
+            return _bisect_enclosure(q if q.sign_at(hi) > 0 else -q, lo, hi, precision)
     return RationalInterval(lo, hi)
 
 

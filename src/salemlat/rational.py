@@ -34,9 +34,6 @@ class RationalInterval:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 

@@ -3,8 +3,10 @@
 A Salem polynomial is a monic irreducible reciprocal integer polynomial
 whose roots are a real pair alpha > 1, 1/alpha and (deg - 2) points on
 the unit circle. Classification works entirely through the trace
-polynomial and exact Sturm counts; the Salem number is enclosed by
-bisection with exact sign evaluations, never by numerical root finding.
+polynomial and integer Sturm counts; the Salem number is enclosed by
+bisection on exact rational midpoints, where the sign of p(a/b) is that
+of the homogeneous integer sum of c_i a^i b^(n-i), never by numerical
+root finding.
 """
 
 from __future__ import annotations
@@ -72,12 +74,12 @@ def _bisect_enclosure(p: IntPolynomial, lo: Fraction, hi: Fraction,
     # invariant: p(lo) < 0 < p(hi) and the bracket holds one root, above 1
     while hi - lo >= precision or lo <= 1:
         mid = (lo + hi) / 2
-        v = p(mid)
+        v = p.sign_at(mid)
         if v == 0:
             # rational root; nudge the bracket by an exact eighth
             eps = (hi - lo) / 8
             lo, hi = mid - eps, mid + eps
-            if p(lo) >= 0 or p(hi) <= 0:
+            if p.sign_at(lo) >= 0 or p.sign_at(hi) <= 0:
                 raise ValueError("bisection bracket lost its sign change")
             continue
         if v < 0:
@@ -96,16 +98,9 @@ def salem_enclosure(p: IntPolynomial, precision: Fraction) -> RationalInterval:
     """
     lo = Fraction(1)
     hi = cauchy_root_bound(p)
-    if not (p(lo) < 0 < p(hi)):
+    if not (p.sign_at(lo) < 0 < p.sign_at(hi)):
         raise ValueError("not a Salem-shaped polynomial")
     return _bisect_enclosure(p, lo, hi, precision)
-
-
-def refine_salem_interval(cert: SalemCertificate, precision: Fraction) -> RationalInterval:
-    """Re-derive the enclosure below the requested width."""
-    if cert.salem_number_interval.width < precision:
-        return cert.salem_number_interval
-    return salem_enclosure(cert.polynomial, precision)
 
 
 DEFAULT_PRECISION = Fraction(1, 10**6)
@@ -169,8 +164,9 @@ def enumerate_salem(degree: int, trace_min: int, trace_max: int,
     The coefficient box is the compactness bound: the circle roots pair-sum
     into [-(degree-2), degree-2], so alpha + 1/alpha <= trace_max + degree - 2,
     and elementary symmetric functions of roots bounded by R are bounded by
-    binomial sums. Output is duplicate-free and sorted lexicographically on
-    the ascending coefficient tuple.
+    binomial sums. Candidates failing the necessary sign test p(1) < 0 <
+    p(-1) are skipped unclassified. Output is duplicate-free and sorted
+    lexicographically on the ascending coefficient tuple.
     """
     if degree % 2 != 0:
         raise OddDegreeError(
@@ -206,6 +202,11 @@ def enumerate_salem(degree: int, trace_min: int, trace_max: int,
     for free in itertools.product(*ranges):
         body = list(free) + list(reversed(free[:-1]))
         p = IntPolynomial.from_coeffs([1] + body + [1])
+        # a Salem trace polynomial q has one root beyond 2 and the other
+        # s - 1 in (-2, 2), so q(2) < 0 and (-1)^s q(-2) > 0; these are
+        # p(1) and p(-1), since p(x) = x^s q(x + 1/x)
+        if not p(1) < 0 < p(-1):
+            continue
         result = classify_salem(p, precision)
         if isinstance(result, SalemCertificate):
             if trace_min <= result.trace <= trace_max:

@@ -11,19 +11,15 @@ from __future__ import annotations
 import json
 
 from .intpoly import IntPolynomial
-from .isometry import FiniteOrder, LatticeIsometry, MixedSpectrum, SalemType
+from .isometry import FiniteOrder, MixedSpectrum, SalemType
 from .k3 import CheckResult, K3ConstructionReport, PrimeSelection
-from .lattice import DiscriminantGroup, GramLattice, SublatticeEmbedding
+from .lattice import DiscriminantGroup, GramLattice
 from .rational import RationalInterval, format_rational
 from .salem import SalemCertificate, SalemRejection
 
 
 def poly_to_json(p: IntPolynomial) -> list[str]:
     return [str(c) for c in p.coeffs]
-
-
-def poly_from_json(data) -> IntPolynomial:
-    return IntPolynomial.from_coeffs(int(c) for c in data)
 
 
 def interval_to_json(iv: RationalInterval) -> dict:
@@ -66,24 +62,6 @@ def lattice_from_json(data) -> GramLattice:
     if lat.rank != int(data["rank"]):
         raise ValueError("rank field disagrees with the gram matrix")
     return lat
-
-
-def embedding_to_json(emb: SublatticeEmbedding) -> dict:
-    out = lattice_to_json(emb.ambient)
-    out["basis"] = matrix_to_json(emb.basis)
-    return out
-
-
-def embedding_from_json(data) -> SublatticeEmbedding:
-    return SublatticeEmbedding(lattice_from_json(data),
-                               matrix_from_json(data["basis"]))
-
-
-def isometry_to_json(g: LatticeIsometry) -> dict:
-    return {
-        "lattice": lattice_to_json(g.lattice),
-        "matrix": matrix_to_json(g.matrix),
-    }
 
 
 def discriminant_to_json(d: DiscriminantGroup) -> dict:

@@ -3,21 +3,26 @@
 Nothing here shares code paths with the package: Salem recognition goes
 through high-precision numeric root isolation plus sympy factorization,
 short-vector lists come from a naive box search, signatures and their
-witnesses from a congruence reduction in fractions.Fraction, and normal
-forms, exact elimination, polynomial division, gcds, real-root counts and
-signatures are cross-checked against sympy.
+witnesses from a congruence reduction in fractions.Fraction, polynomial
+division and signs from long division and Horner evaluation in
+fractions.Fraction, and normal forms, exact elimination, polynomial
+division, gcds, Sturm sequences, real-root counts and signatures are
+cross-checked against sympy. The one exception is the unfiltered Salem
+enumeration loop: it runs the package's classify_salem on every candidate
+of the coefficient box, to check the sign filter in front of it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import comb, floor, lcm
 
 import mpmath
 import sympy
 
 from salemlat.intpoly import IntPolynomial
+from salemlat.salem import SalemCertificate, classify_salem
 
 ORACLE_DPS = 60
 CIRCLE_TOL = mpmath.mpf(10) ** -12
@@ -125,6 +130,54 @@ def sympy_primitive_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     if coeffs[-1] < 0:
         coeffs = [-c for c in coeffs]
     return IntPolynomial.from_coeffs(coeffs)
+
+
+def fraction_divmod(f: IntPolynomial, g: IntPolynomial):
+    """Long division over Q in Fractions: (quotient, remainder) as ascending
+    lists, the remainder without trailing zeros, the quotient of length
+    max(len(f) - deg g, 0)."""
+    rem = [Fraction(c) for c in f.coeffs]
+    dn = g.degree
+    quot = [Fraction(0)] * max(len(rem) - dn, 0)
+    while len(rem) > dn:
+        k = len(rem) - 1 - dn
+        q = rem[-1] / g.leading
+        quot[k] = q
+        for j in range(dn):
+            rem[j + k] -= q * g.coeffs[j]
+        rem.pop()  # cancelled exactly
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
+
+def fraction_value(p: IntPolynomial, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def sympy_exact_quotient(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial | None:
+    """f / g when g divides f over Q with an integral quotient, else None."""
+    q, r = sympy.div(_sympy_poly(f, "QQ"), _sympy_poly(g, "QQ"))
+    quot = _ascending_fractions(reversed(q.all_coeffs()))
+    if not r.is_zero or any(c.denominator != 1 for c in quot):
+        return None
+    return IntPolynomial.from_coeffs(c.numerator for c in quot)
+
+
+def sympy_sturm_sequence(p: IntPolynomial) -> list[list[Fraction]]:
+    """sympy's Sturm sequence of p, ascending; its first term is p made monic."""
+    return [_ascending_fractions(reversed(s.all_coeffs()))
+            for s in sympy.sturm(_sympy_poly(p, "QQ"))]
+
+
+def sympy_real_roots_between(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of p in the open interval (lo, hi)."""
+    a = sympy.Rational(lo.numerator, lo.denominator)
+    b = sympy.Rational(hi.numerator, hi.denominator)
+    return sum(1 for r in set(sympy.real_roots(_sympy_poly(p))) if a < r < b)
 
 
 def sympy_is_squarefree(p: IntPolynomial) -> bool:
@@ -258,3 +311,32 @@ def descartes_signature(gram) -> tuple[int, int, int]:
     plus = sign_changes(coeffs)
     minus = sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
     return plus, len(gram) - plus - minus, minus
+
+
+def unfiltered_enumerate_salem(degree: int, trace_min: int, trace_max: int,
+                               precision: Fraction) -> list[SalemCertificate]:
+    """Salem enumeration that classifies every candidate of the coefficient
+    box, without the trace sign filter."""
+    n = degree
+    big = max(Fraction(2), Fraction(trace_max + (n - 2)))
+
+    def sym_bound(j: int) -> int:
+        val = Fraction(comb(n - 2, j))
+        if j >= 1:
+            val += (big + 1) * comb(n - 2, j - 1)
+        if j >= 2:
+            val += comb(n - 2, j - 2)
+        return floor(val) + 1
+
+    ranges = [range(-trace_max, -trace_min + 1)]
+    for k in range(2, n // 2 + 1):
+        b = sym_bound(n - k)
+        ranges.append(range(-b, b + 1))
+    found = []
+    for free in itertools.product(*ranges):
+        body = list(free) + list(reversed(free[:-1]))
+        result = classify_salem(IntPolynomial.from_coeffs([1] + body + [1]), precision)
+        if isinstance(result, SalemCertificate) and trace_min <= result.trace <= trace_max:
+            found.append(result)
+    found.sort(key=lambda c: c.polynomial.coeffs)
+    return found

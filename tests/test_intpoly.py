@@ -11,6 +11,9 @@ from salemlat.intpoly import (
     IntPolynomial,
     NotReciprocalError,
     OddDegreeError,
+    SturmContext,
+    _pseudo_divmod,
+    _sturm_chain,
     count_real_roots,
     count_roots_outside_unit_circle,
     cyclotomic_order,
@@ -31,11 +34,16 @@ from salemlat.rational import RationalInterval
 
 from oracles import (
     divides_x_power_minus_one,
+    fraction_divmod,
+    fraction_value,
     sympy_divmod,
+    sympy_exact_quotient,
     sympy_factor_multiset,
     sympy_is_squarefree,
     sympy_primitive_gcd,
     sympy_real_root_count,
+    sympy_real_roots_between,
+    sympy_sturm_sequence,
 )
 
 P = IntPolynomial.from_coeffs
@@ -111,6 +119,7 @@ class TestKernelsAgainstSympy:
             f = random_poly(rng, 4, 5) * common
             g = random_poly(rng, 4, 5) * common
             assert gcd_poly(f, g) == sympy_primitive_gcd(f, g)
+            assert gcd_poly(g, f) == gcd_poly(f, g)
 
     def test_count_real_roots(self, suite_seed):
         rng = random.Random(suite_seed + 12)
@@ -125,6 +134,157 @@ class TestKernelsAgainstSympy:
                 continue
             assert count_real_roots(p) == sympy_real_root_count(p)
             checked += 1
+
+
+def leading_mixed_poly(rng, degree, bound=7):
+    """Random polynomial of the given degree whose leading coefficient is
+    drawn from +-1, +-2, +-3, +-5, so negative and non-unit leads occur."""
+    lead = rng.choice([-5, -3, -2, -1, 1, 2, 3, 5])
+    return P([rng.randint(-bound, bound) for _ in range(degree)] + [lead])
+
+
+def squarefree_inputs(rng, count):
+    out = []
+    while len(out) < count:
+        p = leading_mixed_poly(rng, rng.randint(1, 6))
+        if rng.random() < 0.5:
+            # rational roots a/b make endpoints and sign tests land on roots
+            p = p * P([rng.randint(-4, 4), rng.choice([-3, -2, 1, 2, 3])])
+        if p.degree >= 1 and sympy_is_squarefree(p):
+            out.append(p)
+    return out
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class TestIntegerCore:
+    """The integer pseudo-division, remainder sequence and Horner sign."""
+
+    def test_inputs_have_negative_and_non_unit_leads(self, suite_seed):
+        leads = {p.leading for p in squarefree_inputs(random.Random(suite_seed + 20), 80)}
+        assert any(c < 0 for c in leads) and any(abs(c) > 1 for c in leads)
+
+    def test_sturm_chain_against_sympy(self, suite_seed):
+        # sympy divides p by its leading coefficient first, so each of its
+        # terms is ours times a rational whose sign is that of lc(p)
+        for p in squarefree_inputs(random.Random(suite_seed + 20), 80):
+            ours, theirs = _sturm_chain(p), sympy_sturm_sequence(p)
+            assert len(ours) == len(theirs), p
+            for mine, ref in zip(ours, theirs):
+                assert len(mine) == len(ref), p
+                ratio = Fraction(mine[-1]) / ref[-1]
+                assert sign(ratio) == sign(p.leading), p
+                assert [ratio * c for c in ref] == mine, p
+
+    def test_sturm_count_against_sympy_real_roots(self, suite_seed):
+        rng = random.Random(suite_seed + 21)
+        checked = raised = 0
+        for p in squarefree_inputs(rng, 80):
+            ctx = SturmContext(p)
+            for _ in range(3):
+                lo = Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+                hi = lo + Fraction(rng.randint(1, 60), rng.randint(1, 6))
+                if fraction_value(p, lo) == 0 or fraction_value(p, hi) == 0:
+                    with pytest.raises(EndpointRootError):
+                        ctx.count(lo, hi)
+                    raised += 1
+                    continue
+                expected = sympy_real_roots_between(p, lo, hi)
+                assert ctx.count(lo, hi) == expected, (p, lo, hi)
+                assert sturm_count(p, RationalInterval(lo, hi)) == expected
+                checked += 1
+            assert count_real_roots(p) == sympy_real_root_count(p)
+        assert checked > 150
+
+    def test_gcd_poly_with_zero(self):
+        f = P([2, -4, 6])
+        assert gcd_poly(f, IntPolynomial.zero()) == P([1, -2, 3])
+        assert gcd_poly(IntPolynomial.zero(), -f) == P([1, -2, 3])
+        assert gcd_poly(IntPolynomial.zero(), IntPolynomial.zero()).is_zero
+        assert gcd_poly(P([6]), P([4])) == P([1])
+
+    def test_exact_div_against_sympy(self, suite_seed):
+        rng = random.Random(suite_seed + 23)
+        exact = 0
+        for _ in range(120):
+            g = leading_mixed_poly(rng, rng.randint(0, 3), 5)
+            if rng.random() < 0.5:
+                f = g * leading_mixed_poly(rng, rng.randint(0, 3), 5)
+            else:
+                f = leading_mixed_poly(rng, rng.randint(0, 6), 5)
+            if rng.random() < 0.3:
+                g = g.scale(rng.choice([-2, 3]))  # a non-primitive divisor
+            expected = sympy_exact_quotient(f, g)
+            assert g.divides(f) == (sympy_divmod(f, g)[1] == [])
+            if expected is None:
+                with pytest.raises(ValueError):
+                    f.exact_div(g)
+            else:
+                assert f.exact_div(g) == expected
+                exact += 1
+        assert exact > 30
+
+    def test_exact_div_messages(self):
+        with pytest.raises(ValueError, match="not exact"):
+            P([1, 0, 1]).exact_div(P([-1, 1]))
+        with pytest.raises(ValueError, match="not integral"):
+            P([1, 1]).exact_div(P([2, 2]))
+        with pytest.raises(ZeroDivisionError):
+            P([1, 1]).exact_div(IntPolynomial.zero())
+
+    def test_divmod_by_against_fraction_oracle(self, suite_seed):
+        rng = random.Random(suite_seed + 24)
+        for _ in range(120):
+            f = random_poly(rng, 9) if rng.random() < 0.8 else IntPolynomial.zero()
+            g = leading_mixed_poly(rng, rng.randint(0, 4))
+            assert f.divmod_by(g) == fraction_divmod(f, g)
+
+    def test_pseudo_divmod_identity(self, suite_seed):
+        rng = random.Random(suite_seed + 25)
+        for _ in range(120):
+            f, g = random_poly(rng, 9), leading_mixed_poly(rng, rng.randint(0, 4))
+            m, quot, rem = _pseudo_divmod(f.coeffs, g.coeffs)
+            assert m > 0
+            assert len(rem) < len(g.coeffs) and (not rem or rem[-1] != 0)
+            assert f.scale(m) == P(quot) * g + P(rem)
+            integral = all(q.denominator == 1 for q in fraction_divmod(f, g)[0])
+            assert (m == 1) == integral
+            if abs(g.leading) == 1:
+                assert m == 1
+
+    def test_sign_at_against_fraction_value(self, suite_seed):
+        rng = random.Random(suite_seed + 26)
+        zeros = 0
+        for _ in range(100):
+            a, b = rng.randint(-9, 9), rng.randint(1, 7)
+            p = random_poly(rng, 6, 20)
+            if rng.random() < 0.5:
+                p = p * P([-a, b])  # a root at a/b
+            points = [Fraction(a, b), Fraction(0), Fraction(-rng.randint(1, 50), rng.randint(1, 9)),
+                      Fraction(rng.randint(-50, 50), rng.randint(1, 9)), Fraction(-3)]
+            for x in points:
+                expected = sign(fraction_value(p, x))
+                assert p.sign_at(x) == expected, (p, x)
+                zeros += expected == 0
+        assert zeros > 30
+
+    def test_sign_at_integers_and_zero_polynomial(self):
+        assert P([-2, 0, 1]).sign_at(2) == 1
+        assert P([-4, 0, 1]).sign_at(-2) == 0
+        assert IntPolynomial.zero().sign_at(Fraction(1, 3)) == 0
+
+    def test_endpoint_root_error_at_rational_roots(self):
+        p = P([1, -2]) * P([-3, 0, 1])  # roots 1/2 and +-sqrt(3), lead -2
+        with pytest.raises(EndpointRootError) as info:
+            sturm_count(p, interval(Fraction(1, 2), 3))
+        assert info.value.endpoint == Fraction(1, 2)
+        with pytest.raises(EndpointRootError) as info:
+            sturm_count(p, interval(-5, Fraction(1, 2)))
+        assert info.value.endpoint == Fraction(1, 2)
+        assert sturm_count(p, interval(-5, Fraction(1, 3))) == 1
+        assert sturm_count(p, interval(-5, 5)) == 3
 
 
 class TestIrreducibility:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ from salemlat.intpoly import (
     is_reciprocal,
     poly_from_string,
     sturm_count,
+    trace_polynomial,
 )
 from salemlat.rational import RationalInterval
 from salemlat.salem import (
+    DEFAULT_PRECISION,
     RejectionReason,
     SalemCertificate,
     SalemRejection,
@@ -22,8 +25,9 @@ from salemlat.salem import (
     enumerate_salem,
     salem_enclosure,
 )
+from salemlat.serialize import dumps_certificate, salem_certificate_to_json
 
-from oracles import numeric_salem_oracle
+from oracles import numeric_salem_oracle, unfiltered_enumerate_salem
 
 P = IntPolynomial.from_coeffs
 LEHMER = poly_from_string("1,1,0,-1,-1,-1,-1,-1,0,1,1")
@@ -147,6 +151,52 @@ class TestEnumerate:
             assert c.degree == 6
             redo = classify_salem(c.polynomial)
             assert isinstance(redo, SalemCertificate)
+
+
+DEGREE_SIX_WINDOW = [
+    (1, -1, -7, -11, -7, -1, 1), (1, -1, -5, -7, -5, -1, 1), (1, -1, -4, -6, -4, -1, 1),
+    (1, -1, -4, -5, -4, -1, 1), (1, -1, -3, -5, -3, -1, 1), (1, -1, -3, -4, -3, -1, 1),
+    (1, -1, -3, -3, -3, -1, 1), (1, -1, -2, -4, -2, -1, 1), (1, -1, -2, -3, -2, -1, 1),
+    (1, -1, -2, -1, -2, -1, 1), (1, -1, -1, -3, -1, -1, 1), (1, -1, -1, -1, -1, -1, 1),
+    (1, -1, -1, 0, -1, -1, 1), (1, -1, -1, 1, -1, -1, 1), (1, -1, 0, -1, 0, -1, 1),
+    (1, 0, -4, -7, -4, 0, 1), (1, 0, -2, -3, -2, 0, 1), (1, 0, -1, -2, -1, 0, 1),
+    (1, 0, -1, -1, -1, 0, 1),
+]
+
+# sha256 of the certificates of enumerate_salem(6, -1, 1), serialized by
+# salem_certificate_to_json and dumps_certificate as below
+DEGREE_SIX_DIGEST = "1f71fadb32780032c279db47265e0ca5ae4033584c548a7a7433efd2ec8536d5"
+
+
+class TestTraceSignFilter:
+    """enumerate_salem skips candidates with p(1) >= 0 or p(-1) <= 0."""
+
+    def test_degrees_2_and_4_match_unfiltered_loop(self):
+        windows = [(2, t, t) for t in range(-2, 7)] + [(4, t, t) for t in range(-2, 3)]
+        windows += [(2, -2, 6), (4, -2, 2)]
+        total = 0
+        for degree, lo, hi in windows:
+            got = enumerate_salem(degree, lo, hi)
+            assert got == unfiltered_enumerate_salem(degree, lo, hi, DEFAULT_PRECISION)
+            total += len(got)
+        assert total > 20
+
+    def test_degree_6_matches_unfiltered_loop(self):
+        certs = enumerate_salem(6, -1, 1)
+        assert [c.polynomial.coeffs for c in certs] == DEGREE_SIX_WINDOW
+        text = dumps_certificate({"certs": [salem_certificate_to_json(c) for c in certs]})
+        assert hashlib.sha256(text.encode()).hexdigest() == DEGREE_SIX_DIGEST
+        assert certs == unfiltered_enumerate_salem(6, -1, 1, DEFAULT_PRECISION)
+
+    def test_every_salem_trace_polynomial_passes(self):
+        # the filter's condition on the trace polynomial q of degree s,
+        # q(2) < 0 and (-1)^s q(-2) > 0, holds for every certificate
+        certs = enumerate_salem(2, 3, 8) + enumerate_salem(4, -2, 4) + enumerate_salem(6, -1, 1)
+        for cert in certs:
+            q = trace_polynomial(cert.polynomial)
+            assert q(2) < 0 < (-1) ** q.degree * q(-2)
+            assert q(2) == cert.polynomial(1)
+            assert (-1) ** q.degree * q(-2) == cert.polynomial(-1)
 
 
 class TestPowerProducts:

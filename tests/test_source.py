@@ -45,6 +45,52 @@ def test_congruence_core_builds_no_fraction():
     assert "rows" in names
 
 
+def _function(path, qualname):
+    """The single def of a top-level function or method in a source file."""
+    body = ast.parse(path.read_text()).body
+    *owners, name = qualname.split(".")
+    for owner in owners:
+        body = next(n.body for n in body if isinstance(n, ast.ClassDef) and n.name == owner)
+    found = [n for n in body if isinstance(n, ast.FunctionDef) and n.name == name]
+    assert len(found) == 1, qualname
+    return found[0]
+
+
+def _names(node):
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_polynomial_kernels_build_no_fraction():
+    # division, stripping, Sturm chains, gcds and sign tests run in integers
+    kernels = ["_pseudo_divmod", "_remainder_sequence", "_horner", "_sturm_chain",
+               "_eval_chain", "gcd_poly", "strip_cyclotomic_factors", "SturmContext.count",
+               "IntPolynomial.sign_at", "IntPolynomial.divides", "IntPolynomial.exact_div"]
+    found = [q for q in kernels if "Fraction" in _names(_function(SOURCE / "intpoly.py", q))]
+    assert found == []
+    defined = {node.name for path in SOURCE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_pseudo_divmod" in defined
+    assert "_divmod_fractions" not in defined
+
+
+def test_bisections_read_signs_from_sign_at():
+    # a bisection never evaluates its polynomial in Fractions: no call p(x)
+    # on the polynomial argument, every sign from sign_at
+    for path, qualname in [(SOURCE / "salem.py", "_bisect_enclosure"),
+                           (SOURCE / "salem.py", "salem_enclosure"),
+                           (SOURCE / "isometry.py", "_largest_real_root_above_one")]:
+        fn = _function(path, qualname)
+        polys = {fn.args.args[0].arg} | {
+            t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
+            for t in n.targets if isinstance(t, ast.Name) and t.id in ("p", "q")}
+        calls = [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Name) and n.func.id in polys]
+        assert calls == [], qualname
+        assert "sign_at" in _names(fn), qualname
+
+
 def _tracer_targets():
     # read the literal without importing or running the tracer
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
