@@ -8,7 +8,8 @@ sequence survives. Signs at a rational a/b come from homogeneous integer
 Horner evaluation. Roots of unity are recognised by trial division by
 cyclotomic polynomials, and irreducibility testing combines the
 rational-root test, factor-degree patterns modulo small primes and a
-Kronecker-style bounded search for monic factors.
+Kronecker-style bounded search for monic factors, interpolated through
+one integral inverse of a Vandermonde matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
+from . import linalg
 from .rational import RationalInterval
 
 IRREDUCIBILITY_DEGREE_BOUND = 24
@@ -345,8 +347,6 @@ def sturm_count(p: IntPolynomial, interval: RationalInterval) -> int:
     Raises EndpointRootError when an endpoint is a root, which would make
     the count ill-defined.
     """
-    if p.degree < 1:
-        return 0
     return SturmContext(p).count(interval.lo, interval.hi)
 
 
@@ -687,34 +687,30 @@ def _mignotte_factor_bound(p: IntPolynomial, d: int) -> int:
     return max(comb(d - 1, j) * norm + comb(d - 1, max(j - 1, 0)) for j in range(d))
 
 
-def _interpolate_monic(points: list[int], values: list[int]) -> IntPolynomial | None:
-    """Monic integer polynomial of degree len(points) through the points, or None."""
-    # g = x^d + h with deg h < d; interpolate h by Lagrange
+def _monic_interpolation(points: list[int]):
+    """values -> the monic g of degree d = len(points) with g(t) = value at
+    each point, or None when g is not integral.
+
+    With V the Vandermonde matrix of the distinct points, g = x^d + h has
+    V h = values - t^d, so h = adj V (values - t^d) / det V is integral iff
+    det V divides every entry; (adj V, det V) is computed once.
+    """
     d = len(points)
-    coeffs = [Fraction(0)] * d
-    for i in range(d):
-        target = Fraction(values[i] - points[i] ** d)
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(d):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                new[k] -= c * points[j]
-                new[k + 1] += c
-            num = new
-            denom *= points[i] - points[j]
-        w = target / denom
-        for k, c in enumerate(num):
-            coeffs[k] += w * c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            return None
-        out.append(c.numerator)
-    out.append(1)
-    return IntPolynomial.from_coeffs(out)
+    adj, det = linalg.integral_inverse(
+        tuple(tuple(t ** j for j in range(d)) for t in points))
+    powers = [t ** d for t in points]
+
+    def interpolate(values) -> IntPolynomial | None:
+        rhs = [v - tp for v, tp in zip(values, powers)]
+        h = []
+        for row in adj:
+            c, r = divmod(sum(a * b for a, b in zip(row, rhs)), det)
+            if r:
+                return None
+            h.append(c)
+        return IntPolynomial(tuple(h) + (1,))
+
+    return interpolate
 
 
 def _kronecker_factor(p: IntPolynomial, d: int) -> IntPolynomial | None:
@@ -739,11 +735,10 @@ def _kronecker_factor(p: IntPolynomial, d: int) -> IntPolynomial | None:
     order = sorted(range(d), key=lambda i: len(divisor_lists[i]))
     pts = [points[i] for i in order]
     lists = [divisor_lists[i] for i in order]
+    interpolate = _monic_interpolation(pts)
     for values in itertools.product(*lists):
-        g = _interpolate_monic(pts, list(values))
-        if g is None or g.degree != d:
-            continue
-        if any(abs(c) > bound for c in g.coeffs[:-1]):
+        g = interpolate(values)
+        if g is None or any(abs(c) > bound for c in g.coeffs[:-1]):
             continue
         if g.divides(p):
             return g
@@ -753,8 +748,8 @@ def _kronecker_factor(p: IntPolynomial, d: int) -> IntPolynomial | None:
 def is_irreducible_over_integers(p: IntPolynomial) -> bool:
     """Irreducibility over Z for monic p of degree <= 24.
 
-    Rational-root test, then factor-degree patterns modulo small primes,
-    then a bounded Kronecker search over the surviving degrees.
+    p is irreducible iff monic_irreducible_factors returns p alone, with
+    multiplicity 1, so both share one bounded factor search.
     """
     if not p.is_monic or p.degree < 1:
         raise ValueError("monic polynomial of degree >= 1 required")
@@ -762,29 +757,16 @@ def is_irreducible_over_integers(p: IntPolynomial) -> bool:
         raise DegreeBoundError(
             f"degree {p.degree} exceeds the supported bound {IRREDUCIBILITY_DEGREE_BOUND}"
         )
-    n = p.degree
-    if n == 1:
-        return True
-    if p.constant == 0:
-        return False
-    for r in _divisors_signed(p.constant):
-        if p(r) == 0:
-            return False
-    if gcd_poly(p, p.derivative()).degree > 0:
-        return False
-    possible = _possible_proper_degrees(p)
-    for d in sorted(possible):
-        if d > n // 2:
-            break
-        if d == 1:
-            continue  # already covered by the rational-root test
-        if _kronecker_factor(p, d) is not None:
-            return False
-    return True
+    return monic_irreducible_factors(p) == [(p, 1)]
 
 
 def monic_irreducible_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Factor a monic p into monic irreducibles, sorted, with multiplicities."""
+    """Factor a monic p into monic irreducibles, sorted, with multiplicities.
+
+    Squarefree parts are split by the rational-root test, cyclotomic
+    stripping and a bounded Kronecker search over the factor degrees that
+    the patterns modulo small primes allow.
+    """
     if not p.is_monic:
         raise ValueError("monic polynomial required")
     factors: dict[tuple[int, ...], int] = {}

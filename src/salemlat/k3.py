@@ -187,10 +187,12 @@ class CheckResult:
 def verify_construction(primes: PrimeSelection) -> list[CheckResult]:
     """Exact verification of the structural claims for one prime selection."""
     subs = build_sublattices(primes)
-    return _structural_checks(subs)
+    return _structural_checks(subs)[0]
 
 
-def _structural_checks(subs: K3Sublattices) -> list[CheckResult]:
+def _structural_checks(subs: K3Sublattices
+                       ) -> tuple[list[CheckResult], GramLattice, GramLattice]:
+    """The structural checks, with the Gram lattices of L and Tbar."""
     checks: list[CheckResult] = []
     n_lat = subs.n.induced_gram()
     l_lat = subs.l.induced_gram()
@@ -245,7 +247,7 @@ def _structural_checks(subs: K3Sublattices) -> list[CheckResult]:
         checks.append(CheckResult(
             "n_does_not_represent_minus_two", False,
             detail="skipped: N is not parabolic"))
-    return checks
+    return checks, l_lat, tbar_lat
 
 
 # ---------------------------------------------------------------------------
@@ -643,13 +645,12 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
            skip_extension: bool = False) -> K3ConstructionReport:
     """Build, verify, and certify the whole construction for one selection."""
     subs = build_sublattices(primes)
-    checks = _structural_checks(subs)
+    checks, l_lat, tbar_lat = _structural_checks(subs)
     structural_ok = all(c.passed for c in checks)
 
     report = K3ConstructionReport(primes=primes, checks=())
     if structural_ok:
-        l_lat = subs.l.induced_gram()
-        tbar_gram = subs.tbar.induced_gram().gram
+        tbar_gram = tbar_lat.gram
         stacked = linalg.row_stack(subs.n.basis, subs.t.basis)
         report = replace(
             report,
@@ -686,7 +687,8 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
     checks.append(CheckResult("extensions_integral", extensions_ok))
 
     if extensions_ok:
-        sigma = period_point(subs.tbar.induced_gram(), subs.t.induced_gram())
+        t_lat = subs.t.induced_gram()
+        sigma = period_point(tbar_lat, t_lat)
         t_split = subs.t_split
         certs = [torelli_certificate(phi, sigma, t_split, subs.e0)
                  for phi in big_phis]
@@ -699,7 +701,7 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
         commute = all(_commute(a, b)
                       for idx, a in enumerate(diffs) for b in diffs[idx + 1:])
         checks.append(CheckResult("phis_commute", commute))
-        minimal = minimal_primitive_sublattice(sigma, subs.t.induced_gram())
+        minimal = minimal_primitive_sublattice(sigma, t_lat)
         full = SublatticeEmbedding.from_rows(
             minimal.ambient, linalg.identity(3))
         checks.append(CheckResult(

@@ -1,22 +1,20 @@
 """Integer lattices with symmetric bilinear forms.
 
-Signatures and their witness vectors come from a fraction-free symmetric
-Bareiss reduction in the integers, sublattice questions (saturation,
-primitivity, complements, indices, discriminant groups) from Smith normal
-form, and short vectors of a definite form from Fincke-Pohst enumeration
-with exact rational LDL^T bounds.
+Signatures, their witness vectors and the short vectors of a definite
+form all come from one fraction-free symmetric Bareiss reduction in the
+integers; short vectors are enumerated by Fincke-Pohst on its rows with
+integer bounds. Sublattice questions (saturation, primitivity,
+complements, indices, discriminant groups) come from Smith normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from math import floor, gcd, prod
+from math import gcd, isqrt, lcm, prod
 
 from . import linalg
 from .linalg import IntMatrix, IntVector, smith_normal_form
-from .rational import floor_sqrt
 
 
 class IndefiniteLatticeError(ValueError):
@@ -140,7 +138,8 @@ class LatticeClass(Enum):
     OTHER = "other"
 
 
-def _congruence_bareiss(rows: list[list[int]], n: int) -> list[tuple[int, int]]:
+def _congruence_bareiss(rows: list[list[int]],
+                        n: int) -> tuple[list[tuple[int, int]], list[int]]:
     """Diagonalization by congruence of the n x n block of rows, fraction-free.
 
     Symmetric Bareiss elimination in place (Bareiss, Math. Comp. 22, 1968).
@@ -152,12 +151,17 @@ def _congruence_bareiss(rows: list[list[int]], n: int) -> list[tuple[int, int]]:
     (p x - f y) / prev, exact by Sylvester's identity, since the swaps and
     adds are unimodular congruences on the trailing coordinates.
 
-    Returns (p_k, prev_k) per position: the k-th diagonal entry of the
-    congruent diagonal form is p_k / prev_k, and row k is prev_k times a
-    rational row b_k with b_i G b_j^T = 0 for i != j (G the n x n block).
-    Positions past the last pivot have p_k = 0.
+    Returns (p_k, prev_k) per position and the pivot order perm. The k-th
+    diagonal entry of the congruent diagonal form is p_k / prev_k, and row
+    k is prev_k times a rational row b_k with b_i G b_j^T = 0 for i != j
+    (G the n x n block). Positions past the last pivot have p_k = 0.
+    Row and column k of the n x n block stand for coordinate perm[k];
+    without a zero-diagonal add, which a definite form never needs, row k
+    from column k on is p_k times row k of the unit upper triangular R
+    with P G P^T = R^T D R.
     """
     pairs: list[tuple[int, int]] = []
+    perm = list(range(n))
     prev = 1
     for k in range(n):
         piv, best = None, 0
@@ -175,6 +179,7 @@ def _congruence_bareiss(rows: list[list[int]], n: int) -> list[tuple[int, int]]:
                 row[piv] += row[j]
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
+            perm[k], perm[piv] = perm[piv], perm[k]
             for row in rows:
                 row[k], row[piv] = row[piv], row[k]
         prow = rows[k]
@@ -187,11 +192,11 @@ def _congruence_bareiss(rows: list[list[int]], n: int) -> list[tuple[int, int]]:
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
         pairs.append((p, prev))
         prev = p
-    return pairs + [(0, prev)] * (n - len(pairs))
+    return pairs + [(0, prev)] * (n - len(pairs)), perm
 
 
 def signature(lattice: GramLattice) -> SignatureTriple:
-    pairs = _congruence_bareiss([list(row) for row in lattice.gram], lattice.rank)
+    pairs, _ = _congruence_bareiss([list(row) for row in lattice.gram], lattice.rank)
     plus = sum(1 for p, prev in pairs if p * prev > 0)
     minus = sum(1 for p, prev in pairs if p * prev < 0)
     return SignatureTriple(plus, lattice.rank - plus - minus, minus)
@@ -206,7 +211,7 @@ def definiteness_witness(lattice: GramLattice, wanted_sign: int) -> IntVector | 
     n = lattice.rank
     rows = [list(row) + [int(i == j) for j in range(n)]
             for i, row in enumerate(lattice.gram)]
-    for (p, prev), row in zip(_congruence_bareiss(rows, n), rows):
+    for (p, prev), row in zip(_congruence_bareiss(rows, n)[0], rows):
         if (p * prev > 0) - (p * prev < 0) == wanted_sign:
             g = gcd(prev, *row[n:]) if prev > 0 else -gcd(prev, *row[n:])
             return tuple(x // g for x in row[n:])
@@ -337,90 +342,75 @@ def _radical_split(lattice: GramLattice):
     return v, tuple(rows)
 
 
+def _radical_quotient(lattice: GramLattice):
+    """(v, section, quotient) for a rank-1 radical Zv: the rows completing v
+    to a Z-basis span the section, whose induced form is that of L / Zv."""
+    v, rows = _radical_split(lattice)
+    section = SublatticeEmbedding(lattice, rows[1:])
+    return v, section, section.induced_gram()
+
+
 def quotient_by_radical(lattice: GramLattice) -> GramLattice:
     """Induced form on L / radical for a parabolic (rank-1 radical) lattice."""
-    _, rows = _radical_split(lattice)
-    section = rows[1:]
-    emb = SublatticeEmbedding(lattice, linalg.freeze(section))
-    return emb.induced_gram()
-
-
-def _ldl(gram: IntMatrix):
-    """G = R^T D R with R unit upper triangular, for positive definite G."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    r = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        d[k] = a[k][k]
-        if d[k] <= 0:
-            raise IndefiniteLatticeError("form is not positive definite")
-        for j in range(k + 1, n):
-            r[k][j] = a[k][j] / d[k]
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                a[i][j] -= a[k][i] * a[k][j] / d[k]
-                a[j][i] = a[i][j]
-    return d, r
+    return _radical_quotient(lattice)[2]
 
 
 def vectors_of_norm(lattice: GramLattice, target: int) -> list[IntVector]:
     """All v with v G v^T = target in a definite lattice, one per sign pair.
 
-    Fincke-Pohst enumeration on the (negated if necessary) positive
-    definite form, with exact rational bounds at every level. Returned
-    representatives have positive first nonzero coordinate and are sorted
-    lexicographically.
+    Fincke-Pohst enumeration on one run of the symmetric Bareiss core.
+    With y_k the product of row k (from column k on) with the coordinates
+    in pivot order, v G v^T = sum_k y_k^2 / (p_k prev_k), and every
+    p_k prev_k has the sign of the form, so a negative definite form is
+    enumerated as its negation on the same rows. Scaled by
+    D = lcm |p_k prev_k|, every level's budget is an integer and its bound
+    an isqrt. Returned representatives have positive first nonzero
+    coordinate and are sorted lexicographically.
 
     Reference: Fincke, Pohst, Improved methods for calculating vectors of
     short length in a lattice (Math. Comp. 44, 1985).
     """
-    sig = signature(lattice)
     n = lattice.rank
-    if sig.n_zero or (sig.n_plus and sig.n_minus):
-        raise IndefiniteLatticeError(
-            "short-vector enumeration needs a definite lattice")
-    if target == 0 or n == 0:
-        return []
-    if sig.n_minus:  # negative definite: negate form and target
-        if target > 0:
-            return []
-        gram = linalg.mat_neg(lattice.gram)
+    rows = [list(row) for row in lattice.gram]
+    pairs, perm = _congruence_bareiss(rows, n)
+    dens = [p * prev for p, prev in pairs]
+    if all(d > 0 for d in dens):
+        c = target
+    elif all(d < 0 for d in dens):
         c = -target
     else:
-        if target < 0:
-            return []
-        gram = lattice.gram
-        c = target
-    d, r = _ldl(gram)
+        raise IndefiniteLatticeError(
+            "short-vector enumeration needs a definite lattice")
+    if c <= 0 or n == 0:
+        return []
+    scale = lcm(*dens)
+    weights = [scale // abs(d) for d in dens]
     results: list[IntVector] = []
-    x = [0] * n
+    x = [0] * n  # coordinates in pivot order
 
-    def descend(i: int, remaining: Fraction):
-        if i < 0:
-            if remaining == 0:
-                vec = tuple(x)
-                for coord in vec:
-                    if coord != 0:
-                        if coord > 0:
-                            results.append(vec)
-                        return
+    def descend(k: int, budget: int):
+        # budget = D c minus weights[j] y_j^2 for every level j > k
+        if k < 0:
+            if budget == 0:
+                vec = [0] * n
+                for i, xi in zip(perm, x):
+                    vec[i] = xi
+                if next(v for v in vec if v) > 0:
+                    results.append(tuple(vec))
             return
-        s = sum(r[i][j] * x[j] for j in range(i + 1, n))
-        # d_i (x_i + s)^2 <= remaining
-        limit = remaining / d[i]
-        root = floor_sqrt(limit)
-        xi = floor(-s - root)
-        guard = floor(-s + root) + 1
-        while xi <= guard and (xi + s) * (xi + s) > limit:
-            xi += 1
-        while xi <= guard and (xi + s) * (xi + s) <= limit:
-            x[i] = xi
-            descend(i - 1, remaining - d[i] * (xi + s) * (xi + s))
-            xi += 1
-        x[i] = 0
+        row = rows[k]
+        s = sum(row[j] * x[j] for j in range(k + 1, n))
+        a = abs(row[k])
+        sign = 1 if row[k] > 0 else -1
+        # y_k = a u + s with u = sign x_k, and weights[k] y_k^2 <= budget
+        r = isqrt(budget // weights[k])
+        for u in range(-((r + s) // a), (r - s) // a + 1):
+            y = a * u + s
+            x[k] = sign * u
+            descend(k - 1, budget - weights[k] * y * y)
+        x[k] = 0
 
-    descend(n - 1, Fraction(c))
+    descend(n - 1, scale * c)
     results.sort()
     return results
 
@@ -438,17 +428,12 @@ def represents(lattice: GramLattice, target: int):
         vecs = vectors_of_norm(lattice, target)
         return (True, vecs[0]) if vecs else (False, None)
     if cls == LatticeClass.PARABOLIC:
-        _, rows = _radical_split(lattice)
-        section = rows[1:]
-        quotient = SublatticeEmbedding(lattice, linalg.freeze(section)).induced_gram()
+        v, section, quotient = _radical_quotient(lattice)
         if target == 0:
-            return True, rows[0]
+            return True, v
         vecs = vectors_of_norm(quotient, target)
         if not vecs:
             return False, None
-        y = vecs[0]
-        witness = tuple(sum(y[k] * section[k][j] for k in range(len(section)))
-                        for j in range(lattice.rank))
-        return True, witness
+        return True, linalg.mat_vec(linalg.transpose(section.basis), vecs[0])
     raise UnsupportedSignatureError(
         f"represents() supports definite or parabolic lattices, not {cls.value}")

@@ -1,15 +1,13 @@
-"""Exact rational plumbing: certified intervals and square-root bounds.
+"""Exact rational plumbing: certified intervals and rational parsing.
 
-Everything downstream (root enclosures, entropy bounds, short-vector
-bounds) funnels through these helpers so that no floating point ever
-decides a comparison.
+Root enclosures and entropy bounds funnel through these helpers so that
+no floating point ever decides a comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 
 @dataclass(frozen=True)
@@ -61,18 +59,6 @@ def interval_pow(a: RationalInterval, n: int) -> RationalInterval:
 
 def interval_max(a: RationalInterval, b: RationalInterval) -> RationalInterval:
     return RationalInterval(max(a.lo, b.lo), max(a.hi, b.hi))
-
-
-def floor_sqrt(x: Fraction) -> int:
-    """Largest integer k with k*k <= x (x must be >= 0)."""
-    if x < 0:
-        raise ValueError("negative argument")
-    k = isqrt(x.numerator // x.denominator)
-    while (k + 1) * (k + 1) <= x:
-        k += 1
-    while k * k > x:
-        k -= 1
-    return k
 
 
 def format_rational(x: Fraction) -> str:

@@ -21,11 +21,11 @@ from .intpoly import (
     DegreeBoundError,
     IntPolynomial,
     OddDegreeError,
+    SturmContext,
     cauchy_root_bound,
     gcd_poly,
     is_reciprocal,
     strip_cyclotomic_factors,
-    sturm_count,
     trace_polynomial,
 )
 from .rational import RationalInterval, interval_mul, interval_pow
@@ -140,8 +140,9 @@ def classify_salem(p: IntPolynomial,
     q = trace_polynomial(p)
     s = q.degree
     bound = max(Fraction(3), cauchy_root_bound(q))
-    beyond = sturm_count(q, RationalInterval(Fraction(2), bound))
-    inside = sturm_count(q, RationalInterval(Fraction(-2), Fraction(2)))
+    sturm = SturmContext(q)
+    beyond = sturm.count(Fraction(2), bound)
+    inside = sturm.count(Fraction(-2), Fraction(2))
     if beyond != 1 or inside != s - 1:
         return SalemRejection(
             RejectionReason.ROOT_LAYOUT,

@@ -2,21 +2,23 @@
 
 Nothing here shares code paths with the package: Salem recognition goes
 through high-precision numeric root isolation plus sympy factorization,
-short-vector lists come from a naive box search, signatures and their
-witnesses from a congruence reduction in fractions.Fraction, polynomial
-division and signs from long division and Horner evaluation in
-fractions.Fraction, and normal forms, exact elimination, polynomial
-division, gcds, Sturm sequences, real-root counts and signatures are
-cross-checked against sympy. The one exception is the unfiltered Salem
-enumeration loop: it runs the package's classify_salem on every candidate
-of the coefficient box, to check the sign filter in front of it.
+short-vector lists come from a naive box search and from a Fincke-Pohst
+descent on a rational LDL^T, signatures and their witnesses from a
+congruence reduction in fractions.Fraction, polynomial division and signs
+from long division and Horner evaluation in fractions.Fraction, monic
+interpolation from Lagrange's formula in fractions.Fraction, and normal
+forms, exact elimination, polynomial division, gcds, Sturm sequences,
+real-root counts and signatures are cross-checked against sympy. The one
+exception is the unfiltered Salem enumeration loop: it runs the package's
+classify_salem on every candidate of the coefficient box, to check the
+sign filter in front of it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, floor, lcm
+from math import comb, floor, isqrt, lcm
 
 import mpmath
 import sympy
@@ -66,6 +68,87 @@ def naive_vectors_of_norm(gram, target: int, box: int):
         if norm == target:
             out.append(tuple(v))
     return sorted(out)
+
+
+def _ldl(gram):
+    """G = R^T D R with R unit upper triangular, for positive definite G."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    d = [Fraction(0)] * n
+    r = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        d[k] = a[k][k]
+        if d[k] <= 0:
+            raise ValueError("form is not positive definite")
+        for j in range(k + 1, n):
+            r[k][j] = a[k][j] / d[k]
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                a[i][j] -= a[k][i] * a[k][j] / d[k]
+                a[j][i] = a[i][j]
+    return d, r
+
+
+def fraction_vectors_of_norm(gram, target: int):
+    """Fincke-Pohst with exact rational bounds on the LDL^T of a definite
+    Gram matrix, negated if negative definite: all v with v G v^T = target,
+    one per sign pair (first nonzero coordinate positive), sorted."""
+    n = len(gram)
+    try:
+        d, r = _ldl(gram)
+    except ValueError:
+        # raises again unless the form is negative definite
+        d, r = _ldl([[-x for x in row] for row in gram])
+        target = -target
+    if target <= 0:
+        return []
+    results = []
+    x = [0] * n
+
+    def descend(i: int, remaining: Fraction):
+        if i < 0:
+            if remaining == 0 and next(c for c in x if c) > 0:
+                results.append(tuple(x))
+            return
+        s = sum(r[i][j] * x[j] for j in range(i + 1, n))
+        # d_i (x_i + s)^2 <= remaining
+        limit = remaining / d[i]
+        root = isqrt(limit.numerator // limit.denominator)
+        for xi in range(floor(-s - root), floor(-s + root) + 2):
+            if (xi + s) * (xi + s) <= limit:
+                x[i] = xi
+                descend(i - 1, remaining - d[i] * (xi + s) * (xi + s))
+        x[i] = 0
+
+    descend(n - 1, Fraction(target))
+    return sorted(results)
+
+
+def lagrange_interpolate_monic(points, values) -> IntPolynomial | None:
+    """Monic integer polynomial of degree len(points) through the points, or
+    None when its coefficients are not integers (Lagrange in Fractions)."""
+    # g = x^d + h with deg h < d; interpolate h
+    d = len(points)
+    coeffs = [Fraction(0)] * d
+    for i in range(d):
+        target = Fraction(values[i] - points[i] ** d)
+        num = [Fraction(1)]
+        denom = Fraction(1)
+        for j in range(d):
+            if j == i:
+                continue
+            new = [Fraction(0)] * (len(num) + 1)
+            for k, c in enumerate(num):
+                new[k] -= c * points[j]
+                new[k + 1] += c
+            num = new
+            denom *= points[i] - points[j]
+        w = target / denom
+        for k, c in enumerate(num):
+            coeffs[k] += w * c
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    return IntPolynomial.from_coeffs([c.numerator for c in coeffs] + [1])
 
 
 def sympy_invariant_factors(m) -> list[int]:

@@ -12,6 +12,7 @@ from salemlat.intpoly import (
     NotReciprocalError,
     OddDegreeError,
     SturmContext,
+    _monic_interpolation,
     _pseudo_divmod,
     _sturm_chain,
     count_real_roots,
@@ -36,6 +37,7 @@ from oracles import (
     divides_x_power_minus_one,
     fraction_divmod,
     fraction_value,
+    lagrange_interpolate_monic,
     sympy_divmod,
     sympy_exact_quotient,
     sympy_factor_multiset,
@@ -317,6 +319,47 @@ class TestIrreducibility:
             assert got == expected
             assert is_irreducible_over_integers(prod) == (len(expected) == 1
                                                           and expected[0][1] == 1)
+
+    def test_against_sympy_factor_list_on_random_monic_products(self, suite_seed):
+        # random factors of degree up to 4 reach the Kronecker search
+        rng = random.Random(suite_seed + 23)
+        split = 0
+        for _ in range(60):
+            prod = P([1])
+            for _ in range(rng.randint(1, 3)):
+                prod = prod * P([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [1])
+            expected = sympy_factor_multiset(prod)
+            got = sorted(
+                (f.coeffs, m) for f, m in monic_irreducible_factors(prod))
+            assert got == expected
+            assert is_irreducible_over_integers(prod) == (
+                len(expected) == 1 and expected[0][1] == 1)
+            split += sum(1 for f, _ in expected if len(f) > 2) >= 2
+        assert split > 0
+
+
+class TestMonicInterpolation:
+    """Interpolation through the Vandermonde inverse against Lagrange in Fractions."""
+
+    def test_against_lagrange(self, suite_seed):
+        rng = random.Random(suite_seed + 21)
+        outcomes = set()
+        for _ in range(300):
+            d = rng.randint(1, 6)
+            points = rng.sample(range(-7, 8), d)
+            values = [rng.randint(-40, 40) for _ in range(d)]
+            ours = _monic_interpolation(points)(values)
+            assert ours == lagrange_interpolate_monic(points, values)
+            outcomes.add(ours is None)
+        assert outcomes == {True, False}
+
+    def test_recovers_monic_polynomials(self, suite_seed):
+        rng = random.Random(suite_seed + 22)
+        for _ in range(100):
+            d = rng.randint(1, 6)
+            g = P([rng.randint(-9, 9) for _ in range(d)] + [1])
+            points = rng.sample(range(-7, 8), d)
+            assert _monic_interpolation(points)([g(t) for t in points]) == g
 
 
 class TestCyclotomic:

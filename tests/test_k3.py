@@ -484,6 +484,23 @@ class TestFullPipeline:
             assert calls["discriminant_group"] <= 2
             assert 0 < calls["signature"] <= signatures
 
+    def test_induced_grams_are_computed_once(self, monkeypatch):
+        # N, Nbar, L, Tbar and the quotient of N, and with the extension
+        # stage T; L and Tbar are reused from the structural checks
+        calls = Counter()
+        induced_gram = lattice_module.SublatticeEmbedding.induced_gram
+
+        def counted(emb):
+            calls[emb.basis] += 1
+            return induced_gram(emb)
+
+        monkeypatch.setattr(lattice_module.SublatticeEmbedding, "induced_gram", counted)
+        for skip_extension, grams in ((True, 5), (False, 6)):
+            calls.clear()
+            assert run_k3(DEFAULT_PRIMES, skip_extension).all_passed
+            assert sum(calls.values()) == grams
+            assert set(calls.values()) == {1}
+
     def test_failed_selection_reports_and_omits_rank(self):
         report = run_k3(SMALL_PRIME_SELECTION)
         assert not report.all_passed

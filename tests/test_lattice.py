@@ -35,6 +35,7 @@ from salemlat.lattice import (
 from oracles import (
     descartes_signature,
     fraction_definiteness_witness,
+    fraction_vectors_of_norm,
     naive_vectors_of_norm,
     signature_with_basis,
 )
@@ -120,7 +121,7 @@ class TestCongruenceBareiss:
 
     def check(self, lat):
         sig, diag, _ = signature_with_basis(lat)
-        pairs = _congruence_bareiss([list(row) for row in lat.gram], lat.rank)
+        pairs, _ = _congruence_bareiss([list(row) for row in lat.gram], lat.rank)
         assert [Fraction(p, prev) for p, prev in pairs] == diag
         assert tuple(signature(lat)) == sig
         for wanted in (-1, 0, 1):
@@ -329,6 +330,46 @@ class TestVectorsOfNorm:
         for v in pairs:
             first = next(c for c in v if c != 0)
             assert first > 0
+
+
+def seeded_definite(rng, n, sign):
+    """sign (B^T B + I) for a random n x n matrix B with entries in -1..1."""
+    b = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+    return GramLattice.from_rows(
+        [[sign * (sum(row[i] * row[j] for row in b) + (i == j)) for j in range(n)]
+         for i in range(n)])
+
+
+class TestVectorsOfNormAgainstFractionDescent:
+    """The integer descent on the symmetric core against the rational LDL^T one."""
+
+    def check(self, lat, target):
+        ours = vectors_of_norm(lat, target)
+        assert ours == fraction_vectors_of_norm(lat.gram, target)
+        assert all(lat.norm(v) == target for v in ours)
+        return ours
+
+    def test_seeded_definite_lattices(self, suite_seed):
+        rng = random.Random(suite_seed + 13)
+        found = 0
+        for n in range(1, 9):
+            for sign in (1, -1):
+                for _ in range(3):
+                    lat = seeded_definite(rng, n, sign)
+                    for target in range(-6, 7):
+                        found += len(self.check(lat, target))
+        assert found > 0
+
+    def test_e8(self):
+        assert len(self.check(E8, -2)) == 120
+        assert len(self.check(E8, -4)) == 1080
+        assert self.check(E8, 2) == []
+
+    def test_k3_quotient_of_n(self):
+        quotient = quotient_by_radical(build_sublattices(DEFAULT_PRIMES).n.induced_gram())
+        assert tuple(signature(quotient)) == (0, 0, 18)
+        found = {target: self.check(quotient, target) for target in (-2, -4, -6, -8, 2)}
+        assert found[-2] == [] and found[2] == []
 
 
 class TestRepresents:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from salemlat import intpoly
+from salemlat import salem as salem_module
 from salemlat.intpoly import (
     DegreeBoundError,
     IntPolynomial,
@@ -135,6 +137,24 @@ class TestEnumerate:
 
     def test_extreme_window_empty(self):
         assert enumerate_salem(4, -100, -100) == []
+
+    def test_one_sturm_chain_per_layout_test(self, monkeypatch):
+        # both trace-root counts of a candidate share one Sturm chain
+        calls = {"chain": 0, "trace": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(intpoly, "_sturm_chain", counted("chain", intpoly._sturm_chain))
+        monkeypatch.setattr(salem_module, "trace_polynomial",
+                            counted("trace", salem_module.trace_polynomial))
+        for t in range(-2, 3):
+            enumerate_salem(4, t, t)
+        assert calls["trace"] > 0
+        assert calls["chain"] == calls["trace"]
 
     def test_odd_degree_rejected(self):
         with pytest.raises(OddDegreeError):

@@ -135,3 +135,19 @@ def test_tracer_targets_are_distinct_defs():
         if len(bindings) != 1 or not isinstance(bindings[0], ast.FunctionDef):
             problems.append(f"{layer}.{qualname}")
     assert problems == []
+
+
+def test_short_vectors_and_interpolation_build_no_fraction():
+    # Fincke-Pohst runs on the symmetric core and Kronecker interpolation on
+    # the Bareiss inverse; the Fraction eliminations live on as test oracles
+    lattice = ast.parse((SOURCE / "lattice.py").read_text())
+    imported = {alias.name for node in ast.walk(lattice)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "Fraction" not in _names(lattice) | imported
+    for qualname in ("_monic_interpolation", "_kronecker_factor"):
+        assert "Fraction" not in _names(_function(SOURCE / "intpoly.py", qualname))
+    defined = {node.name for path in SOURCE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert {"_congruence_bareiss", "_monic_interpolation"} <= defined
+    assert not {"_ldl", "_interpolate_monic", "floor_sqrt"} & defined
