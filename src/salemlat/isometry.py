@@ -101,7 +101,12 @@ class LatticeIsometry:
 
 
 def verify_isometry(matrix, lattice: GramLattice) -> LatticeIsometry:
-    """Check M^T G M = G entry by entry and det = +-1."""
+    """Check M^T G M = G entry by entry and det M = +-1.
+
+    The witness is the first (i, j), row by row, where the two differ. For
+    det G != 0 (cached per lattice) the identity gives det(M)^2 = 1, so
+    only a degenerate G needs the determinant of M.
+    """
     m = linalg.freeze(matrix)
     n = lattice.rank
     if len(m) != n or any(len(row) != n for row in m):
@@ -113,9 +118,10 @@ def verify_isometry(matrix, lattice: GramLattice) -> LatticeIsometry:
         for j in range(n):
             if product[i][j] != g[i][j]:
                 raise GramViolationError(i, j)
-    det = linalg.det_bareiss(m)
-    if det not in (1, -1):
-        raise DeterminantError(f"determinant {det} is not a unit")
+    if lattice.determinant() == 0:
+        det = linalg.det_bareiss(m)
+        if det not in (1, -1):
+            raise DeterminantError(f"determinant {det} is not a unit")
     return LatticeIsometry(lattice, m)
 
 

@@ -35,6 +35,7 @@ from .lattice import (
     GramLattice,
     LatticeClass,
     SublatticeEmbedding,
+    _represents,
     class_of_signature,
     definiteness_witness,
     direct_sum,
@@ -44,11 +45,10 @@ from .lattice import (
     index_of_sum,
     is_primitive,
     orthogonal_complement,
-    represents,
     saturation,
     signature,
 )
-from .linalg import IntMatrix, IntVector
+from .linalg import IntMatrix, IntVector, SparseRows, _nonzero_entries, _sparse_mul
 from .parabolic import abelian_rank_of_image
 
 
@@ -143,10 +143,6 @@ class K3Sublattices:
         return _unit(_E0)
 
     @property
-    def f0(self) -> IntVector:
-        return _unit(_F0)
-
-    @property
     def t_split(self) -> SublatticeEmbedding:
         """T in the basis e0 followed by the basis of Tbar."""
         return SublatticeEmbedding.from_rows(self.ambient, (self.e0, *self.tbar.basis))
@@ -239,7 +235,7 @@ def _structural_checks(subs: K3Sublattices
         detail=f"rank T = {subs.t.rank}"))
 
     if n_class == LatticeClass.PARABOLIC:
-        has_minus_two, witness = represents(n_lat, -2)
+        has_minus_two, witness = _represents(n_lat, -2, n_sig)
         checks.append(CheckResult(
             "n_does_not_represent_minus_two", not has_minus_two,
             witness=witness))
@@ -314,26 +310,6 @@ def _extension_cap(l_lat: GramLattice) -> int:
     return disc.order * max(disc.invariant_factors, default=1)
 
 
-SparseRows = tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _nonzero_entries(a: IntMatrix) -> SparseRows:
-    """Each row of a as the (column, entry) pairs of its nonzero entries."""
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
-
-
-def _sparse_mul(a: SparseRows, b: SparseRows, ncols: int) -> IntMatrix:
-    """The dense product a b; only nonzero entries are multiplied."""
-    out = []
-    for row in a:
-        acc = [0] * ncols
-        for k, x in row:
-            for j, y in b[k]:
-                acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 def _minus_identity(a: IntMatrix) -> SparseRows:
     """The nonzero entries of a - I."""
     return _nonzero_entries(linalg.mat_sub(a, linalg.identity(len(a))))
@@ -366,13 +342,11 @@ def extension_order(phi: LatticeIsometry, l_lat: GramLattice) -> int:
     adj_entries = _nonzero_entries(adj)
     n = l_lat.rank
     power = phi.matrix
-    k = 1
-    while k <= cap:
+    for k in range(1, cap + 1):
         scaled = _sparse_mul(_minus_identity(power), adj_entries, n)
         if all(x % det == 0 for row in scaled for x in row):
             return k
         power = linalg.mat_mul(power, phi.matrix)
-        k += 1
     raise BoundExceededError(
         f"no power up to {cap} acts trivially on the discriminant group")
 

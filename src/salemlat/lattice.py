@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
 from . import linalg
@@ -69,6 +70,7 @@ class GramLattice:
     def norm(self, x) -> int:
         return self.pairing(x, x)
 
+    @lru_cache(maxsize=16)
     def determinant(self) -> int:
         return linalg.det_bareiss(self.gram)
 
@@ -422,7 +424,11 @@ def represents(lattice: GramLattice, target: int):
     reduces to the definite quotient; a witness is lifted back through the
     chosen splitting.
     """
-    sig = signature(lattice)
+    return _represents(lattice, target, signature(lattice))
+
+
+def _represents(lattice: GramLattice, target: int, sig: SignatureTriple):
+    """represents() for a caller that already has the signature."""
     cls = class_of_signature(sig)
     if cls == LatticeClass.ELLIPTIC or sig == (lattice.rank, 0, 0):
         vecs = vectors_of_norm(lattice, target)

@@ -1,19 +1,22 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices are tuples of tuples (rows). Determinant, adjugate, inverses,
-solve and rank all come from one Bareiss fraction-free elimination core,
-which never leaves the integers; fractions.Fraction appears only in the
-outputs of the fraction_* fronts. Nothing here is tolerant of floating
-point, by design.
+Matrices are tuples of tuples (rows). Every product comes from one
+zero-skipping kernel, which multiplies only pairs of nonzero entries.
+Determinant, adjugate, inverses, solve and rank all come from one Bareiss
+fraction-free elimination core, which never leaves the integers;
+fractions.Fraction appears only in the outputs of the fraction_* fronts.
+Nothing here is tolerant of floating point, by design.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
+SparseRows = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -24,23 +27,35 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(m: int, n: int) -> IntMatrix:
-    return tuple((0,) * n for _ in range(m))
-
-
 def transpose(a: IntMatrix) -> IntMatrix:
     return tuple(zip(*a)) if a else ()
 
 
+def _nonzero_entries(a) -> SparseRows:
+    """Each row of a as the (column, entry) pairs of its nonzero entries."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
+
+
+def _sparse_mul(a: SparseRows, b: SparseRows, ncols: int) -> IntMatrix:
+    """The dense product a b; only nonzero entries are multiplied."""
+    out = []
+    for row in a:
+        acc = [0] * ncols
+        for k, x in row:
+            for j, y in b[k]:
+                acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 def mat_mul(a, b):
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """The product a b by the zero-skipping kernel."""
+    return _sparse_mul(_nonzero_entries(a), _nonzero_entries(b),
+                       len(b[0]) if b else 0)
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_add(a, b):
@@ -203,37 +218,44 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (u, d, v) with u*a*v = d, u, v unimodular, d diagonal.
 
     Diagonal entries are non-negative and form a divisibility chain
-    d1 | d2 | ... At every round the globally smallest nonzero entry of
-    the trailing block becomes the pivot and reductions use centered
-    quotients, which keeps intermediate entries under control.
+    d1 | d2 | ... The core runs on [a | I; I | 0], so its row operations
+    record u in the right-hand columns and its column operations record v
+    in the bottom rows.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d = [list(row) for row in a]
-    u = [list(row) for row in identity(m)]
-    v = [list(row) for row in identity(n)]
+    rows = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+    rows += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
+    _smith(rows, m, n)
+    return (freeze(row[n:] for row in rows[:m]),
+            freeze(row[:n] for row in rows[:m]),
+            freeze(row[:n] for row in rows[m:]))
 
-    def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+def snf_diagonal(a: IntMatrix) -> list[int]:
+    """The Smith normal form diagonal of a; no transforms are recorded."""
+    rows = [list(row) for row in a]
+    n = len(rows[0]) if rows else 0
+    _smith(rows, len(rows), n)
+    return [rows[i][i] for i in range(min(len(rows), n))]
+
+
+def _smith(d: list[list[int]], m: int, n: int) -> None:
+    """Reduce the leading m x n block of d to Smith normal form in place.
+
+    Row operations act on the first m rows and column operations on the
+    first n columns, each over its whole length, so blocks appended to
+    the right or below ride along. At every round the globally smallest
+    nonzero entry of the trailing block becomes the pivot and reductions
+    use centered quotients, which keeps intermediate entries under control.
+    """
 
     def add_row(dst, src, q):
         # row_dst += q * row_src
         d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, q):
         for row in d:
-            row[dst] += q * row[src]
-        for row in v:
             row[dst] += q * row[src]
 
     def move_min_pivot(t) -> bool:
@@ -252,8 +274,11 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 break
         if piv is None:
             return False
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        i, j = piv
+        d[t], d[i] = d[i], d[t]
+        if j != t:
+            for row in d:
+                row[t], row[j] = row[j], row[t]
         return True
 
     t = 0
@@ -274,27 +299,14 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 move_min_pivot(t)
                 continue
             # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % d[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, m)
+                             if any(d[i][j] % d[t][t] for j in range(t + 1, n))), None)
             if offender is None:
                 break
             add_row(t, offender, 1)
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return freeze(u), freeze(d), freeze(v)
-
-
-def snf_diagonal(a: IntMatrix) -> list[int]:
-    _, d, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
@@ -305,10 +317,7 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
         return identity(n)
     _, d, v = smith_normal_form(a)
     r = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
-    cols = []
-    for j in range(r, n):
-        cols.append(tuple(v[i][j] for i in range(n)))
-    return tuple(cols)
+    return transpose(v)[r:]
 
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:

@@ -6,7 +6,8 @@ short-vector lists come from a naive box search and from a Fincke-Pohst
 descent on a rational LDL^T, signatures and their witnesses from a
 congruence reduction in fractions.Fraction, polynomial division and signs
 from long division and Horner evaluation in fractions.Fraction, monic
-interpolation from Lagrange's formula in fractions.Fraction, and normal
+interpolation from Lagrange's formula in fractions.Fraction, matrix
+products from a dense sum over every entry, and matrix products, normal
 forms, exact elimination, polynomial division, gcds, Sturm sequences,
 real-root counts and signatures are cross-checked against sympy. The one
 exception is the unfiltered Salem enumeration loop: it runs the package's
@@ -269,6 +270,44 @@ def sympy_is_squarefree(p: IntPolynomial) -> bool:
 
 def sympy_real_root_count(p: IntPolynomial) -> int:
     return len(sympy.real_roots(_sympy_poly(p)))
+
+
+def dense_mat_mul(a, b):
+    """The product a b as a dense sum over every entry, zeros included."""
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def sympy_mat_mul(a, b):
+    """The product a b of two nonempty matrices through sympy.Matrix."""
+    prod = sympy.Matrix([list(r) for r in a]) * sympy.Matrix([list(r) for r in b])
+    return tuple(tuple(int(c) for c in prod.row(i)) for i in range(prod.rows))
+
+
+def sympy_row_lattice_basis(matrix):
+    """A Z-basis of the row lattice of matrix: sympy's column Hermite
+    normal form of the transpose, read back as rows."""
+    from sympy.matrices.normalforms import hermite_normal_form as hnf
+
+    h = hnf(sympy.Matrix([list(r) for r in matrix]).T)
+    return [[int(c) for c in h.col(j)] for j in range(h.cols)]
+
+
+def sympy_in_row_lattice(rows, basis) -> bool:
+    """Whether every row is an integer combination of the basis rows."""
+    if not basis:
+        return not any(any(r) for r in rows)
+    b = sympy.Matrix(basis).T
+    for row in rows:
+        try:
+            sol, params = b.gauss_jordan_solve(sympy.Matrix(list(row)))
+        except ValueError:
+            return False
+        if params or any(not c.is_integer for c in sol):
+            return False
+    return True
 
 
 def sympy_rank(matrix) -> int:

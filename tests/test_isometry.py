@@ -37,6 +37,8 @@ from salemlat.lattice import (
     hyperbolic_plane,
 )
 
+from oracles import dense_mat_mul
+
 P = IntPolynomial.from_coeffs
 U = hyperbolic_plane()
 PELL_LAT = diagonal_lattice([2, -4])
@@ -65,6 +67,55 @@ class TestVerify:
         lat = GramLattice.from_rows([[0, 0], [0, 0]])
         with pytest.raises(DeterminantError):
             verify_isometry([[2, 0], [0, 1]], lat)
+
+    def test_degenerate_gram_still_needs_a_unit_determinant(self):
+        # M^T G M = G holds for any M when G = 0, so only det M decides
+        lat = GramLattice.from_rows([[0]])
+        with pytest.raises(DeterminantError):
+            verify_isometry([[2]], lat)
+        assert verify_isometry([[-1]], lat).determinant() == -1
+
+    def test_nondegenerate_gram_computes_no_determinant_of_m(self, monkeypatch):
+        calls = []
+        det_bareiss = linalg.det_bareiss
+
+        def counted(a):
+            calls.append(a)
+            return det_bareiss(a)
+
+        monkeypatch.setattr(linalg, "det_bareiss", counted)
+        GramLattice.determinant.cache_clear()
+        lat = diagonal_lattice([2, -4])
+        for g in ([[3, 4], [2, 3]], [[17, 24], [12, 17]], [[-1, 0], [0, 1]]):
+            verify_isometry(g, lat)
+        # det G once for the lattice, never det M
+        assert calls == [lat.gram]
+
+    def test_broken_matrices_keep_their_witnesses(self, suite_seed):
+        # the witness is the first (i, j), row by row, where M^T G M and G
+        # differ in a dense product over every entry
+        rng = random.Random(suite_seed + 4)
+        lattices = (U, A2, PELL_LAT, direct_sum(U, A2), diagonal_lattice([2, 2, -2]))
+        broken = 0
+        for k, lat in enumerate(lattices):
+            if lat is PELL_LAT:
+                isometries = [pell().power(e) for e in (1, 2, -3)]
+            else:
+                isometries = random_isometries(lat, 8, suite_seed + k)
+            for g in isometries:
+                m = [list(row) for row in g.matrix]
+                m[rng.randrange(lat.rank)][rng.randrange(lat.rank)] += rng.choice((-2, -1, 1, 3))
+                product = dense_mat_mul(dense_mat_mul(linalg.transpose(m), lat.gram), m)
+                witness = next(((i, j) for i in range(lat.rank) for j in range(lat.rank)
+                                if product[i][j] != lat.gram[i][j]), None)
+                if witness is None:
+                    assert verify_isometry(m, lat).lattice == lat
+                    continue
+                broken += 1
+                with pytest.raises(GramViolationError) as err:
+                    verify_isometry(m, lat)
+                assert err.value.witness == witness
+        assert broken >= 30
 
 
 class TestCharPoly:

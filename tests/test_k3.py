@@ -44,6 +44,8 @@ from salemlat.lattice import (
     signature,
 )
 
+from oracles import dense_mat_mul, sympy_mat_mul
+
 TOY_L = GramLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
 
 SMALL_PRIME_SELECTION = PrimeSelection(
@@ -265,9 +267,32 @@ class TestCommute:
         lat = k3_lattice()
         first = reflection_in_vector(lat, _unit(6)).matrix
         second = reflection_in_vector(lat, _unit(other)).matrix
-        dense = linalg.mat_mul(first, second) == linalg.mat_mul(second, first)
+        dense = dense_mat_mul(first, second) == dense_mat_mul(second, first)
         assert dense is commutes
         assert _commute(_minus_identity(first), _minus_identity(second)) is commutes
+
+
+class TestProductKernel:
+    def test_extended_generators_against_dense_and_sympy(self, full_report, subs):
+        # the products of the extension stage: 22 x 22 isometries with
+        # entries up to 378 bits and about 90% zeros
+        l_lat = subs.l.induced_gram()
+        phis = [build_phi(i, l_lat) for i in range(1, 19)]
+        big = [extend_to_lambda(phi.power(k), subs.l, subs.tbar).matrix
+               for phi, k in zip(phis, full_report.extension_orders)]
+        assert max(abs(x).bit_length() for m in big for row in m for x in row) >= 300
+        gram = subs.ambient.gram
+        for idx, m in enumerate(big):
+            mt_g = linalg.mat_mul(linalg.transpose(m), gram)
+            assert mt_g == dense_mat_mul(linalg.transpose(m), gram)
+            assert linalg.mat_mul(mt_g, m) == dense_mat_mul(mt_g, m)
+            other = big[(idx + 1) % len(big)]
+            assert linalg.mat_mul(m, other) == sympy_mat_mul(m, other)
+            phi = phis[idx].matrix
+            assert linalg.mat_mul(phi, phi) == dense_mat_mul(phi, phi)
+            v = m[idx]
+            assert linalg.mat_vec(m, v) == tuple(
+                row[0] for row in dense_mat_mul(m, tuple((x,) for x in v)))
 
 
 class TestPeriod:
@@ -458,8 +483,8 @@ class TestFullPipeline:
         # one inverse each of Q, G and [L; Tbar], plus the unimodular
         # inverses in _radical_split and saturation; per-generator work
         # would show up as 18 or more calls. One signature each of N, Nbar,
-        # L, Tbar and the definite quotient of N, and with the extension
-        # stage Tbar again in period_point.
+        # L, Tbar and the definite quotient of N (represents reuses that of
+        # N), and with the extension stage Tbar again in period_point.
         calls = Counter()
 
         def counted(name, f):
@@ -475,7 +500,7 @@ class TestFullPipeline:
         disc = counted("discriminant_group", discriminant_group)
         monkeypatch.setattr(lattice_module, "discriminant_group", disc)
         monkeypatch.setattr(k3_module, "discriminant_group", disc)
-        for skip_extension, inverses, signatures in ((True, 1, 6), (False, 5, 7)):
+        for skip_extension, inverses, signatures in ((True, 1, 5), (False, 5, 6)):
             calls.clear()
             k3_module._integral_inverse.cache_clear()
             k3_module._extension_cap.cache_clear()
@@ -483,6 +508,24 @@ class TestFullPipeline:
             assert 0 < calls["integral_inverse"] <= inverses
             assert calls["discriminant_group"] <= 2
             assert 0 < calls["signature"] <= signatures
+
+    def test_isometries_are_verified_without_their_determinants(self, monkeypatch):
+        # every phi and every extension satisfies M^T G M = G on a
+        # nondegenerate G, which forces det M = +-1; the only determinants
+        # left are those of the Gram matrices, once per lattice
+        args = []
+        det_bareiss = linalg.det_bareiss
+
+        def counted(a):
+            args.append(a)
+            return det_bareiss(a)
+
+        monkeypatch.setattr(linalg, "det_bareiss", counted)
+        GramLattice.determinant.cache_clear()
+        report = run_k3(DEFAULT_PRIMES)
+        assert report.all_passed
+        assert len(args) == 2  # the Gram matrices of L and of the K3 lattice
+        assert all(a == linalg.transpose(a) for a in args)
 
     def test_induced_grams_are_computed_once(self, monkeypatch):
         # N, Nbar, L, Tbar and the quotient of N, and with the extension

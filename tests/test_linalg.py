@@ -5,18 +5,70 @@ import pytest
 from salemlat import linalg
 
 from oracles import (
+    dense_mat_mul,
     sympy_adjugate,
     sympy_charpoly,
     sympy_det,
+    sympy_in_row_lattice,
     sympy_inverse,
     sympy_invariant_factors,
+    sympy_mat_mul,
     sympy_rank,
+    sympy_row_lattice_basis,
     sympy_solve,
 )
 
 
 def random_matrix(rng, m, n, lo=-30, hi=30):
     return tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(m))
+
+
+def sparse_matrix(rng, m, n, density, bits):
+    """Entries of up to the given bit length, each nonzero with that chance."""
+    return tuple(
+        tuple(rng.choice((-1, 1)) * rng.getrandbits(bits) if rng.random() < density else 0
+              for _ in range(n))
+        for _ in range(m))
+
+
+class TestProductKernel:
+    def check(self, a, b):
+        product = linalg.mat_mul(a, b)
+        assert product == dense_mat_mul(a, b) == sympy_mat_mul(a, b)
+        # a times the first column of b is the first column of the product
+        assert linalg.mat_vec(a, [row[0] for row in b]) == tuple(row[0] for row in product)
+
+    def test_against_dense_and_sympy(self, suite_seed):
+        # dense, sparse and all-zero inputs of every shape, small entries
+        # and 378-bit entries as in the extended K3 isometries
+        rng = random.Random(suite_seed + 9)
+        for density in (1.0, 0.1, 0.0):
+            for bits in (4, 378):
+                for _ in range(12):
+                    m, k, n = (rng.randint(1, 7) for _ in range(3))
+                    self.check(sparse_matrix(rng, m, k, density, bits),
+                               sparse_matrix(rng, k, n, density, bits))
+
+    def test_zero_rows_and_empty_inputs(self, suite_seed):
+        rng = random.Random(suite_seed + 10)
+        for _ in range(20):
+            m, k, n = (rng.randint(1, 6) for _ in range(3))
+            a = [list(row) for row in random_matrix(rng, m, k)]
+            b = [list(row) for row in random_matrix(rng, k, n)]
+            a[rng.randrange(m)] = [0] * k
+            b[rng.randrange(k)] = [0] * n
+            self.check(linalg.freeze(a), linalg.freeze(b))
+        assert linalg.mat_mul((), ((1, 2),)) == ()
+        assert linalg.mat_mul(((), ()), ()) == ((), ())
+        assert linalg.mat_vec((), ()) == ()
+        assert linalg.mat_vec(((), ()), ()) == (0, 0)
+        self.check(((0, 0), (0, 0)), ((0,), (0,)))
+
+    def test_sign_and_cancellation(self):
+        a = ((2**377, -(2**377)), (1, 1))
+        b = ((3, 0), (3, 5))
+        assert linalg.mat_mul(a, b) == ((0, -5 * 2**377), (6, 5))
+        assert linalg.mat_vec(a, (1, 1)) == (0, 2)
 
 
 class TestSmithNormalForm:
@@ -53,6 +105,49 @@ class TestSmithNormalForm:
                     if i != j:
                         assert d[i][j] == 0
             assert diag == sympy_invariant_factors(a)
+
+
+class TestNormalFormsAgainstSympy:
+    def inputs(self, suite_seed):
+        # rectangular both ways, rank deficient, all zero, and the K3
+        # bases and Gram matrices the lattice code reduces
+        from salemlat.k3 import DEFAULT_PRIMES, build_sublattices
+
+        rng = random.Random(suite_seed + 11)
+        out = [((0, 0, 0), (0, 0, 0)), ((6,),), ((0,), (4,))]
+        for _ in range(60):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            a = random_matrix(rng, m, n, -12, 12)
+            if rng.random() < 0.3 and m > 1:
+                a = a[:-1] + (tuple(x + y for x, y in zip(a[0], a[1])),)
+            out.append(a)
+        subs = build_sublattices(DEFAULT_PRIMES)
+        for emb in (subs.n, subs.l, subs.tbar):
+            out += [emb.basis, emb.induced_gram().gram]
+        out.append(linalg.row_stack(subs.l.basis, subs.tbar.basis))
+        return out
+
+    def test_smith_normal_form_and_diagonal(self, suite_seed):
+        for a in self.inputs(suite_seed):
+            u, d, v = linalg.smith_normal_form(a)
+            assert linalg.mat_mul(linalg.mat_mul(u, a), v) == d
+            diag = linalg.snf_diagonal(a)
+            assert diag == [d[i][i] for i in range(min(len(a), len(a[0])))]
+            assert diag == sympy_invariant_factors(a)
+
+    def test_hermite_normal_form(self, suite_seed):
+        for a in self.inputs(suite_seed):
+            h = linalg.hermite_normal_form(a)
+            basis = sympy_row_lattice_basis(a)
+            assert len(h) == len(basis) == sympy_rank(a)
+            assert sympy_in_row_lattice(h, basis)
+            assert sympy_in_row_lattice(basis, h)
+            # row echelon with positive pivots and reduced entries above them
+            cols = [next(j for j, x in enumerate(row) if x) for row in h]
+            assert cols == sorted(set(cols))
+            for i, c in enumerate(cols):
+                assert h[i][c] > 0
+                assert all(0 <= h[r][c] < h[i][c] for r in range(i))
 
 
 class TestHermite:

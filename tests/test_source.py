@@ -151,3 +151,14 @@ def test_short_vectors_and_interpolation_build_no_fraction():
                if isinstance(node, ast.FunctionDef)}
     assert {"_congruence_bareiss", "_monic_interpolation"} <= defined
     assert not {"_ldl", "_interpolate_monic", "floor_sqrt"} & defined
+
+
+def test_one_product_kernel():
+    # every integer matrix product goes through the zero-skipping kernel in
+    # linalg; k3 imports it instead of keeping a copy
+    k3_defs = {node.name for node in ast.parse((SOURCE / "k3.py").read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert not {"_nonzero_entries", "_sparse_mul"} & k3_defs
+    assert not [name for name in k3_defs if "mul" in name]
+    assert {"_nonzero_entries", "_sparse_mul"} <= _names(
+        _function(SOURCE / "linalg.py", "mat_mul"))
