@@ -69,9 +69,9 @@ from .lattice import (
     represents,
     saturation,
     signature,
-    smith_normal_form,
     vectors_of_norm,
 )
+from .linalg import smith_normal_form
 from .parabolic import (
     UnipotentCoordinates,
     abelian_rank_of_image,

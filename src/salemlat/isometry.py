@@ -5,6 +5,10 @@ sign and has determinant +-1, which the classification exploits: the
 cyclotomic part is split off by trial division, and what remains is
 either empty (finite-order spectrum), a single Salem polynomial, or a
 genuinely mixed spectrum reported with its irreducible factorization.
+
+Each isometry keeps a sparse view of M - I. Verification reads it, and so
+do the K3 readers of g(v) - v, which for a unipotent M touch a few dozen
+entries instead of the whole matrix.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 
 import mpmath
@@ -34,7 +39,7 @@ from .intpoly import (
     trace_polynomial,
 )
 from .lattice import GramLattice, SublatticeEmbedding
-from .linalg import IntMatrix, IntVector
+from .linalg import IntMatrix, IntVector, SparseRows, _nonzero_entries, _sparse_mul
 from .rational import RationalInterval, interval_max
 from .salem import SalemCertificate, _bisect_enclosure, classify_salem
 
@@ -82,6 +87,20 @@ class LatticeIsometry:
     def apply(self, v: IntVector) -> IntVector:
         return linalg.mat_vec(self.matrix, v)
 
+    @cached_property
+    def moved(self) -> SparseRows:
+        """M - I as the (column, entry) pairs of each row, computed once.
+
+        A unipotent generator of the K3 construction has about 21 nonzero
+        entries here out of 484, so its readers never touch the dense M.
+        """
+        return tuple(tuple((j, x - (i == j)) for j, x in enumerate(row)
+                           if x != (i == j)) for i, row in enumerate(self.matrix))
+
+    def displacement(self, v: IntVector) -> IntVector:
+        """g(v) - v, read off the nonzero entries of M - I."""
+        return tuple(sum(x * v[j] for j, x in row) if row else 0 for row in self.moved)
+
     def compose(self, other: "LatticeIsometry") -> "LatticeIsometry":
         if self.lattice != other.lattice:
             raise ValueError("isometries act on different lattices")
@@ -103,26 +122,28 @@ class LatticeIsometry:
 def verify_isometry(matrix, lattice: GramLattice) -> LatticeIsometry:
     """Check M^T G M = G entry by entry and det M = +-1.
 
-    The witness is the first (i, j), row by row, where the two differ. For
-    det G != 0 (cached per lattice) the identity gives det(M)^2 = 1, so
-    only a degenerate G needs the determinant of M.
+    With D = G (M - I) and G symmetric, M^T G M - G = D^T + M^T D, so the
+    check is two products on M - I, nearly empty for a unipotent M. The
+    witness is the first (i, j), row by row, where M^T G M and G differ.
+    For det G != 0 (cached per lattice) the identity gives det(M)^2 = 1,
+    so only a degenerate G needs the determinant of M.
     """
     m = linalg.freeze(matrix)
     n = lattice.rank
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError(f"matrix must be {n} x {n}")
-    g = lattice.gram
-    mt = linalg.transpose(m)
-    product = linalg.mat_mul(linalg.mat_mul(mt, g), m)
+    g = LatticeIsometry(lattice, m)
+    d = _sparse_mul(_nonzero_entries(lattice.gram), g.moved, n)
+    excess = linalg.mat_mul(linalg.transpose(m), d)
     for i in range(n):
         for j in range(n):
-            if product[i][j] != g[i][j]:
+            if excess[i][j] + d[j][i]:
                 raise GramViolationError(i, j)
     if lattice.determinant() == 0:
         det = linalg.det_bareiss(m)
         if det not in (1, -1):
             raise DeterminantError(f"determinant {det} is not a unit")
-    return LatticeIsometry(lattice, m)
+    return g
 
 
 def identity_isometry(lattice: GramLattice) -> LatticeIsometry:

@@ -36,6 +36,7 @@ from .lattice import (
     LatticeClass,
     SublatticeEmbedding,
     _represents,
+    _signature_and_witnesses,
     class_of_signature,
     definiteness_witness,
     direct_sum,
@@ -48,7 +49,7 @@ from .lattice import (
     saturation,
     signature,
 )
-from .linalg import IntMatrix, IntVector, SparseRows, _nonzero_entries, _sparse_mul
+from .linalg import IntMatrix, IntVector, _nonzero_entries, _sparse_mul
 from .parabolic import abelian_rank_of_image
 
 
@@ -207,10 +208,14 @@ def _structural_checks(subs: K3Sublattices
 
     nbar_sig = signature(nbar_lat)
     nbar_ok = nbar_sig == (0, 0, 18)  # elliptic of rank 18
+    if nbar_ok:
+        nbar_witness = None
+    else:
+        # one augmented run: a positive vector, or else an isotropic one
+        found = _signature_and_witnesses(nbar_lat)[1]
+        nbar_witness = found.get(1) or found.get(0)
     checks.append(CheckResult(
-        "nbar_elliptic_rank_18", nbar_ok,
-        witness=None if nbar_ok else definiteness_witness(nbar_lat, 1)
-        or definiteness_witness(nbar_lat, 0),
+        "nbar_elliptic_rank_18", nbar_ok, witness=nbar_witness,
         detail=f"signature {tuple(nbar_sig)}"))
 
     checks.append(CheckResult("l_rank_20", subs.l.rank == 20,
@@ -220,11 +225,12 @@ def _structural_checks(subs: K3Sublattices
         "l_hyperbolic", class_of_signature(l_sig) == LatticeClass.HYPERBOLIC,
         detail=f"signature {tuple(l_sig)}"))
 
-    tbar_sig = signature(tbar_lat)
+    # Tbar has rank 2, so the augmented run costs no more than a plain one
+    tbar_sig, tbar_witnesses = _signature_and_witnesses(tbar_lat)
     tbar_ok = subs.tbar.rank == 2 and tbar_sig == (2, 0, 0)
     checks.append(CheckResult(
         "tbar_positive_definite_rank_2", tbar_ok,
-        witness=None if tbar_ok else definiteness_witness(tbar_lat, -1),
+        witness=None if tbar_ok else tbar_witnesses.get(-1),
         detail=f"signature {tuple(tbar_sig)}"))
 
     checks.append(CheckResult("n_primitive", is_primitive(subs.n)))
@@ -310,20 +316,15 @@ def _extension_cap(l_lat: GramLattice) -> int:
     return disc.order * max(disc.invariant_factors, default=1)
 
 
-def _minus_identity(a: IntMatrix) -> SparseRows:
-    """The nonzero entries of a - I."""
-    return _nonzero_entries(linalg.mat_sub(a, linalg.identity(len(a))))
-
-
-def _commute(a_minus_i: SparseRows, b_minus_i: SparseRows) -> bool:
-    """Whether ab = ba, given a - I and b - I by _minus_identity.
+def _commute(a: LatticeIsometry, b: LatticeIsometry) -> bool:
+    """Whether ab = ba, read off the sparse views of a - I and b - I.
 
     ab - ba = (a - I)(b - I) - (b - I)(a - I). For the extended generators
     a - I has about 21 nonzero entries out of 484, so comparing the two
     products of differences is exact and far cheaper than ab against ba.
     """
-    n = len(a_minus_i)
-    return _sparse_mul(a_minus_i, b_minus_i, n) == _sparse_mul(b_minus_i, a_minus_i, n)
+    n = a.rank
+    return _sparse_mul(a.moved, b.moved, n) == _sparse_mul(b.moved, a.moved, n)
 
 
 def extension_order(phi: LatticeIsometry, l_lat: GramLattice) -> int:
@@ -341,12 +342,12 @@ def extension_order(phi: LatticeIsometry, l_lat: GramLattice) -> int:
     adj, det = _integral_inverse(l_lat.gram)
     adj_entries = _nonzero_entries(adj)
     n = l_lat.rank
-    power = phi.matrix
+    power = phi
     for k in range(1, cap + 1):
-        scaled = _sparse_mul(_minus_identity(power), adj_entries, n)
+        scaled = _sparse_mul(power.moved, adj_entries, n)
         if all(x % det == 0 for row in scaled for x in row):
             return k
-        power = linalg.mat_mul(power, phi.matrix)
+        power = power.compose(phi)
     raise BoundExceededError(
         f"no power up to {cap} acts trivially on the discriminant group")
 
@@ -359,27 +360,36 @@ def extend_to_lambda(phi_power: LatticeIsometry,
     L + Tbar has finite index in the ambient lattice, so the block map
     extends uniquely over Q: with S the stacked basis [L; Tbar] and
     B = blockdiag(phi_power^T, I), the extension is M with
-    det(S) M^T = adj(S) B S. Integrality on the ambient basis is exactly
-    the discriminant-triviality of phi_power; it holds iff every entry of
-    adj(S) B S is divisible by det S, with adj(S) and det S computed once
-    per basis.
+    det(S) M^T = adj(S) B S = det(S) I + adj(S) (B - I) S. Integrality on
+    the ambient basis is exactly the discriminant-triviality of
+    phi_power; it holds iff every entry of adj(S) (B - I) S is divisible
+    by det S, with adj(S) and det S computed once per basis. B - I comes
+    from the sparse view of phi_power - I and has about two nonzero rows
+    for a unipotent generator.
     """
     ambient = l_emb.ambient
     if tbar_emb.ambient != ambient:
         raise ValueError("embeddings must share the ambient lattice")
     rows = linalg.row_stack(l_emb.basis, tbar_emb.basis)
-    if len(rows) != ambient.rank:
+    n = ambient.rank
+    if len(rows) != n:
         raise ValueError("L + Tbar does not have full rank")
     adj, det = _integral_inverse(rows)
-    moved = linalg.row_stack(
-        linalg.mat_mul(linalg.transpose(phi_power.matrix), l_emb.basis),
-        tbar_emb.basis)
-    scaled = linalg.mat_mul(adj, moved)
+    # row b of (B - I) S sums x L_a over the entries x = (phi_power - I)_ab,
+    # so only the columns b of adj(S) that such an entry reaches are read
+    lifted: dict[int, list[int]] = {}
+    for a, entries in enumerate(phi_power.moved):
+        for b, x in entries:
+            acc = lifted.get(b, [0] * n)
+            lifted[b] = [s + x * y for s, y in zip(acc, l_emb.basis[a])]
+    adj_cols = tuple(tuple((b, row[b]) for b in lifted if row[b]) for row in adj)
+    scaled = _sparse_mul(adj_cols, _nonzero_entries(lifted.get(b, ()) for b in range(n)), n)
     if any(x % det for row in scaled for x in row):
         raise NonIntegralExtensionError(
             "block map does not preserve the ambient lattice; "
             "the power does not act trivially on the discriminant group")
-    matrix = linalg.transpose(tuple(tuple(x // det for x in row) for row in scaled))
+    matrix = tuple(tuple(int(i == j) + scaled[j][i] // det for j in range(n))
+                   for i in range(n))
     return verify_isometry(matrix, ambient)
 
 
@@ -545,16 +555,19 @@ class TorelliCertificate:
 def torelli_certificate(phi: LatticeIsometry, sigma: PeriodPoint,
                         t_emb: SublatticeEmbedding,
                         e0: IntVector) -> TorelliCertificate:
-    fixes_t = all(phi.apply(row) == tuple(row) for row in t_emb.basis)
+    def fixed(v) -> bool:
+        return not any(phi.displacement(v))
+
+    fixes_t = all(fixed(row) for row in t_emb.basis)
     # components of sigma in ambient coordinates transform under phi; a
     # nonzero integer multiple of a component is fixed iff the component is
     basis_t = linalg.transpose(t_emb.basis)
-    fixes_period = all(phi.apply(v) == v for v in (
-        linalg.mat_vec(basis_t, row) for row in _integral_components(sigma)))
+    fixes_period = all(fixed(linalg.mat_vec(basis_t, row))
+                       for row in _integral_components(sigma))
     return TorelliCertificate(
         fixes_t_pointwise=fixes_t,
         fixes_period=fixes_period,
-        fixes_e0=phi.apply(tuple(e0)) == tuple(e0),
+        fixes_e0=fixed(e0),
     )
 
 
@@ -571,15 +584,14 @@ def alpha_map(g: LatticeIsometry, subs: K3Sublattices) -> tuple[int, ...]:
     """
     if g.lattice != subs.ambient:
         raise ShapeViolationError("isometry does not act on the ambient lattice")
-    e0 = subs.e0
-    if g.apply(e0) != e0:
+    if any(g.displacement(subs.e0)):
         raise ShapeViolationError("isometry does not fix e0")
     for row in subs.tbar.basis:
-        if g.apply(row) != tuple(row):
+        if any(g.displacement(row)):
             raise ShapeViolationError("isometry does not fix Tbar pointwise")
     out = []
     for w in subs.w_rows:
-        diff = tuple(a - b for a, b in zip(g.apply(w), w))
+        diff = g.displacement(w)
         m = diff[_E0]
         if diff != tuple(m if j == _E0 else 0 for j in range(_RANK)):
             raise ShapeViolationError("w image does not differ by a multiple of e0")
@@ -671,9 +683,8 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
         checks.append(CheckResult(
             "phis_fix_t_pointwise",
             all(c.fixes_t_pointwise and c.fixes_period for c in certs)))
-        diffs = [_minus_identity(g.matrix) for g in big_phis]
         commute = all(_commute(a, b)
-                      for idx, a in enumerate(diffs) for b in diffs[idx + 1:])
+                      for idx, a in enumerate(big_phis) for b in big_phis[idx + 1:])
         checks.append(CheckResult("phis_commute", commute))
         minimal = minimal_primitive_sublattice(sigma, t_lat)
         full = SublatticeEmbedding.from_rows(

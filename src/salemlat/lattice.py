@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
 from . import linalg
-from .linalg import IntMatrix, IntVector, smith_normal_form
+from .linalg import IntMatrix, IntVector, _smith_v
 
 
 class IndefiniteLatticeError(ValueError):
@@ -197,27 +197,41 @@ def _congruence_bareiss(rows: list[list[int]],
     return pairs + [(0, prev)] * (n - len(pairs)), perm
 
 
-def signature(lattice: GramLattice) -> SignatureTriple:
-    pairs, _ = _congruence_bareiss([list(row) for row in lattice.gram], lattice.rank)
+def _signature_of(pairs: list[tuple[int, int]]) -> SignatureTriple:
     plus = sum(1 for p, prev in pairs if p * prev > 0)
     minus = sum(1 for p, prev in pairs if p * prev < 0)
-    return SignatureTriple(plus, lattice.rank - plus - minus, minus)
+    return SignatureTriple(plus, len(pairs) - plus - minus, minus)
 
 
-def definiteness_witness(lattice: GramLattice, wanted_sign: int) -> IntVector | None:
-    """An integer vector whose norm has the wanted sign (+1, 0 or -1), if any.
+def signature(lattice: GramLattice) -> SignatureTriple:
+    pairs, _ = _congruence_bareiss([list(row) for row in lattice.gram], lattice.rank)
+    return _signature_of(pairs)
 
-    The first basis row of the congruence whose diagonal entry has that
-    sign, scaled to a primitive integer vector with the sign of the row.
+
+def _signature_and_witnesses(lattice: GramLattice
+                             ) -> tuple[SignatureTriple, dict[int, IntVector]]:
+    """The signature and, per sign of norm, its witness, from one run on [G | I].
+
+    The witness of a sign (+1, 0 or -1) is the first basis row of the
+    congruence whose diagonal entry has that sign, scaled to a primitive
+    integer vector with the sign of the row.
     """
     n = lattice.rank
     rows = [list(row) + [int(i == j) for j in range(n)]
             for i, row in enumerate(lattice.gram)]
-    for (p, prev), row in zip(_congruence_bareiss(rows, n)[0], rows):
-        if (p * prev > 0) - (p * prev < 0) == wanted_sign:
+    pairs, _ = _congruence_bareiss(rows, n)
+    witnesses: dict[int, IntVector] = {}
+    for (p, prev), row in zip(pairs, rows):
+        sign = (p * prev > 0) - (p * prev < 0)
+        if sign not in witnesses:
             g = gcd(prev, *row[n:]) if prev > 0 else -gcd(prev, *row[n:])
-            return tuple(x // g for x in row[n:])
-    return None
+            witnesses[sign] = tuple(x // g for x in row[n:])
+    return _signature_of(pairs), witnesses
+
+
+def definiteness_witness(lattice: GramLattice, wanted_sign: int) -> IntVector | None:
+    """An integer vector whose norm has the wanted sign (+1, 0 or -1), if any."""
+    return _signature_and_witnesses(lattice)[1].get(wanted_sign)
 
 
 def classify(lattice: GramLattice) -> LatticeClass:
@@ -277,7 +291,7 @@ def saturation(emb: SublatticeEmbedding) -> SublatticeEmbedding:
     """
     if not emb.basis:
         return emb
-    _, _, v = smith_normal_form(emb.basis)
+    _, v = _smith_v(emb.basis)
     v_inv = linalg.unimodular_inverse(v)
     rows = v_inv[: len(emb.basis)]
     return SublatticeEmbedding(emb.ambient, linalg.hermite_normal_form(rows))
@@ -335,7 +349,7 @@ def _radical_split(lattice: GramLattice):
     if rad.rank != 1:
         raise RadicalRankError(f"radical has rank {rad.rank}, expected 1")
     v = rad.basis[0]
-    _, _, vm = smith_normal_form((v,))
+    _, vm = _smith_v((v,))
     v_inv = linalg.unimodular_inverse(vm)
     first = v_inv[0]
     if first != v and tuple(-x for x in first) != v:

@@ -5,12 +5,15 @@ zero-skipping kernel, which multiplies only pairs of nonzero entries.
 Determinant, adjugate, inverses, solve and rank all come from one Bareiss
 fraction-free elimination core, which never leaves the integers;
 fractions.Fraction appears only in the outputs of the fraction_* fronts.
-Nothing here is tolerant of floating point, by design.
+Smith normal forms come from one core too, which records both transforms,
+only v, or neither, as its callers need. Nothing here is tolerant of
+floating point, by design.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -20,7 +23,7 @@ SparseRows = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def identity(n: int) -> IntMatrix:
@@ -60,10 +63,6 @@ def mat_vec(a, v):
 
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_neg(a):
@@ -196,9 +195,14 @@ def fraction_solve(a, b) -> list[Fraction] | None:
 
 
 def rational_rank(a) -> int:
+    """Rank over Q; each row is divided by its content before elimination."""
     if not a:
         return 0
-    return len(_bareiss([list(row) for row in a], len(a[0]))[0])
+    rows = []
+    for row in a:
+        c = gcd(*row)
+        rows.append([x // c for x in row] if c > 1 else list(row))
+    return len(_bareiss(rows, len(a[0]))[0])
 
 
 def adjugate(a: IntMatrix) -> IntMatrix:
@@ -230,6 +234,19 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return (freeze(row[n:] for row in rows[:m]),
             freeze(row[:n] for row in rows[:m]),
             freeze(row[:n] for row in rows[m:]))
+
+
+def _smith_v(a: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """(diagonal, v) of a Smith form u a v = d; u is not recorded.
+
+    The core runs on [a; I], so its column operations record v in the
+    bottom rows; saturation, radicals and kernels read only v.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows = [list(row) for row in a] + [list(row) for row in identity(n)]
+    _smith(rows, m, n)
+    return [rows[i][i] for i in range(min(m, n))], freeze(rows[m:])
 
 
 def snf_diagonal(a: IntMatrix) -> list[int]:
@@ -298,7 +315,10 @@ def _smith(d: list[list[int]], m: int, n: int) -> None:
                 # a remainder survived; it is at most half the pivot
                 move_min_pivot(t)
                 continue
-            # enforce divisibility of the remaining block by the pivot
+            # enforce divisibility of the remaining block by the pivot;
+            # a unit pivot divides every entry
+            if abs(d[t][t]) == 1:
+                break
             offender = next((i for i in range(t + 1, m)
                              if any(d[i][j] % d[t][t] for j in range(t + 1, n))), None)
             if offender is None:
@@ -315,8 +335,8 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     n = len(a[0]) if m else 0
     if m == 0:
         return identity(n)
-    _, d, v = smith_normal_form(a)
-    r = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
+    diag, v = _smith_v(a)
+    r = sum(1 for x in diag if x != 0)
     return transpose(v)[r:]
 
 

@@ -55,11 +55,18 @@ def numeric_salem_oracle(p: IntPolynomial):
         return True, mpmath.re(alpha)
 
 
-def naive_vectors_of_norm(gram, target: int, box: int):
-    """Brute-force box search, one vector per sign pair, sorted."""
+def naive_vectors_of_norm(gram, target: int):
+    """Brute-force box search, one vector per sign pair, sorted.
+
+    For a positive definite G every x with x G x^T <= target satisfies
+    x_i^2 <= target (G^-1)_ii, so the box with those sides, computed in
+    Fractions, holds every solution.
+    """
     n = len(gram)
+    inverse = sympy_inverse(gram)
+    sides = [isqrt(floor(target * inverse[i][i])) for i in range(n)]
     out = []
-    for v in itertools.product(range(-box, box + 1), repeat=n):
+    for v in itertools.product(*(range(-r, r + 1) for r in sides)):
         if not any(v):
             continue
         first = next(c for c in v if c != 0)

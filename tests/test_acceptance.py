@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import property_suites as ps
-from oracles import naive_vectors_of_norm, numeric_salem_oracle
+from oracles import numeric_salem_oracle
 from salemlat import linalg
 from salemlat.intpoly import IntPolynomial, poly_from_string
 from salemlat.isometry import restrict_to_embedding

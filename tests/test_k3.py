@@ -9,7 +9,13 @@ from salemlat import k3 as k3_module
 from salemlat import lattice as lattice_module
 from salemlat import linalg
 from salemlat.intpoly import MILLER_RABIN_BOUND, _is_probable_prime
-from salemlat.isometry import identity_isometry, reflection_in_vector, verify_isometry
+from salemlat.isometry import (
+    GramViolationError,
+    LatticeIsometry,
+    identity_isometry,
+    reflection_in_vector,
+    verify_isometry,
+)
 from salemlat.k3 import (
     DEFAULT_PRIMES,
     K3Sublattices,
@@ -19,7 +25,6 @@ from salemlat.k3 import (
     QuarticAlgebraElement,
     ShapeViolationError,
     _commute,
-    _minus_identity,
     _unit,
     alpha_map,
     build_phi,
@@ -44,7 +49,7 @@ from salemlat.lattice import (
     signature,
 )
 
-from oracles import dense_mat_mul, sympy_mat_mul
+from oracles import dense_mat_mul, sympy_mat_mul, sympy_rank
 
 TOY_L = GramLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
 
@@ -265,11 +270,12 @@ class TestCommute:
     @pytest.mark.parametrize("other, commutes", ((7, True), (8, False)))
     def test_reflections(self, other, commutes):
         lat = k3_lattice()
-        first = reflection_in_vector(lat, _unit(6)).matrix
-        second = reflection_in_vector(lat, _unit(other)).matrix
-        dense = dense_mat_mul(first, second) == dense_mat_mul(second, first)
+        first = reflection_in_vector(lat, _unit(6))
+        second = reflection_in_vector(lat, _unit(other))
+        dense = (dense_mat_mul(first.matrix, second.matrix)
+                 == dense_mat_mul(second.matrix, first.matrix))
         assert dense is commutes
-        assert _commute(_minus_identity(first), _minus_identity(second)) is commutes
+        assert _commute(first, second) is commutes
 
 
 class TestProductKernel:
@@ -293,6 +299,70 @@ class TestProductKernel:
             v = m[idx]
             assert linalg.mat_vec(m, v) == tuple(
                 row[0] for row in dense_mat_mul(m, tuple((x,) for x in v)))
+
+
+@pytest.fixture(scope="module")
+def extended(full_report, subs):
+    """The eighteen extended generators of DEFAULT_PRIMES."""
+    l_lat = subs.l.induced_gram()
+    return [extend_to_lambda(build_phi(i, l_lat).power(k), subs.l, subs.tbar)
+            for i, k in zip(range(1, 19), full_report.extension_orders)]
+
+
+class TestSparseView:
+    def test_moved_and_displacement_against_dense(self, extended, subs):
+        gram = subs.ambient.gram
+        for g in extended:
+            minus_i = [[x - (i == j) for j, x in enumerate(row)]
+                       for i, row in enumerate(g.matrix)]
+            assert g.moved == linalg._nonzero_entries(minus_i)
+            assert sum(len(row) for row in g.moved) <= 25
+            for v in (*subs.w_rows, *subs.tbar.basis, subs.e0, gram[3]):
+                assert g.displacement(v) == tuple(
+                    a - b for a, b in zip(linalg.mat_vec(g.matrix, v), v))
+
+    def test_verify_witness_on_perturbed_generators(self, extended, subs, suite_seed):
+        # M^T G M - G read as D^T + M^T D with D = G (M - I) keeps the
+        # witness: the first (i, j), row by row, of the dense M^T G M
+        import random
+
+        rng = random.Random(suite_seed + 21)
+        gram = subs.ambient.gram
+        assert max(abs(x).bit_length() for g in extended
+                   for row in g.matrix for x in row) >= 300
+        broken = 0
+        for g in extended:
+            assert verify_isometry(g.matrix, subs.ambient).matrix == g.matrix
+            m = [list(row) for row in g.matrix]
+            for _ in range(rng.randint(1, 2)):
+                i, j = rng.randrange(22), rng.randrange(22)
+                m[i][j] += rng.choice((-1, 1, m[i][j] or 1))
+            mt = linalg.transpose(m)
+            dense = dense_mat_mul(dense_mat_mul(mt, gram), m)
+            expected = next(((i, j) for i in range(22) for j in range(22)
+                             if dense[i][j] != gram[i][j]), None)
+            if expected is None:
+                continue
+            with pytest.raises(GramViolationError) as err:
+                verify_isometry(m, subs.ambient)
+            assert err.value.witness == expected
+            broken += 1
+        assert broken >= 12
+
+    def test_run_k3_never_applies_a_dense_matrix(self, monkeypatch):
+        # every reader of the extension stage works on the sparse M - I
+        def refuse(self, v):
+            raise AssertionError("dense LatticeIsometry.apply reached")
+
+        monkeypatch.setattr(LatticeIsometry, "apply", refuse)
+        report = run_k3(DEFAULT_PRIMES)
+        assert report.all_passed and report.group_rank == 18
+
+    def test_alpha_vectors_rank_against_sympy(self, full_report):
+        vectors = full_report.alpha_vectors
+        assert min(abs(sum(v)).bit_length() for v in vectors) >= 150
+        assert linalg.rational_rank(vectors) == sympy_rank(vectors) == 18
+        assert linalg.rational_rank(vectors[:5] + (vectors[0],)) == 5
 
 
 class TestPeriod:
@@ -543,6 +613,23 @@ class TestFullPipeline:
             assert run_k3(DEFAULT_PRIMES, skip_extension).all_passed
             assert sum(calls.values()) == grams
             assert set(calls.values()) == {1}
+
+    def test_failing_selection_runs_the_symmetric_core_six_times(self, monkeypatch):
+        # signatures of N, Nbar, L and Tbar; one augmented run each for the
+        # witnesses of N and Nbar; Tbar's witness comes with its signature
+        calls = []
+        core = lattice_module._congruence_bareiss
+
+        def counted(rows, n):
+            calls.append(len(rows[0]) - n)
+            return core(rows, n)
+
+        monkeypatch.setattr(lattice_module, "_congruence_bareiss", counted)
+        report = run_k3(SMALL_PRIME_SELECTION, skip_extension=True)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert {"nbar_elliptic_rank_18", "tbar_positive_definite_rank_2"} <= failed
+        assert len(calls) == 6
+        assert calls.count(0) == 3
 
     def test_failed_selection_reports_and_omits_rank(self):
         report = run_k3(SMALL_PRIME_SELECTION)

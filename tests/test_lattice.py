@@ -14,6 +14,7 @@ from salemlat.lattice import (
     SublatticeEmbedding,
     UnsupportedSignatureError,
     _congruence_bareiss,
+    _signature_and_witnesses,
     classify,
     definiteness_witness,
     diagonal_lattice,
@@ -124,9 +125,13 @@ class TestCongruenceBareiss:
         pairs, _ = _congruence_bareiss([list(row) for row in lat.gram], lat.rank)
         assert [Fraction(p, prev) for p, prev in pairs] == diag
         assert tuple(signature(lat)) == sig
+        # one augmented run gives the signature and the witness of each sign
+        sig_again, witnesses = _signature_and_witnesses(lat)
+        assert tuple(sig_again) == sig
         for wanted in (-1, 0, 1):
             witness = definiteness_witness(lat, wanted)
             assert witness == fraction_definiteness_witness(lat, wanted)
+            assert witness == witnesses.get(wanted)
             if witness is not None:
                 norm = lat.norm(witness)
                 assert (norm > 0) - (norm < 0) == wanted
@@ -321,7 +326,7 @@ class TestVectorsOfNorm:
             trials += 1
             target = 2 * rng.randint(1, 6)
             ours = vectors_of_norm(lat, target)
-            naive = naive_vectors_of_norm(lat.gram, target, box=target + 2)
+            naive = naive_vectors_of_norm(lat.gram, target)
             assert ours == naive
 
     def test_canonical_order(self):

@@ -135,6 +135,14 @@ class TestNormalFormsAgainstSympy:
             assert diag == [d[i][i] for i in range(min(len(a), len(a[0])))]
             assert diag == sympy_invariant_factors(a)
 
+    def test_v_only_run_matches_the_full_transform(self, suite_seed):
+        # the core run on [a; I] without the u columns reaches the same
+        # diagonal and the same v as the run on [a | I; I | 0]
+        for a in self.inputs(suite_seed):
+            _, d, v = linalg.smith_normal_form(a)
+            diag = [d[i][i] for i in range(min(len(a), len(a[0])))]
+            assert linalg._smith_v(a) == (diag, v)
+
     def test_hermite_normal_form(self, suite_seed):
         for a in self.inputs(suite_seed):
             h = linalg.hermite_normal_form(a)
@@ -273,6 +281,19 @@ class TestEliminationAgainstSympy:
                 assert x == sympy_solve(a, b)
                 inconsistent += x is None
         assert singular > 0 and inconsistent > 0
+
+    def test_rank_of_rows_with_content(self, suite_seed):
+        # rows scaled by contents above 1, as the alpha vectors det Q e_i are;
+        # the rank divides each row by its content before elimination
+        rng = random.Random(suite_seed + 8)
+        for trial in range(60):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            a = [list(row) for row in random_matrix(rng, m, n, -5, 5)]
+            if trial % 2 and m > 1:
+                a[-1] = [x - y for x, y in zip(a[0], a[1])]
+            a[rng.randrange(m)] = [0] * n
+            a = tuple(tuple(rng.choice((2, 6, 2**190 + 1)) * x for x in row) for row in a)
+            assert linalg.rational_rank(a) == sympy_rank(a)
 
     @staticmethod
     def check_square(a):
