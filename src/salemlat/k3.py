@@ -167,8 +167,12 @@ def build_sublattices(primes: PrimeSelection) -> K3Sublattices:
     l = SublatticeEmbedding.from_rows(
         ambient, [list(_unit(_E0)), list(_unit(_F0))] + rows)
     t = orthogonal_complement(n)
-    # Tbar: vectors orthogonal to Nbar and to both U_0 basis vectors
-    tbar = orthogonal_complement(l)
+    # Tbar = L^perp = T meet f0^perp is spanned by the c T with (c T, f0) = 0,
+    # a primitive basis since T and the kernel of that 1 x 3 row are
+    coeffs = linalg.integer_kernel(
+        (tuple(ambient.pairing(b, _unit(_F0)) for b in t.basis),))
+    tbar = SublatticeEmbedding(
+        ambient, linalg.hermite_normal_form(linalg.mat_mul(coeffs, t.basis)))
     return K3Sublattices(primes=primes, ambient=ambient, nbar=nbar, n=n, l=l,
                          t=t, tbar=tbar)
 

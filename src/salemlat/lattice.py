@@ -3,8 +3,12 @@
 Signatures, their witness vectors and the short vectors of a definite
 form all come from one fraction-free symmetric Bareiss reduction in the
 integers; short vectors are enumerated by Fincke-Pohst on its rows with
-integer bounds. Sublattice questions (saturation, primitivity,
-complements, indices, discriminant groups) come from Smith normal form.
+integer bounds. Sublattice questions take the cheapest exact kernel:
+complements and radicals are Bareiss kernels saturated by a small Smith
+run, as is saturation; primitivity and the index of a sum read Hermite
+normal forms; the discriminant group is the Smith diagonal of the Gram
+matrix's HNF. A basis whose rows each have a private column, as echelon
+forms do, is independent without a Bareiss rank.
 """
 
 from __future__ import annotations
@@ -250,6 +254,15 @@ def class_of_signature(sig: SignatureTriple) -> LatticeClass:
     return LatticeClass.OTHER
 
 
+def _has_private_columns(rows: IntMatrix) -> bool:
+    """Whether each row is nonzero in a column where every later row is zero,
+    as in echelon forms; such rows are independent, since in a vanishing
+    combination the first row with a nonzero coefficient is alone there."""
+    last = {next((i for i in range(len(col) - 1, -1, -1) if col[i]), None)
+            for col in zip(*rows)}
+    return last.issuperset(range(len(rows)))
+
+
 @dataclass(frozen=True)
 class SublatticeEmbedding:
     """Sublattice given by basis rows in the coordinates of an ambient lattice."""
@@ -258,7 +271,7 @@ class SublatticeEmbedding:
     basis: IntMatrix
 
     def __post_init__(self) -> None:
-        if self.basis and linalg.rational_rank(self.basis) != len(self.basis):
+        if not _has_private_columns(self.basis) and linalg.rational_rank(self.basis) != self.rank:
             raise ValueError("basis rows must be linearly independent over Q")
         for row in self.basis:
             if len(row) != self.ambient.rank:
@@ -283,25 +296,16 @@ class SublatticeEmbedding:
 
 
 def saturation(emb: SublatticeEmbedding) -> SublatticeEmbedding:
-    """Minimal primitive sublattice containing the embedding.
-
-    With U B V = D, the rows of V^{-1} are a Z-basis of the ambient whose
-    first r members span the rational row space of B; being part of a
-    basis they span a primitive sublattice.
-    """
-    if not emb.basis:
-        return emb
-    _, v = _smith_v(emb.basis)
-    v_inv = linalg.unimodular_inverse(v)
-    rows = v_inv[: len(emb.basis)]
+    """Minimal primitive sublattice containing the embedding, as an HNF."""
+    rows = linalg.saturate(emb.basis)
     return SublatticeEmbedding(emb.ambient, linalg.hermite_normal_form(rows))
 
 
 def is_primitive(emb: SublatticeEmbedding) -> bool:
-    if not emb.basis:
-        return True
-    diag = linalg.snf_diagonal(emb.basis)
-    return all(d == 1 for d in diag)
+    """Whether the independent rows B span a primitive sublattice, that is
+    whether the columns of B span Z^r: the row HNF of B^T is the identity."""
+    hnf = linalg.hermite_normal_form(linalg.transpose(emb.basis))
+    return hnf == linalg.identity(emb.rank)
 
 
 def orthogonal_complement(emb: SublatticeEmbedding) -> SublatticeEmbedding:
@@ -315,12 +319,11 @@ def index_of_sum(a: SublatticeEmbedding, b: SublatticeEmbedding) -> int | None:
     """Index of a + b in the ambient lattice; None when not of full rank."""
     if a.ambient != b.ambient:
         raise ValueError("embeddings must share an ambient lattice")
-    stacked = linalg.row_stack(a.basis, b.basis)
-    diag = linalg.snf_diagonal(stacked)
-    nonzero = [d for d in diag if d != 0]
-    if len(nonzero) < a.ambient.rank:
+    n = a.ambient.rank
+    hnf = linalg.hermite_normal_form(linalg.row_stack(a.basis, b.basis))
+    if len(hnf) < n:
         return None
-    return prod(nonzero)
+    return prod(hnf[i][i] for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -330,10 +333,12 @@ class DiscriminantGroup:
 
 
 def discriminant_group(lattice: GramLattice) -> DiscriminantGroup:
-    """Invariant factors of coker(gram), the dual quotient L*/L."""
-    diag = linalg.snf_diagonal(lattice.gram)
-    if 0 in diag:
+    """Invariant factors of coker(gram), the dual quotient L*/L, from the
+    Smith diagonal of its HNF; a missing HNF row means a degenerate form."""
+    hnf = linalg.hermite_normal_form(lattice.gram)
+    if len(hnf) < lattice.rank:
         raise DegenerateLatticeError("discriminant group needs a nondegenerate form")
+    diag = linalg.snf_diagonal(hnf)
     return DiscriminantGroup(tuple(d for d in diag if d > 1), prod(diag))
 
 

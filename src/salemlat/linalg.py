@@ -2,12 +2,14 @@
 
 Matrices are tuples of tuples (rows). Every product comes from one
 zero-skipping kernel, which multiplies only pairs of nonzero entries.
-Determinant, adjugate, inverses, solve and rank all come from one Bareiss
-fraction-free elimination core, which never leaves the integers;
-fractions.Fraction appears only in the outputs of the fraction_* fronts.
-Smith normal forms come from one core too, which records both transforms,
-only v, or neither, as its callers need. Nothing here is tolerant of
-floating point, by design.
+Determinant, adjugate, inverses, solve, rank and the rational kernel all
+come from one Bareiss fraction-free elimination core, which never leaves
+the integers; fractions.Fraction appears only in the outputs of the
+fraction_* fronts. Hermite normal forms answer span questions. Smith
+normal forms come from one core, which records both transforms, only u,
+only v, or neither, as its callers need; saturating k independent rows
+(and so the integer kernel) costs one Smith run with a k x k transform.
+Nothing here is tolerant of floating point, by design.
 """
 
 from __future__ import annotations
@@ -329,15 +331,41 @@ def _smith(d: list[list[int]], m: int, n: int) -> None:
         t += 1
 
 
+def saturate(rows: IntMatrix) -> IntMatrix:
+    """A Z-basis of the integer vectors in the rational span of independent rows.
+
+    With U K V = D a Smith form of the k rows K, the rows of D^-1 U K are
+    the first rows of the unimodular V^-1, so primitive and of the same
+    span. The core runs on [K | I] and records only the k x k transform U.
+    Rows lose their content first, which is all a single row needs.
+    """
+    rows = tuple(tuple(x // c for x in row) for row in rows for c in (gcd(*row),))
+    if len(rows) <= 1:
+        return rows
+    k, n = len(rows), len(rows[0])
+    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    _smith(aug, k, n)
+    uk = _sparse_mul(_nonzero_entries(row[n:] for row in aug), _nonzero_entries(rows), n)
+    return tuple(tuple(x // aug[i][i] for x in row) for i, row in enumerate(uk))
+
+
 def integer_kernel(a: IntMatrix) -> IntMatrix:
-    """Basis (rows) of {x : a x = 0} over the integers. Always saturated."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return identity(n)
-    diag, v = _smith_v(a)
-    r = sum(1 for x in diag if x != 0)
-    return transpose(v)[r:]
+    """Basis (rows) of {x : a x = 0} over the integers. Always saturated.
+
+    One Bareiss pass gives the rational kernel: with d the last pivot, the
+    vector of a free column j has d at j and -rows[r][j] at the pivot
+    column of each pivot row r; saturate() makes it a Z-basis.
+    """
+    n = len(a[0]) if a else 0
+    rows = [list(row) for row in a]
+    pivots, d, _ = _bareiss(rows, n)
+    free = sorted(set(range(n)).difference(c for _, c in pivots))
+    kernel = [[0] * n for _ in free]
+    for vec, j in zip(kernel, free):
+        vec[j] = d
+        for r, c in pivots:
+            vec[c] = -rows[r][j]
+    return saturate(kernel)
 
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:

@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -46,6 +47,7 @@ from salemlat.lattice import (
     classify,
     diagonal_lattice,
     discriminant_group,
+    orthogonal_complement,
     signature,
 )
 
@@ -68,6 +70,19 @@ OTHER_VALID_SELECTIONS = (
 ADVERSARIAL = PrimeSelection(
     p=29, q=37, p_list=(3, 5, 7, 11, 13, 17, 19, 23),
     q_list=(41, 43, 47, 53, 59, 61, 67, 71))
+
+
+def scan_selections(seed, count):
+    """Selections drawn like a scan: p, q from {2, 3, 5, 7}, scaling primes
+    from [5, 400), definite or not."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p, q = rng.sample((2, 3, 5, 7), 2)
+        scaling = rng.sample([x for x in sympy.primerange(5, 400) if x not in (p, q)], 16)
+        out.append(PrimeSelection(p=p, q=q, p_list=tuple(scaling[:8]),
+                                  q_list=tuple(scaling[8:])))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +175,14 @@ class TestSublattices:
         assert bad.witness is not None
         subs_bad = build_sublattices(SMALL_PRIME_SELECTION)
         assert subs_bad.nbar.induced_gram().norm(bad.witness) > 0
+
+    def test_tbar_from_t_is_the_complement_of_l(self, suite_seed):
+        # Tbar is cut out of T by one 1 x 3 row; the direct route, the
+        # complement of L in the ambient lattice, gives the same HNF
+        for primes in (DEFAULT_PRIMES, SMALL_PRIME_SELECTION, ADVERSARIAL,
+                       *scan_selections(suite_seed + 25, 4)):
+            subs = build_sublattices(primes)
+            assert subs.tbar == orthogonal_complement(subs.l)
 
     def test_adversarial_large_p_fails(self):
         checks = {c.name: c for c in verify_construction(ADVERSARIAL)}
@@ -551,7 +574,7 @@ class TestFullPipeline:
 
     def test_shared_inverses_are_computed_once(self, monkeypatch):
         # one inverse each of Q, G and [L; Tbar], plus the unimodular
-        # inverses in _radical_split and saturation; per-generator work
+        # inverse in _radical_split; per-generator work
         # would show up as 18 or more calls. One signature each of N, Nbar,
         # L, Tbar and the definite quotient of N (represents reuses that of
         # N), and with the extension stage Tbar again in period_point.
@@ -570,7 +593,7 @@ class TestFullPipeline:
         disc = counted("discriminant_group", discriminant_group)
         monkeypatch.setattr(lattice_module, "discriminant_group", disc)
         monkeypatch.setattr(k3_module, "discriminant_group", disc)
-        for skip_extension, inverses, signatures in ((True, 1, 5), (False, 5, 6)):
+        for skip_extension, inverses, signatures in ((True, 1, 5), (False, 4, 6)):
             calls.clear()
             k3_module._integral_inverse.cache_clear()
             k3_module._extension_cap.cache_clear()
@@ -578,6 +601,30 @@ class TestFullPipeline:
             assert 0 < calls["integral_inverse"] <= inverses
             assert calls["discriminant_group"] <= 2
             assert 0 < calls["signature"] <= signatures
+
+    def test_structural_stage_runs_small_smith_forms(self, monkeypatch):
+        # Smith runs: the kernels behind T (3 x 22) and Tbar (2 x 3), the
+        # basis completion of N's radical (1 x 19) and the discriminant
+        # group of L (20 x 20). Primitivity and the index of L + Tbar read
+        # HNFs, and every basis the stage builds has private columns, so the
+        # only rational rank is that of N + T
+        shapes, ranks = [], []
+        smith, rational_rank = linalg._smith, linalg.rational_rank
+
+        def counted_smith(d, m, n):
+            shapes.append((m, n))
+            return smith(d, m, n)
+
+        def counted_rank(a):
+            ranks.append(len(a))
+            return rational_rank(a)
+
+        monkeypatch.setattr(linalg, "_smith", counted_smith)
+        monkeypatch.setattr(linalg, "rational_rank", counted_rank)
+        assert run_k3(DEFAULT_PRIMES, skip_extension=True).all_passed
+        assert len(shapes) <= 4
+        assert [s for s in shapes if s[0] > 3] == [(20, 20)]
+        assert len(ranks) <= 1
 
     def test_isometries_are_verified_without_their_determinants(self, monkeypatch):
         # every phi and every extension satisfies M^T G M = G on a

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -14,6 +15,7 @@ from salemlat.lattice import (
     SublatticeEmbedding,
     UnsupportedSignatureError,
     _congruence_bareiss,
+    _has_private_columns,
     _signature_and_witnesses,
     classify,
     definiteness_witness,
@@ -39,6 +41,8 @@ from oracles import (
     fraction_vectors_of_norm,
     naive_vectors_of_norm,
     signature_with_basis,
+    sympy_invariant_factors,
+    sympy_rank,
 )
 from test_k3 import SMALL_PRIME_SELECTION
 
@@ -274,6 +278,102 @@ class TestDiscriminant:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateLatticeError):
             discriminant_group(GramLattice.from_rows([[0]]))
+
+
+def random_bases(seed, count=40, n=5):
+    """Independent bases of rank 1..n in Z^n; some rows are scaled or
+    glued so that the basis spans a sublattice that is not primitive."""
+    rng = random.Random(seed)
+    amb = diagonal_lattice([1] * n)
+    out = []
+    while len(out) < count:
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        if rng.random() < 0.3:
+            rows[0] = [rng.choice((2, 3, 6)) * x for x in rows[0]]
+        if len(rows) > 1 and rng.random() < 0.3:
+            rows[1] = [x + 2 * y for x, y in zip(rows[1], rows[0])]
+        if sympy_rank(rows) == len(rows):
+            out.append(SublatticeEmbedding.from_rows(amb, rows))
+    return out
+
+
+def k3_bases():
+    for primes in (DEFAULT_PRIMES, SMALL_PRIME_SELECTION):
+        subs = build_sublattices(primes)
+        yield from (subs.nbar, subs.n, subs.l, subs.t, subs.tbar, subs.t_split)
+
+
+class TestNormalFormRoutesAgainstSympySmith:
+    """Primitivity and indices read HNFs, discriminant groups the Smith form
+    of an HNF; each agrees with sympy's Smith form of the plain input."""
+
+    def test_is_primitive(self, suite_seed):
+        bases = random_bases(suite_seed + 21) + list(k3_bases())
+        assert {is_primitive(emb) for emb in bases} == {True, False}
+        for emb in bases:
+            assert is_primitive(emb) == (set(sympy_invariant_factors(emb.basis)) == {1})
+
+    def test_index_of_sum(self, suite_seed):
+        bases = random_bases(suite_seed + 22)
+        pairs = list(zip(bases[::2], bases[1::2]))
+        for primes in (DEFAULT_PRIMES, SMALL_PRIME_SELECTION):
+            subs = build_sublattices(primes)
+            pairs += [(subs.l, subs.tbar), (subs.n, subs.tbar), (subs.nbar, subs.t)]
+        seen = set()
+        for a, b in pairs:
+            factors = sympy_invariant_factors(linalg.row_stack(a.basis, b.basis))
+            nonzero = [d for d in factors if d]
+            expected = prod(nonzero) if len(nonzero) == a.ambient.rank else None
+            assert index_of_sum(a, b) == expected
+            seen.add(expected is None)
+        assert seen == {True, False}
+
+    def test_discriminant_group(self, suite_seed):
+        grams = [lat for lat in congruence_inputs(suite_seed + 23) if lat.rank]
+        degenerate = 0
+        for lat in grams + list(k3_inputs()):
+            factors = sympy_invariant_factors(lat.gram)
+            if 0 in factors:
+                degenerate += 1
+                with pytest.raises(DegenerateLatticeError):
+                    discriminant_group(lat)
+                continue
+            disc = discriminant_group(lat)
+            assert disc.invariant_factors == tuple(d for d in factors if d > 1)
+            assert disc.order == prod(factors)
+        assert 0 < degenerate < len(grams)
+
+
+class TestIndependenceCheck:
+    def test_dependent_basis_rejected(self):
+        for rows in ([[1, 2, 0], [2, 4, 0]], [[1, 0], [0, 1], [1, 1]], [[0, 0]]):
+            with pytest.raises(ValueError):
+                SublatticeEmbedding.from_rows(diagonal_lattice([1] * len(rows[0])), rows)
+
+    def test_rank_runs_only_without_private_columns(self, monkeypatch):
+        # echelon rows and rows with a column to themselves skip the rank;
+        # any other basis is still checked by it
+        calls = []
+        rational_rank = linalg.rational_rank
+        monkeypatch.setattr(linalg, "rational_rank",
+                            lambda a: calls.append(a) or rational_rank(a))
+        z3 = diagonal_lattice([1, 1, 1])
+        for rows in ([[2, 5, 1], [0, 3, 7]], [[1, 0, 4], [5, 1, 0]], [[0, 4, 1]]):
+            SublatticeEmbedding.from_rows(z3, rows)
+        assert calls == []
+        SublatticeEmbedding.from_rows(z3, [[1, 1, 0], [1, 2, 0]])
+        assert len(calls) == 1
+
+    def test_private_columns_imply_full_rank(self, suite_seed):
+        rng = random.Random(suite_seed + 24)
+        passed = 0
+        for _ in range(300):
+            rows = [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(4)]
+                    for _ in range(rng.randint(1, 4))]
+            if _has_private_columns(linalg.freeze(rows)):
+                passed += 1
+                assert sympy_rank(rows) == len(rows)
+        assert passed > 30
 
 
 class TestRadical:

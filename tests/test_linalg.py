@@ -207,15 +207,28 @@ class TestCharPoly:
 
 class TestKernelAndInverse:
     def test_kernel_annihilates(self, suite_seed):
+        # n - rank(a) rows, each annihilated by a, spanning a saturated
+        # lattice: every Smith diagonal entry is 1. Some inputs repeat a
+        # combination of rows, or scale them, so that ranks drop and the
+        # rational kernel has content to lose
         rng = random.Random(suite_seed + 4)
         for _ in range(60):
             m = rng.randint(1, 5)
-            n = rng.randint(1, 5)
-            a = random_matrix(rng, m, n, -6, 6)
-            for row in linalg.integer_kernel(a):
+            n = rng.randint(1, 6)
+            a = [list(row) for row in random_matrix(rng, m, n, -6, 6)]
+            if m > 1 and rng.random() < 0.4:
+                a[-1] = [2 * x - 3 * y for x, y in zip(a[0], a[1])]
+            if rng.random() < 0.3:
+                a[0] = [6 * x for x in a[0]]
+            a = linalg.freeze(a)
+            kernel = linalg.integer_kernel(a)
+            assert len(kernel) == n - sympy_rank(a)
+            for row in kernel:
                 assert all(
                     sum(a[i][j] * row[j] for j in range(n)) == 0
                     for i in range(m))
+            if kernel:
+                assert set(linalg.snf_diagonal(kernel)) == {1}
 
     def test_unimodular_inverse(self):
         a = ((1, 2), (0, 1))

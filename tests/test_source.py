@@ -1,10 +1,19 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "salemlat"
+
+
+def test_readme_python_blocks_run():
+    # every fenced python block of the README runs as written
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_no_assert_statements():
