@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 
-import mpmath
-
 from . import linalg
 from .intpoly import (
     IntPolynomial,
@@ -97,9 +95,14 @@ class LatticeIsometry:
         return tuple(tuple((j, x - (i == j)) for j, x in enumerate(row)
                            if x != (i == j)) for i, row in enumerate(self.matrix))
 
-    def displacement(self, v: IntVector) -> IntVector:
-        """g(v) - v, read off the nonzero entries of M - I."""
-        return tuple(sum(x * v[j] for j, x in row) if row else 0 for row in self.moved)
+    def displacements(self, vectors) -> tuple[IntVector, ...]:
+        """g(v) - v for each v, from the one sparse product (M - I) V^T."""
+        rows = [[] for _ in range(self.rank)]   # V^T, by its nonzero entries
+        for c, v in enumerate(vectors):
+            for j, x in enumerate(v):
+                if x:
+                    rows[j].append((c, x))
+        return linalg.transpose(_sparse_mul(self.moved, rows, len(vectors)))
 
     def compose(self, other: "LatticeIsometry") -> "LatticeIsometry":
         if self.lattice != other.lattice:
@@ -122,22 +125,27 @@ class LatticeIsometry:
 def verify_isometry(matrix, lattice: GramLattice) -> LatticeIsometry:
     """Check M^T G M = G entry by entry and det M = +-1.
 
-    With D = G (M - I) and G symmetric, M^T G M - G = D^T + M^T D, so the
-    check is two products on M - I, nearly empty for a unipotent M. The
-    witness is the first (i, j), row by row, where M^T G M and G differ.
-    For det G != 0 (cached per lattice) the identity gives det(M)^2 = 1,
-    so only a degenerate G needs the determinant of M.
+    With D = G (M - I) and G symmetric, M^T G M - G = D^T + D + (M - I)^T D,
+    so the check is two products on M - I, nearly empty for a unipotent M,
+    and the sparse rows of G, kept per lattice. The witness is the first
+    (i, j), row by row, where M^T G M and G differ. For det G != 0 (also
+    kept per lattice) the identity gives det(M)^2 = 1, so only a
+    degenerate G needs the determinant of M.
     """
     m = linalg.freeze(matrix)
     n = lattice.rank
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError(f"matrix must be {n} x {n}")
     g = LatticeIsometry(lattice, m)
-    d = _sparse_mul(_nonzero_entries(lattice.gram), g.moved, n)
-    excess = linalg.mat_mul(linalg.transpose(m), d)
+    d = _sparse_mul(lattice.entries, g.moved, n)
+    moved_t = [[] for _ in range(n)]
+    for i, row in enumerate(g.moved):
+        for j, x in row:
+            moved_t[j].append((i, x))
+    excess = _sparse_mul(moved_t, _nonzero_entries(d), n)
     for i in range(n):
         for j in range(n):
-            if excess[i][j] + d[j][i]:
+            if excess[i][j] + d[i][j] + d[j][i]:
                 raise GramViolationError(i, j)
     if lattice.determinant() == 0:
         det = linalg.det_bareiss(m)
@@ -272,6 +280,8 @@ def _largest_real_root_above_one(p: IntPolynomial, precision: Fraction) -> Ratio
 
 
 def _mpf_to_fraction(x) -> Fraction:
+    import mpmath
+
     sign, man, exp, _ = mpmath.mpf(x)._mpf_
     if man == 0:
         return Fraction(0)
@@ -280,7 +290,13 @@ def _mpf_to_fraction(x) -> Fraction:
 
 
 def _log_interval(x: RationalInterval, precision: Fraction) -> RationalInterval:
-    """Outward-rounded rational enclosure of log on a positive interval."""
+    """Outward-rounded rational enclosure of log on a positive interval.
+
+    mpmath is imported here, at the first log, so that importing salemlat
+    and every operation that takes no log skip its start-up time and memory.
+    """
+    import mpmath
+
     bits = max(64, int(precision.denominator.bit_length()) + 32)
     saved = mpmath.iv.prec
     try:

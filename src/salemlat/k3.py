@@ -32,6 +32,7 @@ from .isometry import (
     verify_isometry,
 )
 from .lattice import (
+    DiscriminantGroup,
     GramLattice,
     LatticeClass,
     SublatticeEmbedding,
@@ -49,7 +50,7 @@ from .lattice import (
     saturation,
     signature,
 )
-from .linalg import IntMatrix, IntVector, _nonzero_entries, _sparse_mul
+from .linalg import IntMatrix, IntVector, SparseRows, _nonzero_entries, _sparse_mul
 from .parabolic import abelian_rank_of_image
 
 
@@ -273,29 +274,83 @@ def _split_u_block(l_lat: GramLattice) -> IntMatrix:
     return tuple(tuple(g[i][j] for j in range(2, r)) for i in range(2, r))
 
 
-@lru_cache(maxsize=8)
-def _integral_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:
-    """(adj a, det a), so that a^-1 = adj a / det a; a must be nonsingular."""
-    return linalg.integral_inverse(a)
+def _block_inverse(l_lat: GramLattice) -> tuple[IntMatrix, int]:
+    """(adj Q, det Q) for L = U + Q, from one Bareiss inverse."""
+    q = _split_u_block(l_lat)
+    try:
+        return linalg.integral_inverse(q)
+    except ValueError:
+        raise ShapeViolationError("the block Q is degenerate") from None
 
 
-def build_phi(i: int, l_lat: GramLattice) -> LatticeIsometry:
+def _projection(l_emb: SublatticeEmbedding, tbar_emb: SublatticeEmbedding,
+                l_adj: SparseRows) -> SparseRows:
+    """P = adj(G_L) B G, with B the basis of L and G the ambient Gram matrix.
+
+    P x / det G_L are the coordinates in L of the orthogonal projection of
+    x onto L over Q, which vanishes exactly on L^perp; ValueError unless
+    Tbar is orthogonal to L, since only then do extensions built from P
+    fix Tbar.
+    """
+    ambient = l_emb.ambient
+    n = ambient.rank
+    bg = _sparse_mul(_nonzero_entries(l_emb.basis), ambient.entries, n)
+    if any(any(row) for row in linalg.mat_mul(bg, linalg.transpose(tbar_emb.basis))):
+        raise ValueError("Tbar is not orthogonal to L")
+    return _nonzero_entries(_sparse_mul(l_adj, _nonzero_entries(bg), n))
+
+
+@dataclass(frozen=True)
+class _RunContext:
+    """What the extension stage of one run of run_k3 shares.
+
+    Every inverse comes from the 18 x 18 block Q of G_L = U + Q:
+    det G_L = -det Q and adj G_L = (-det Q) U + (-adj Q). One discriminant
+    group of L serves the report and the cap of the order search. The
+    projection P extends each generator without inverting [L; Tbar].
+    Built once per run and dropped with it, so no run reuses another's.
+    """
+
+    q_adj: IntMatrix
+    q_det: int
+    l_adj: SparseRows
+    l_det: int
+    disc: DiscriminantGroup
+    lift: SparseRows         # B^T, the basis of L as columns
+    projection: SparseRows   # P = adj(G_L) B G
+
+    @staticmethod
+    def build(subs: K3Sublattices, l_lat: GramLattice,
+              disc: DiscriminantGroup) -> "_RunContext":
+        q_adj, q_det = _block_inverse(l_lat)
+        l_adj = ((1, -q_det),), ((0, -q_det),), *(
+            tuple((2 + b, -x) for b, x in enumerate(row) if x) for row in q_adj)
+        return _RunContext(
+            q_adj=q_adj, q_det=q_det, l_adj=l_adj,
+            l_det=-q_det, disc=disc,
+            lift=_nonzero_entries(linalg.transpose(subs.l.basis)),
+            projection=_projection(subs.l, subs.tbar, l_adj))
+
+
+def build_phi(i: int, l_lat: GramLattice,
+              context: _RunContext | None = None) -> LatticeIsometry:
     """The i-th unipotent isometry of L = U + Q (1-based i).
 
     e0 is fixed, w_i picks up m e0 with m = det Q, every other w_j is
     fixed, and f0 moves by gamma_i e0 + sum_k c_ik w_k where (c_ik) is
     minus the i-th row of the adjugate of Q and 2 gamma_i + (sum c w)^2 = 0.
+    A run passes its context, which holds adj Q and det Q.
     """
-    q = _split_u_block(l_lat)
-    s = len(q)
+    if context is None:
+        adj, m = _block_inverse(l_lat)
+    else:
+        adj, m = context.q_adj, context.q_det
+    s = len(adj)
     if not 1 <= i <= s:
         raise ValueError(f"index {i} out of range 1..{s}")
-    try:
-        adj, m = _integral_inverse(q)
-    except ValueError:
-        raise ShapeViolationError("the block Q is degenerate") from None
     c = tuple(-adj[i - 1][k] for k in range(s))
-    norm_c = sum(c[a] * q[a][b] * c[b] for a in range(s) for b in range(s))
+    # Q c = -det(Q) e_i since Q adj(Q) = det(Q) I, so (sum c w)^2 = -m c_i
+    norm_c = -m * c[i - 1]
     if norm_c % 2:
         raise ArithmeticError("even lattice guarantees an integral gamma")
     gamma = -norm_c // 2
@@ -313,13 +368,6 @@ def build_phi(i: int, l_lat: GramLattice) -> LatticeIsometry:
     return verify_isometry(matrix, l_lat)
 
 
-@lru_cache(maxsize=8)
-def _extension_cap(l_lat: GramLattice) -> int:
-    """|L*/L| times the exponent of L*/L."""
-    disc = discriminant_group(l_lat)
-    return disc.order * max(disc.invariant_factors, default=1)
-
-
 def _commute(a: LatticeIsometry, b: LatticeIsometry) -> bool:
     """Whether ab = ba, read off the sparse views of a - I and b - I.
 
@@ -331,24 +379,30 @@ def _commute(a: LatticeIsometry, b: LatticeIsometry) -> bool:
     return _sparse_mul(a.moved, b.moved, n) == _sparse_mul(b.moved, a.moved, n)
 
 
-def extension_order(phi: LatticeIsometry, l_lat: GramLattice) -> int:
+def extension_order(phi: LatticeIsometry, l_lat: GramLattice,
+                    context: _RunContext | None = None) -> int:
     """Least k with phi^k acting as the identity on the dual quotient L*/L.
 
     phi^k is trivial on L*/L iff (phi^k - I) G^{-1} is an integer matrix,
-    that is iff (phi^k - I) adj(G) vanishes modulo det G; adj(G), det G
-    and the cap are computed once per lattice. The search is capped at
-    |L*/L| times the exponent of the group; going past |L*/L| already
-    contradicts the expected bound and is reported.
+    that is iff (phi^k - I) adj(G) vanishes modulo det G. The search is
+    capped at |L*/L| times the exponent of the group; going past |L*/L|
+    already contradicts the expected bound and is reported. A run passes
+    its context, which holds adj(G), det G and L*/L; without one they are
+    computed here.
     """
     if phi.lattice != l_lat:
         raise ValueError("isometry does not act on the given lattice")
-    cap = _extension_cap(l_lat)
-    adj, det = _integral_inverse(l_lat.gram)
-    adj_entries = _nonzero_entries(adj)
+    if context is None:
+        disc = discriminant_group(l_lat)
+        adj, det = linalg.integral_inverse(l_lat.gram)
+        adj = _nonzero_entries(adj)
+    else:
+        disc, adj, det = context.disc, context.l_adj, context.l_det
+    cap = disc.order * max(disc.invariant_factors, default=1)
     n = l_lat.rank
     power = phi
     for k in range(1, cap + 1):
-        scaled = _sparse_mul(power.moved, adj_entries, n)
+        scaled = _sparse_mul(power.moved, adj, n)
         if all(x % det == 0 for row in scaled for x in row):
             return k
         power = power.compose(phi)
@@ -358,42 +412,42 @@ def extension_order(phi: LatticeIsometry, l_lat: GramLattice) -> int:
 
 def extend_to_lambda(phi_power: LatticeIsometry,
                      l_emb: SublatticeEmbedding,
-                     tbar_emb: SublatticeEmbedding) -> LatticeIsometry:
+                     tbar_emb: SublatticeEmbedding,
+                     context: _RunContext | None = None) -> LatticeIsometry:
     """Unique ambient isometry restricting to phi_power on L, identity on Tbar.
 
-    L + Tbar has finite index in the ambient lattice, so the block map
-    extends uniquely over Q: with S the stacked basis [L; Tbar] and
-    B = blockdiag(phi_power^T, I), the extension is M with
-    det(S) M^T = adj(S) B S = det(S) I + adj(S) (B - I) S. Integrality on
-    the ambient basis is exactly the discriminant-triviality of
-    phi_power; it holds iff every entry of adj(S) (B - I) S is divisible
-    by det S, with adj(S) and det S computed once per basis. B - I comes
-    from the sparse view of phi_power - I and has about two nonzero rows
-    for a unipotent generator.
+    Tbar = L^perp and L + Tbar has finite index in the ambient lattice, so
+    the block map extends uniquely over Q: x goes to x + B^T (Phi - I) c,
+    where c = P x / det G_L are the coordinates in L of the orthogonal
+    projection of x (see _projection). So M - I = B^T (Phi - I) P / det G_L
+    with Phi = phi_power. Integrality on the ambient basis is exactly the
+    discriminant-triviality of phi_power; it holds iff det G_L divides
+    every entry of B^T (Phi - I) P. Phi - I comes from the sparse view of
+    phi_power - I and has about two nonzero columns for a unipotent
+    generator. A run passes its context, which holds B^T, P and det G_L;
+    without one they are computed here.
     """
     ambient = l_emb.ambient
     if tbar_emb.ambient != ambient:
         raise ValueError("embeddings must share the ambient lattice")
-    rows = linalg.row_stack(l_emb.basis, tbar_emb.basis)
     n = ambient.rank
-    if len(rows) != n:
+    if l_emb.rank + tbar_emb.rank != n:
         raise ValueError("L + Tbar does not have full rank")
-    adj, det = _integral_inverse(rows)
-    # row b of (B - I) S sums x L_a over the entries x = (phi_power - I)_ab,
-    # so only the columns b of adj(S) that such an entry reaches are read
-    lifted: dict[int, list[int]] = {}
-    for a, entries in enumerate(phi_power.moved):
-        for b, x in entries:
-            acc = lifted.get(b, [0] * n)
-            lifted[b] = [s + x * y for s, y in zip(acc, l_emb.basis[a])]
-    adj_cols = tuple(tuple((b, row[b]) for b in lifted if row[b]) for row in adj)
-    scaled = _sparse_mul(adj_cols, _nonzero_entries(lifted.get(b, ()) for b in range(n)), n)
+    if context is None:
+        adj, det = linalg.integral_inverse(l_emb.induced_gram().gram)
+        lift = _nonzero_entries(linalg.transpose(l_emb.basis))
+        projection = _projection(l_emb, tbar_emb, _nonzero_entries(adj))
+    else:
+        lift, projection, det = context.lift, context.projection, context.l_det
+    moved = _nonzero_entries(_sparse_mul(phi_power.moved, projection, n))
+    scaled = _sparse_mul(lift, moved, n)
     if any(x % det for row in scaled for x in row):
         raise NonIntegralExtensionError(
             "block map does not preserve the ambient lattice; "
             "the power does not act trivially on the discriminant group")
-    matrix = tuple(tuple(int(i == j) + scaled[j][i] // det for j in range(n))
-                   for i in range(n))
+    matrix = [[x // det if x else 0 for x in row] for row in scaled]
+    for i in range(n):
+        matrix[i][i] += 1
     return verify_isometry(matrix, ambient)
 
 
@@ -559,19 +613,16 @@ class TorelliCertificate:
 def torelli_certificate(phi: LatticeIsometry, sigma: PeriodPoint,
                         t_emb: SublatticeEmbedding,
                         e0: IntVector) -> TorelliCertificate:
-    def fixed(v) -> bool:
-        return not any(phi.displacement(v))
-
-    fixes_t = all(fixed(row) for row in t_emb.basis)
     # components of sigma in ambient coordinates transform under phi; a
     # nonzero integer multiple of a component is fixed iff the component is
     basis_t = linalg.transpose(t_emb.basis)
-    fixes_period = all(fixed(linalg.mat_vec(basis_t, row))
-                       for row in _integral_components(sigma))
+    components = [linalg.mat_vec(basis_t, row) for row in _integral_components(sigma)]
+    k = t_emb.rank
+    fixed = [not any(d) for d in phi.displacements((*t_emb.basis, *components, e0))]
     return TorelliCertificate(
-        fixes_t_pointwise=fixes_t,
-        fixes_period=fixes_period,
-        fixes_e0=fixed(e0),
+        fixes_t_pointwise=all(fixed[:k]),
+        fixes_period=all(fixed[k:-1]),
+        fixes_e0=fixed[-1],
     )
 
 
@@ -588,14 +639,14 @@ def alpha_map(g: LatticeIsometry, subs: K3Sublattices) -> tuple[int, ...]:
     """
     if g.lattice != subs.ambient:
         raise ShapeViolationError("isometry does not act on the ambient lattice")
-    if any(g.displacement(subs.e0)):
+    e0_diff, *diffs = g.displacements((subs.e0, *subs.tbar.basis, *subs.w_rows))
+    if any(e0_diff):
         raise ShapeViolationError("isometry does not fix e0")
-    for row in subs.tbar.basis:
-        if any(g.displacement(row)):
-            raise ShapeViolationError("isometry does not fix Tbar pointwise")
+    k = subs.tbar.rank
+    if any(any(diff) for diff in diffs[:k]):
+        raise ShapeViolationError("isometry does not fix Tbar pointwise")
     out = []
-    for w in subs.w_rows:
-        diff = g.displacement(w)
+    for diff in diffs[k:]:
         m = diff[_E0]
         if diff != tuple(m if j == _E0 else 0 for j in range(_RANK)):
             raise ShapeViolationError("w image does not differ by a multiple of e0")
@@ -642,9 +693,10 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
     if structural_ok:
         tbar_gram = tbar_lat.gram
         stacked = linalg.row_stack(subs.n.basis, subs.t.basis)
+        disc = discriminant_group(l_lat)
         report = replace(
             report,
-            disc_order=discriminant_group(l_lat).order,
+            disc_order=disc.order,
             sum_index_l_tbar=index_of_sum(subs.l, subs.tbar),
             n_plus_t_corank=subs.ambient.rank - linalg.rational_rank(stacked),
             tbar_gram=tbar_gram,
@@ -654,10 +706,11 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
     if skip_extension or not structural_ok:
         return replace(report, checks=tuple(checks))
 
+    context = _RunContext.build(subs, l_lat, disc)
     phis = []
     for i in range(1, 19):
         try:
-            phis.append(build_phi(i, l_lat))
+            phis.append(build_phi(i, l_lat, context))
         except (GramViolationError, DeterminantError) as exc:
             checks.append(CheckResult(
                 "phi_isometries_on_l", False,
@@ -665,12 +718,12 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
             return replace(report, checks=tuple(checks))
     checks.append(CheckResult("phi_isometries_on_l", True,
                               detail="all 18 verified"))
-    orders = [extension_order(phi, l_lat) for phi in phis]
+    orders = [extension_order(phi, l_lat, context) for phi in phis]
     big_phis = []
     extensions_ok = True
     for phi, k in zip(phis, orders):
         try:
-            big_phis.append(extend_to_lambda(phi.power(k), subs.l, subs.tbar))
+            big_phis.append(extend_to_lambda(phi.power(k), subs.l, subs.tbar, context))
         except NonIntegralExtensionError:
             extensions_ok = False
             break

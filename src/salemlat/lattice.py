@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 
 from . import linalg
@@ -74,9 +74,18 @@ class GramLattice:
     def norm(self, x) -> int:
         return self.pairing(x, x)
 
-    @lru_cache(maxsize=16)
-    def determinant(self) -> int:
+    @cached_property
+    def entries(self) -> linalg.SparseRows:
+        """The nonzero entries of each row of the Gram matrix, computed once."""
+        return linalg._nonzero_entries(self.gram)
+
+    @cached_property
+    def _determinant(self) -> int:
         return linalg.det_bareiss(self.gram)
+
+    def determinant(self) -> int:
+        """det G, computed once per lattice object."""
+        return self._determinant
 
     def __repr__(self) -> str:
         return f"GramLattice(rank={self.rank})"

@@ -219,6 +219,13 @@ def enumerate_salem(degree: int, trace_min: int, trace_max: int,
 REFINEMENT_BUDGET = 60
 
 
+def _log(x: Fraction) -> float:
+    """log x for a positive rational, from the logs of its integer parts, so
+    that no float conversion overflows however large x is."""
+    x = Fraction(x)
+    return log(x.numerator) - log(x.denominator)
+
+
 def _decide_inside(value: RationalInterval, c1: Fraction, c2: Fraction) -> bool | None:
     if value.lo > c1 and value.hi < c2:
         return True
@@ -246,11 +253,11 @@ def bounded_power_products(alpha: SalemCertificate, beta: SalemCertificate,
     a_iv = alpha.salem_number_interval
     b_iv = beta.salem_number_interval
     results: list[tuple[int, int, RationalInterval]] = []
-    log_a = log(float(a_iv.midpoint))
-    log_b = log(float(b_iv.midpoint))
+    log_a = _log(a_iv.midpoint)
+    log_b = _log(b_iv.midpoint)
     for n in range(n_lo, n_hi + 1):
-        m_center_lo = (log(float(c1)) - n * log_a) / log_b
-        m_center_hi = (log(float(c2)) - n * log_a) / log_b
+        m_center_lo = (_log(c1) - n * log_a) / log_b
+        m_center_hi = (_log(c2) - n * log_a) / log_b
         m_start = floor(m_center_lo) - 2
         m_stop = floor(m_center_hi) + 3
         m = m_start

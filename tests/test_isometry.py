@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -84,7 +88,6 @@ class TestVerify:
             return det_bareiss(a)
 
         monkeypatch.setattr(linalg, "det_bareiss", counted)
-        GramLattice.determinant.cache_clear()
         lat = diagonal_lattice([2, -4])
         for g in ([[3, 4], [2, 3]], [[17, 24], [12, 17]], [[-1, 0], [0, 1]]):
             verify_isometry(g, lat)
@@ -217,6 +220,26 @@ class TestEntropy:
             iv = entropy(g.power(k), Fraction(1, 10**6))
             mid = k * base.midpoint
             assert iv.lo <= mid <= iv.hi
+
+    def test_mpmath_is_imported_by_the_first_log(self):
+        # importing the package and the CLI leaves mpmath out; entropy
+        # imports it and gives the same enclosure as in this process
+        code = (
+            "import sys\n"
+            "import salemlat, salemlat.cli\n"
+            "from salemlat.isometry import entropy, verify_isometry\n"
+            "from salemlat.lattice import diagonal_lattice\n"
+            "before = 'mpmath' in sys.modules\n"
+            "h = entropy(verify_isometry([[3, 4], [2, 3]], diagonal_lattice([2, -4])))\n"
+            "print(before, 'mpmath' in sys.modules, h.lo, h.hi)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        assert out[:2] == ["False", "True"]
+        iv = entropy(pell())
+        assert (Fraction(out[2]), Fraction(out[3])) == (iv.lo, iv.hi)
 
     def test_negative_salem_side(self):
         g = pell()

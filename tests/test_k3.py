@@ -47,6 +47,7 @@ from salemlat.lattice import (
     classify,
     diagonal_lattice,
     discriminant_group,
+    e8_minus_one,
     orthogonal_complement,
     signature,
 )
@@ -194,6 +195,41 @@ class TestSublattices:
         assert subs_bad.nbar.induced_gram().norm(witness) > 0
 
 
+class TestBlockCriterion:
+    def test_closed_form_against_the_signature_of_nbar(self, suite_seed):
+        # Nbar splits into the e1 block, spanned by e1 - p f1 and the
+        # e1 - p_j v_1j, and the like e2 block. With D = diag(p_j) and C the
+        # E8 Cartan matrix, the e1 block's Gram matrix is
+        # [[-2p, -p 1^T], [-p 1, -D C D]], negative definite exactly when
+        # its Schur complement is: sum_jk (C^-1)_jk / (p_j p_k) < 2 / p
+        c_inv = linalg.fraction_inverse(linalg.mat_neg(e8_minus_one().gram))
+
+        def criterion(p, scaling):
+            return sum(c_inv[j][k] / (scaling[j] * scaling[k])
+                       for j in range(8) for k in range(8)) < Fraction(2, p)
+
+        rng = random.Random(suite_seed + 31)
+        pool = list(sympy.primerange(5, 160))
+        sides = Counter()
+        for _ in range(40):
+            p, q = rng.sample((2, 3, 5, 7), 2)
+            scaling = rng.sample([x for x in pool if x not in (p, q)], 16)
+            primes = PrimeSelection(p=p, q=q, p_list=tuple(scaling[:8]),
+                                    q_list=tuple(scaling[8:]))
+            gram = build_sublattices(primes).nbar.induced_gram().gram
+            for block, base, scales in (((0, *range(2, 10)), p, primes.p_list),
+                                        ((1, *range(10, 18)), q, primes.q_list)):
+                sub = GramLattice(tuple(tuple(gram[i][j] for j in block) for i in block))
+                definite = signature(sub) == (0, 0, 9)
+                assert definite == criterion(base, scales), (base, scales)
+                sides[definite] += 1
+            nbar_definite = signature(GramLattice(gram)) == (0, 0, 18)
+            assert nbar_definite == (criterion(p, primes.p_list)
+                                     and criterion(q, primes.q_list))
+        # seeded draws land on both sides of the bound
+        assert sides[True] >= 10 and sides[False] >= 10
+
+
 class TestBuildPhi:
     def test_toy_matches_hand_computation(self):
         phi = build_phi(1, TOY_L)
@@ -248,6 +284,58 @@ class TestExtension:
         assert restrict_to_embedding(big, subs.l).matrix == phi.power(k).matrix
         for row in subs.tbar.basis:
             assert big.apply(row) == tuple(row)
+
+    def test_tbar_not_orthogonal_to_l_is_refused(self, subs):
+        # f0 lies in L and pairs with e0, so moving a Tbar row by f0 keeps
+        # L + Tbar of full rank but breaks the orthogonality the projection needs
+        l_lat = subs.l.induced_gram()
+        bent = (subs.tbar.basis[0],
+                tuple(x + (j == 1) for j, x in enumerate(subs.tbar.basis[1])))
+        bad = SublatticeEmbedding.from_rows(subs.ambient, bent)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            extend_to_lambda(identity_isometry(l_lat), subs.l, bad)
+        with pytest.raises(ValueError, match="full rank"):
+            extend_to_lambda(identity_isometry(l_lat), subs.l,
+                             SublatticeEmbedding.from_rows(subs.ambient, bent[:1]))
+
+
+class TestRunContext:
+    @pytest.mark.parametrize("primes", (DEFAULT_PRIMES, *OTHER_VALID_SELECTIONS))
+    def test_block_inverse_of_l_matches_bareiss(self, primes):
+        # adj G_L = (-det Q) U + (-adj Q) and det G_L = -det Q, read off Q
+        subs = build_sublattices(primes)
+        l_lat = subs.l.induced_gram()
+        context = k3_module._RunContext.build(subs, l_lat, discriminant_group(l_lat))
+        adj, det = linalg.integral_inverse(l_lat.gram)
+        assert context.l_det == det == l_lat.determinant()
+        assert context.l_adj == linalg._nonzero_entries(adj)
+        assert context.disc == discriminant_group(l_lat)
+
+    def test_context_and_public_forms_agree(self, subs, full_report):
+        # the run's context and the forms that build what they need agree on
+        # every generator, its extension order and its extension
+        l_lat = subs.l.induced_gram()
+        context = k3_module._RunContext.build(subs, l_lat, discriminant_group(l_lat))
+        orders = []
+        for i in range(1, 19):
+            phi = build_phi(i, l_lat, context)
+            assert phi == build_phi(i, l_lat)
+            k = extension_order(phi, l_lat, context)
+            assert k == extension_order(phi, l_lat)
+            orders.append(k)
+            if i in (1, 10, 18):
+                power = phi.power(k)
+                assert (extend_to_lambda(power, subs.l, subs.tbar, context)
+                        == extend_to_lambda(power, subs.l, subs.tbar))
+        assert tuple(orders) == full_report.extension_orders
+
+    def test_nontrivial_disc_action_fails_with_context(self, subs):
+        l_lat = subs.l.induced_gram()
+        context = k3_module._RunContext.build(subs, l_lat, discriminant_group(l_lat))
+        neg = verify_isometry(linalg.mat_neg(linalg.identity(20)), l_lat)
+        assert extension_order(neg, l_lat, context) == extension_order(neg, l_lat)
+        with pytest.raises(NonIntegralExtensionError):
+            extend_to_lambda(neg, subs.l, subs.tbar, context)
 
 
 def fraction_extension(phi_power, l_emb, tbar_emb):
@@ -340,9 +428,11 @@ class TestSparseView:
                        for i, row in enumerate(g.matrix)]
             assert g.moved == linalg._nonzero_entries(minus_i)
             assert sum(len(row) for row in g.moved) <= 25
-            for v in (*subs.w_rows, *subs.tbar.basis, subs.e0, gram[3]):
-                assert g.displacement(v) == tuple(
-                    a - b for a, b in zip(linalg.mat_vec(g.matrix, v), v))
+            vectors = (*subs.w_rows, *subs.tbar.basis, subs.e0, gram[3])
+            assert g.displacements(vectors) == tuple(
+                tuple(a - b for a, b in zip(linalg.mat_vec(g.matrix, v), v))
+                for v in vectors)
+            assert g.displacements(()) == ()
 
     def test_verify_witness_on_perturbed_generators(self, extended, subs, suite_seed):
         # M^T G M - G read as D^T + M^T D with D = G (M - I) keeps the
@@ -558,7 +648,7 @@ class TestFullPipeline:
         assert all(c.passed for c in report.checks)
 
     def test_non_isometry_fails_phi_check_with_witness(self, monkeypatch):
-        def doubling(i, l_lat):
+        def doubling(i, l_lat, context=None):
             return verify_isometry(
                 linalg.mat_scale(linalg.identity(l_lat.rank), 2), l_lat)
 
@@ -573,12 +663,15 @@ class TestFullPipeline:
         assert report.group_rank is None
 
     def test_shared_inverses_are_computed_once(self, monkeypatch):
-        # one inverse each of Q, G and [L; Tbar], plus the unimodular
-        # inverse in _radical_split; per-generator work
-        # would show up as 18 or more calls. One signature each of N, Nbar,
-        # L, Tbar and the definite quotient of N (represents reuses that of
-        # N), and with the extension stage Tbar again in period_point.
+        # the unimodular inverse in _radical_split (19 rows) and, with the
+        # extension stage, the 18 x 18 block Q, from which every inverse of
+        # the run is read; per-generator work would show up as 18 or more
+        # calls. One discriminant group, of L, serves the report and the
+        # order search. One signature each of N, Nbar, L, Tbar and the
+        # definite quotient of N (represents reuses that of N), and with the
+        # extension stage Tbar again in period_point.
         calls = Counter()
+        inverted = []
 
         def counted(name, f):
             def wrapper(*args):
@@ -586,21 +679,46 @@ class TestFullPipeline:
                 return f(*args)
             return wrapper
 
-        monkeypatch.setattr(linalg, "integral_inverse",
-                            counted("integral_inverse", linalg.integral_inverse))
+        def counted_inverse(a):
+            inverted.append(len(a))
+            return integral_inverse(a)
+
+        integral_inverse = linalg.integral_inverse
+        monkeypatch.setattr(linalg, "integral_inverse", counted_inverse)
         monkeypatch.setattr(lattice_module, "_congruence_bareiss",
                             counted("signature", lattice_module._congruence_bareiss))
         disc = counted("discriminant_group", discriminant_group)
         monkeypatch.setattr(lattice_module, "discriminant_group", disc)
         monkeypatch.setattr(k3_module, "discriminant_group", disc)
-        for skip_extension, inverses, signatures in ((True, 1, 5), (False, 4, 6)):
+        for skip_extension, inverses, signatures in (
+                (True, [19], 5), (False, [19, 18], 6)):
             calls.clear()
-            k3_module._integral_inverse.cache_clear()
-            k3_module._extension_cap.cache_clear()
+            inverted.clear()
             assert run_k3(DEFAULT_PRIMES, skip_extension).all_passed
-            assert 0 < calls["integral_inverse"] <= inverses
-            assert calls["discriminant_group"] <= 2
+            assert inverted == inverses
+            assert calls["discriminant_group"] == 1
             assert 0 < calls["signature"] <= signatures
+
+    def test_full_run_inverts_neither_l_nor_l_plus_tbar(self, monkeypatch):
+        # G_L (20 rows) and [L; Tbar] (22 rows) are never inverted: adj G_L
+        # is read off Q, and the extensions go through the projection
+        shapes, discs = [], []
+        integral_inverse = linalg.integral_inverse
+
+        def counted_inverse(a):
+            shapes.append(len(a))
+            return integral_inverse(a)
+
+        def counted_disc(lat):
+            discs.append(lat.rank)
+            return discriminant_group(lat)
+
+        monkeypatch.setattr(linalg, "integral_inverse", counted_inverse)
+        monkeypatch.setattr(k3_module, "discriminant_group", counted_disc)
+        report = run_k3(DEFAULT_PRIMES)
+        assert report.all_passed and report.group_rank == 18
+        assert not {20, 22} & set(shapes)
+        assert discs == [20]
 
     def test_structural_stage_runs_small_smith_forms(self, monkeypatch):
         # Smith runs: the kernels behind T (3 x 22) and Tbar (2 x 3), the
@@ -638,7 +756,8 @@ class TestFullPipeline:
             return det_bareiss(a)
 
         monkeypatch.setattr(linalg, "det_bareiss", counted)
-        GramLattice.determinant.cache_clear()
+        # the ambient lattice is made once per process and keeps its det
+        k3_lattice.cache_clear()
         report = run_k3(DEFAULT_PRIMES)
         assert report.all_passed
         assert len(args) == 2  # the Gram matrices of L and of the K3 lattice

@@ -248,6 +248,31 @@ class TestPowerProducts:
         covered = {n for n, _, _ in res}
         assert covered == {-4, -3, -2, -1}
 
+    def test_bounds_beyond_float_range(self):
+        # 10^400 overflows a float; the m window comes from integer logs.
+        # Oracle: (3 + 2 sqrt 2)^k = x + y sqrt 2 with integers x, y > 0, and
+        # x + y sqrt 2 against an integer c is decided by squaring.
+        c1, c2 = 10**400, 10**401
+        res = bounded_power_products(self.pell, self.pell, Fraction(c1), Fraction(c2),
+                                     (0, 1))
+
+        def above(x, y, c):
+            return c < x or 2 * y * y > (c - x) ** 2
+
+        def below(x, y, c):
+            return x < c and 2 * y * y < (c - x) ** 2
+
+        inside = []
+        x, y = 1, 0
+        for k in range(600):
+            if above(x, y, c1) and below(x, y, c2):
+                inside.append(k)
+            x, y = 3 * x + 4 * y, 2 * x + 3 * y
+        assert inside
+        assert [(n, m) for n, m, _ in res] == [(n, k - n) for n in (0, 1) for k in inside]
+        for _, _, value in res:
+            assert c1 < value.lo and value.hi < c2
+
     def test_boundary_too_close_exhausts_budget(self, monkeypatch):
         import salemlat.salem as salem_mod
 

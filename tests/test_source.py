@@ -171,3 +171,28 @@ def test_one_product_kernel():
     assert not [name for name in k3_defs if "mul" in name]
     assert {"_nonzero_entries", "_sparse_mul"} <= _names(
         _function(SOURCE / "linalg.py", "mat_mul"))
+
+
+def test_only_constant_tables_are_cached():
+    # a cache that outlives a run lets a benchmark skip work that a user
+    # running one input pays for; the only module caches left hold
+    # constants: the ambient K3 lattice and the two cyclotomic tables
+    cached, references = set(), 0
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert "cache" not in {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache"):
+                references += 1
+            elif isinstance(node, ast.Name) and node.id == "lru_cache":
+                references += 1
+            elif isinstance(node, ast.FunctionDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if isinstance(target, ast.Name) and target.id == "lru_cache":
+                        cached.add(f"{path.stem}.{node.name}")
+    assert cached == {"k3.k3_lattice", "intpoly.cyclotomic_polynomial",
+                      "intpoly._cyclotomic_indices_up_to_degree"}
+    # every reference is one of those decorators: no lru_cache(f) call form
+    assert references == len(cached)
