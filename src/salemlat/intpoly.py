@@ -315,9 +315,8 @@ def _variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _eval_chain(chain, x) -> list[int]:
-    """Values at x of the chain terms, each scaled by a positive integer."""
-    a, b = x.numerator, x.denominator
+def _eval_chain(chain, a: int, b: int) -> list[int]:
+    """Values at a/b (b > 0) of the chain terms, each scaled by a positive integer."""
     return [_horner(cs, a, b) for cs in chain]
 
 
@@ -328,17 +327,19 @@ class SturmContext:
         self.polynomial = p
         self._chain = _sturm_chain(p) if p.degree >= 1 else []
 
+    def variations(self, a: int, b: int) -> int:
+        """Sign variations of the chain at a/b (b > 0); EndpointRootError at a root."""
+        values = _eval_chain(self._chain, a, b)
+        if values and values[0] == 0:
+            raise EndpointRootError(Fraction(a, b))
+        return _variations(values)
+
     def count(self, lo, hi) -> int:
         """Distinct real roots in the open interval between rationals lo, hi."""
         if not self._chain or lo == hi:
             return 0
-        at_lo = _eval_chain(self._chain, lo)
-        if at_lo[0] == 0:
-            raise EndpointRootError(lo)
-        at_hi = _eval_chain(self._chain, hi)
-        if at_hi[0] == 0:
-            raise EndpointRootError(hi)
-        return _variations(at_lo) - _variations(at_hi)
+        return (self.variations(lo.numerator, lo.denominator)
+                - self.variations(hi.numerator, hi.denominator))
 
 
 def sturm_count(p: IntPolynomial, interval: RationalInterval) -> int:

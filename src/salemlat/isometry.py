@@ -255,28 +255,17 @@ def has_simple_spectrum(g: LatticeIsometry) -> bool:
 
 
 def _largest_real_root_above_one(p: IntPolynomial, precision: Fraction) -> RationalInterval | None:
-    """Certified enclosure of the largest real root in (1, infinity), if any."""
+    """Certified enclosure of the largest real root in (1, infinity), if any.
+
+    q has leading and constant coefficients +-1 and no cyclotomic factor:
+    its only possible rational roots, +-1, are roots of Phi_1 and Phi_2,
+    so neither 1 nor any bisection midpoint is a root."""
     q = squarefree_part(p)
-    ctx = SturmContext(q)
+    sturm = SturmContext(q)
     hi = cauchy_root_bound(q)
-    lo = Fraction(1)
-    if q.sign_at(lo) == 0:
-        lo = Fraction(100001, 100000)
-    if ctx.count(lo, hi) == 0:
+    if sturm.count(1, hi) == 0:
         return None
-    far = hi + 1
-    while hi - lo >= precision:
-        mid = (lo + hi) / 2
-        while q.sign_at(mid) == 0:
-            mid += (hi - lo) / 17
-        if ctx.count(mid, far) >= 1:
-            lo = mid
-        else:
-            hi = mid
-        if ctx.count(lo, hi) == 1 and q.sign_at(lo) * q.sign_at(hi) == -1:
-            # one simple root in the bracket: plain sign bisection
-            return _bisect_enclosure(q if q.sign_at(hi) > 0 else -q, lo, hi, precision)
-    return RationalInterval(lo, hi)
+    return _bisect_enclosure(-q if q.leading < 0 else q, Fraction(1), hi, precision, sturm)
 
 
 def _mpf_to_fraction(x) -> Fraction:

@@ -80,12 +80,13 @@ class GramLattice:
         return linalg._nonzero_entries(self.gram)
 
     @cached_property
-    def _determinant(self) -> int:
-        return linalg.det_bareiss(self.gram)
+    def _congruence(self) -> tuple[tuple[int, int], ...]:
+        """The (p_k, prev_k) of one symmetric Bareiss run on G, made once."""
+        return tuple(_congruence_bareiss([list(row) for row in self.gram], self.rank)[0])
 
     def determinant(self) -> int:
-        """det G, computed once per lattice object."""
-        return self._determinant
+        """det G, the last congruence pivot: 0 when G is degenerate, 1 at rank 0."""
+        return self._congruence[-1][0] if self.rank else 1
 
     def __repr__(self) -> str:
         return f"GramLattice(rank={self.rank})"
@@ -217,8 +218,7 @@ def _signature_of(pairs: list[tuple[int, int]]) -> SignatureTriple:
 
 
 def signature(lattice: GramLattice) -> SignatureTriple:
-    pairs, _ = _congruence_bareiss([list(row) for row in lattice.gram], lattice.rank)
-    return _signature_of(pairs)
+    return _signature_of(lattice._congruence)
 
 
 def _signature_and_witnesses(lattice: GramLattice

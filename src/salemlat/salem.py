@@ -3,10 +3,10 @@
 A Salem polynomial is a monic irreducible reciprocal integer polynomial
 whose roots are a real pair alpha > 1, 1/alpha and (deg - 2) points on
 the unit circle. Classification works entirely through the trace
-polynomial and integer Sturm counts; the Salem number is enclosed by
-bisection on exact rational midpoints, where the sign of p(a/b) is that
-of the homogeneous integer sum of c_i a^i b^(n-i), never by numerical
-root finding.
+polynomial and integer Sturm counts; the Salem number is enclosed by a
+dyadic bisection in integers, a/2^k < b/2^k, the sign of p(m/2^k) being
+that of the integer sum of c_i m^i 2^(k(n-i)), never by numerical root
+finding. isometry.entropy runs the same kernel behind a Sturm phase.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, floor, log
+from math import comb, floor, lcm, log
 
 from .intpoly import (
     DegreeBoundError,
     IntPolynomial,
     OddDegreeError,
     SturmContext,
+    _horner,
     cauchy_root_bound,
     gcd_poly,
     is_reciprocal,
@@ -70,23 +71,38 @@ class UndecidableComparisonError(ValueError):
 
 
 def _bisect_enclosure(p: IntPolynomial, lo: Fraction, hi: Fraction,
-                      precision: Fraction) -> RationalInterval:
-    # invariant: p(lo) < 0 < p(hi) and the bracket holds one root, above 1
-    while hi - lo >= precision or lo <= 1:
-        mid = (lo + hi) / 2
-        v = p.sign_at(mid)
-        if v == 0:
-            # rational root; nudge the bracket by an exact eighth
-            eps = (hi - lo) / 8
-            lo, hi = mid - eps, mid + eps
-            if p.sign_at(lo) >= 0 or p.sign_at(hi) <= 0:
-                raise ValueError("bisection bracket lost its sign change")
-            continue
-        if v < 0:
-            lo = mid
+                      precision: Fraction,
+                      sturm: SturmContext | None = None) -> RationalInterval:
+    """Enclosure of the largest root of p in (lo, hi), where p(hi) > 0.
+
+    The one bisection, dyadic and in integers: the bracket is a/d < b/d and
+    the midpoint (a + b)/2d, so from 1 and an integral Cauchy bound every
+    midpoint is some a/2^k; only the result is built as Fractions. With a
+    Sturm context, variations decide whether a root lies above the midpoint
+    until one root is left; then, as without one, p(lo) < 0 < p(hi), signs
+    decide and stopping also needs lo > 1. A root midpoint returns [r, r].
+    """
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = int(lo * d), int(hi * d)
+    eps = Fraction(precision)
+    if sturm is not None:
+        v_lo, v_hi = sturm.variations(a, d), sturm.variations(b, d)
+    while (b - a) * eps.denominator >= eps.numerator * d or (sturm is None and a <= d):
+        m, d = a + b, 2 * d
+        if sturm is None:
+            v = _horner(p.coeffs, m, d)
+            if v == 0:
+                a = b = m
+                break
+            up = v < 0
         else:
-            hi = mid
-    return RationalInterval(lo, hi)
+            v = sturm.variations(m, d)
+            up = v > v_hi  # a root lies in (mid, hi)
+            v_lo = v if up else v_lo
+        a, b = (m, 2 * b) if up else (2 * a, m)
+        if sturm is not None and v_lo - v_hi == 1:
+            sturm = None  # one root left: signs decide from here
+    return RationalInterval(Fraction(a, d), Fraction(b, d))
 
 
 def salem_enclosure(p: IntPolynomial, precision: Fraction) -> RationalInterval:
@@ -256,34 +272,22 @@ def bounded_power_products(alpha: SalemCertificate, beta: SalemCertificate,
     log_a = _log(a_iv.midpoint)
     log_b = _log(b_iv.midpoint)
     for n in range(n_lo, n_hi + 1):
-        m_center_lo = (_log(c1) - n * log_a) / log_b
-        m_center_hi = (_log(c2) - n * log_a) / log_b
-        m_start = floor(m_center_lo) - 2
-        m_stop = floor(m_center_hi) + 3
-        m = m_start
-        while m < m_stop:
-            verdict, value = _decide_power_product(
+        m_start = floor((_log(c1) - n * log_a) / log_b) - 2
+        m_stop = floor((_log(c2) - n * log_a) / log_b) + 3
+        for m in range(m_start, m_stop):
+            verdict, value, a_iv, b_iv = _decide_power_product(
                 alpha, beta, a_iv, b_iv, n, m, c1, c2)
-            a_iv = value[1]
-            b_iv = value[2]
             if verdict:
-                results.append((n, m, value[0]))
-            m += 1
+                results.append((n, m, value))
         # the float window can be off by a step; extend while still inside
-        for m in itertools.count(m_stop):
-            verdict, value = _decide_power_product(
-                alpha, beta, a_iv, b_iv, n, m, c1, c2)
-            a_iv, b_iv = value[1], value[2]
-            if not verdict:
-                break
-            results.append((n, m, value[0]))
-        for m in itertools.count(m_start - 1, -1):
-            verdict, value = _decide_power_product(
-                alpha, beta, a_iv, b_iv, n, m, c1, c2)
-            a_iv, b_iv = value[1], value[2]
-            if not verdict:
-                break
-            results.append((n, m, value[0]))
+        for step, m in ((1, m_stop), (-1, m_start - 1)):
+            while True:
+                verdict, value, a_iv, b_iv = _decide_power_product(
+                    alpha, beta, a_iv, b_iv, n, m, c1, c2)
+                if not verdict:
+                    break
+                results.append((n, m, value))
+                m += step
     results.sort()
     return results
 
@@ -293,9 +297,10 @@ def _decide_power_product(alpha, beta, a_iv, b_iv, n, m, c1, c2):
         value = interval_mul(interval_pow(a_iv, n), interval_pow(b_iv, m))
         verdict = _decide_inside(value, c1, c2)
         if verdict is not None:
-            return verdict, (value, a_iv, b_iv)
-        a_iv = salem_enclosure(alpha.polynomial, a_iv.width / 4)
-        b_iv = salem_enclosure(beta.polynomial, b_iv.width / 4)
+            return verdict, value, a_iv, b_iv
+        # continue from the held brackets, which a restart from [1, B] passes
+        a_iv = _bisect_enclosure(alpha.polynomial, a_iv.lo, a_iv.hi, a_iv.width / 4)
+        b_iv = _bisect_enclosure(beta.polynomial, b_iv.lo, b_iv.hi, b_iv.width / 4)
     raise UndecidableComparisonError(
         f"cannot separate alpha^{n} * beta^{m} from ({c1}, {c2}); "
         "a bound may equal a power product")

@@ -9,7 +9,9 @@ from long division and Horner evaluation in fractions.Fraction, monic
 interpolation from Lagrange's formula in fractions.Fraction, matrix
 products from a dense sum over every entry, and matrix products, normal
 forms, exact elimination, polynomial division, gcds, Sturm sequences,
-real-root counts and signatures are cross-checked against sympy. The one
+real-root counts and signatures are cross-checked against sympy. Root
+enclosures come from the earlier Fraction bisections, with signs by
+Fraction Horner evaluation and counts on sympy's Sturm sequence. The one
 exception is the unfiltered Salem enumeration loop: it runs the package's
 classify_salem on every candidate of the coefficient box, to check the
 sign filter in front of it.
@@ -25,6 +27,7 @@ import mpmath
 import sympy
 
 from salemlat.intpoly import IntPolynomial
+from salemlat.rational import RationalInterval
 from salemlat.salem import SalemCertificate, classify_salem
 
 ORACLE_DPS = 60
@@ -269,6 +272,72 @@ def sympy_real_roots_between(p: IntPolynomial, lo: Fraction, hi: Fraction) -> in
     a = sympy.Rational(lo.numerator, lo.denominator)
     b = sympy.Rational(hi.numerator, hi.denominator)
     return sum(1 for r in set(sympy.real_roots(_sympy_poly(p))) if a < r < b)
+
+
+def fraction_bisect_enclosure(p: IntPolynomial, lo: Fraction, hi: Fraction,
+                              precision: Fraction):
+    """Sign bisection on normalised Fraction midpoints, p(lo) < 0 < p(hi);
+    a midpoint that is a root is nudged to a bracket of an exact eighth."""
+    while hi - lo >= precision or lo <= 1:
+        mid = (lo + hi) / 2
+        v = fraction_value(p, mid)
+        if v == 0:
+            eps = (hi - lo) / 8
+            lo, hi = mid - eps, mid + eps
+            continue
+        if v < 0:
+            lo = mid
+        else:
+            hi = mid
+    return RationalInterval(lo, hi)
+
+
+class _FractionSturm:
+    """Root counts on sympy's Sturm sequence, evaluated in Fractions."""
+
+    def __init__(self, p: IntPolynomial):
+        self.chain = sympy_sturm_sequence(p)
+
+    def variations(self, x: Fraction) -> int:
+        values = []
+        for cs in self.chain:
+            acc = Fraction(0)
+            for c in reversed(cs):
+                acc = acc * x + c
+            values.append(acc)
+        signs = [v > 0 for v in values if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def count(self, lo: Fraction, hi: Fraction) -> int:
+        return self.variations(lo) - self.variations(hi)
+
+
+def fraction_largest_real_root_above_one(p: IntPolynomial, precision: Fraction):
+    """Enclosure of the largest real root of p in (1, infinity), or None:
+    Sturm bisection in Fractions until one root is isolated, then
+    fraction_bisect_enclosure."""
+    coeffs = [int(c) for c in reversed(sympy.sqf_part(_sympy_poly(p)).all_coeffs())]
+    q = IntPolynomial.from_coeffs(coeffs)
+    ctx = _FractionSturm(q)
+    hi = 1 + max(Fraction(abs(c), abs(q.leading)) for c in q.coeffs[:-1])
+    lo = Fraction(1)
+    if fraction_value(q, lo) == 0:
+        lo = Fraction(100001, 100000)
+    if ctx.count(lo, hi) == 0:
+        return None
+    far = hi + 1
+    while hi - lo >= precision:
+        mid = (lo + hi) / 2
+        while fraction_value(q, mid) == 0:
+            mid += (hi - lo) / 17
+        if ctx.count(mid, far) >= 1:
+            lo = mid
+        else:
+            hi = mid
+        at_lo, at_hi = fraction_value(q, lo), fraction_value(q, hi)
+        if ctx.count(lo, hi) == 1 and at_lo * at_hi < 0:
+            return fraction_bisect_enclosure(q if at_hi > 0 else -q, lo, hi, precision)
+    return RationalInterval(lo, hi)
 
 
 def sympy_is_squarefree(p: IntPolynomial) -> bool:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from salemlat import isometry as isometry_module
 from salemlat import linalg
 from salemlat.intpoly import IntPolynomial
 from salemlat.isometry import (
@@ -18,6 +19,7 @@ from salemlat.isometry import (
     NonCommutingError,
     ReducibleCharPolyError,
     SalemType,
+    UnsupportedSpectrumError,
     char_poly,
     classify_isometry,
     entropy,
@@ -40,8 +42,10 @@ from salemlat.lattice import (
     direct_sum,
     hyperbolic_plane,
 )
+from salemlat.rational import RationalInterval
 
-from oracles import dense_mat_mul
+import property_suites as ps
+from oracles import dense_mat_mul, fraction_largest_real_root_above_one
 
 P = IntPolynomial.from_coeffs
 U = hyperbolic_plane()
@@ -91,8 +95,8 @@ class TestVerify:
         lat = diagonal_lattice([2, -4])
         for g in ([[3, 4], [2, 3]], [[17, 24], [12, 17]], [[-1, 0], [0, 1]]):
             verify_isometry(g, lat)
-        # det G once for the lattice, never det M
-        assert calls == [lat.gram]
+        # det G comes from the lattice's congruence run, and det M never
+        assert calls == []
 
     def test_broken_matrices_keep_their_witnesses(self, suite_seed):
         # the witness is the first (i, j), row by row, where M^T G M and G
@@ -240,6 +244,29 @@ class TestEntropy:
         assert out[:2] == ["False", "True"]
         iv = entropy(pell())
         assert (Fraction(out[2]), Fraction(out[3])) == (iv.lo, iv.hi)
+
+    def test_enclosures_match_the_fraction_bisection(self, suite_seed, monkeypatch):
+        # entropy on the one dyadic kernel against the Fraction Sturm
+        # bisection it replaced, over the property-suite isometries; some
+        # sides hold two roots above 1, so the Sturm phase isolates one
+        corpus = ps._corpus(ps.HYPERBOLIC_LATTICES + ps.TWO_POSITIVE_LATTICES, 90, suite_seed)
+        corpus += ps._salem_pool(suite_seed)
+
+        def outcomes():
+            out = []
+            for g in corpus:
+                for precision in (Fraction(1, 10**6), Fraction(1, 10**12)):
+                    try:
+                        out.append(entropy(g, precision))
+                    except UnsupportedSpectrumError as exc:
+                        out.append(type(exc))
+            return out
+
+        mine = outcomes()
+        monkeypatch.setattr(isometry_module, "_largest_real_root_above_one",
+                            fraction_largest_real_root_above_one)
+        assert outcomes() == mine
+        assert sum(isinstance(iv, RationalInterval) and iv.hi > 0 for iv in mine) > 50
 
     def test_negative_salem_side(self):
         g = pell()

@@ -41,6 +41,7 @@ from oracles import (
     fraction_vectors_of_norm,
     naive_vectors_of_norm,
     signature_with_basis,
+    sympy_det,
     sympy_invariant_factors,
     sympy_rank,
 )
@@ -167,6 +168,16 @@ class TestCongruenceBareiss:
     def test_signature_against_charpoly(self, suite_seed):
         for lat in [*congruence_inputs(suite_seed + 12), *k3_inputs()]:
             assert tuple(signature(lat)) == descartes_signature(lat.gram)
+
+    def test_determinant_is_the_last_pivot(self, suite_seed):
+        # the one congruence run of a lattice also gives det G: its last
+        # pivot, 0 for a degenerate G, and 1 at rank 0
+        degenerate = 0
+        for lat in [*congruence_inputs(suite_seed + 13), *k3_inputs()]:
+            det = sympy_det(lat.gram) if lat.rank else 1
+            assert lat.determinant() == det
+            degenerate += det == 0
+        assert degenerate > 0
 
 
 class TestClassify:

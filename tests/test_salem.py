@@ -10,6 +10,7 @@ from salemlat.intpoly import (
     DegreeBoundError,
     IntPolynomial,
     OddDegreeError,
+    cauchy_root_bound,
     is_reciprocal,
     poly_from_string,
     sturm_count,
@@ -29,7 +30,11 @@ from salemlat.salem import (
 )
 from salemlat.serialize import dumps_certificate, salem_certificate_to_json
 
-from oracles import numeric_salem_oracle, unfiltered_enumerate_salem
+from oracles import (
+    fraction_bisect_enclosure,
+    numeric_salem_oracle,
+    unfiltered_enumerate_salem,
+)
 
 P = IntPolynomial.from_coeffs
 LEHMER = poly_from_string("1,1,0,-1,-1,-1,-1,-1,0,1,1")
@@ -283,3 +288,44 @@ class TestPowerProducts:
         near = (iv.lo + iv.hi) / 2
         with pytest.raises(UndecidableComparisonError):
             bounded_power_products(alpha, alpha, Fraction(2), near, (0, 0))
+
+
+class TestOneBisection:
+    """The dyadic integer kernel against the Fraction bisections it replaced."""
+
+    def test_salem_tables_match_the_fraction_bisection(self):
+        # the degree-2, 4 and 6 tables, the degree-4 one window by window
+        # as the benchmark draws it
+        windows = [(2, -5, 5), *((4, t, t) for t in range(-2, 3)), (6, -1, 1)]
+        checked = 0
+        for degree, lo, hi in windows:
+            for cert in enumerate_salem(degree, lo, hi):
+                p, bound = cert.polynomial, cauchy_root_bound(cert.polynomial)
+                assert cert.salem_number_interval == fraction_bisect_enclosure(
+                    p, Fraction(1), bound, DEFAULT_PRECISION)
+                # a coarse precision stops on lo > 1 alone
+                for precision in (Fraction(100), Fraction(1, 10**12)):
+                    assert salem_enclosure(p, precision) == fraction_bisect_enclosure(
+                        p, Fraction(1), bound, precision), p
+                checked += 1
+        assert checked > 20
+
+    def test_continuing_equals_restarting(self):
+        # refinement continues from the held bracket; restarting from
+        # [1, B] passes through it and reaches the same interval
+        for p in (LEHMER, P([1, -6, 1]), poly_from_string("1,-1,-1,-1,1")):
+            iv = salem_enclosure(p, DEFAULT_PRECISION)
+            for _ in range(8):
+                more = salem_module._bisect_enclosure(p, iv.lo, iv.hi, iv.width / 4)
+                assert more == salem_enclosure(p, iv.width / 4)
+                assert more.width < iv.width / 4
+                iv = more
+
+    def test_root_midpoint_is_a_point_interval(self):
+        # 2 is the midpoint of [1, 3] after the first step from B = 5; the
+        # Fraction bisection shrank its bracket around 2 by an eighth instead
+        two = Fraction(2)
+        assert salem_enclosure(P([-4, 0, 1]), DEFAULT_PRECISION) == RationalInterval(two, two)
+        assert fraction_bisect_enclosure(
+            P([-4, 0, 1]), Fraction(1), Fraction(5), DEFAULT_PRECISION) == RationalInterval(
+                Fraction(8388607, 4194304), Fraction(8388609, 4194304))

@@ -84,20 +84,58 @@ def test_polynomial_kernels_build_no_fraction():
     assert "_divmod_fractions" not in defined
 
 
-def test_bisections_read_signs_from_sign_at():
-    # a bisection never evaluates its polynomial in Fractions: no call p(x)
-    # on the polynomial argument, every sign from sign_at
-    for path, qualname in [(SOURCE / "salem.py", "_bisect_enclosure"),
-                           (SOURCE / "salem.py", "salem_enclosure"),
+def _two(node):
+    return isinstance(node, ast.Constant) and node.value == 2
+
+
+def _halves_a_bracket(loop):
+    """Whether a loop forms a midpoint (x + y) / 2 or (x + y) // 2, or
+    doubles a denominator as in d = 2 * d."""
+    for n in ast.walk(loop):
+        if (isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Div, ast.FloorDiv))
+                and _two(n.right) and isinstance(n.left, ast.BinOp)
+                and isinstance(n.left.op, ast.Add)):
+            return True
+        if isinstance(n, ast.Assign):
+            targets = [t for tgt in n.targets
+                       for t in (tgt.elts if isinstance(tgt, ast.Tuple) else [tgt])]
+            values = n.value.elts if isinstance(n.value, ast.Tuple) else [n.value]
+            for t, v in zip(targets, values):
+                if (isinstance(t, ast.Name) and isinstance(v, ast.BinOp)
+                        and isinstance(v.op, ast.Mult)
+                        and any(_two(x) for x in (v.left, v.right))
+                        and any(isinstance(x, ast.Name) and x.id == t.id
+                                for x in (v.left, v.right))):
+                    return True
+    return False
+
+
+def _loops(node):
+    return [n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+
+
+def test_one_bisection():
+    # every root enclosure runs through salem._bisect_enclosure, whose loop
+    # stays in the integers; its callers only set up the bracket
+    halving = sorted(f"{path.stem}.{fn.name}" for path in SOURCE.glob("*.py")
+                     for fn in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(fn, ast.FunctionDef)
+                     and any(_halves_a_bracket(loop) for loop in _loops(fn)))
+    assert halving == ["salem._bisect_enclosure"]
+    for path, qualname in [(SOURCE / "salem.py", "salem_enclosure"),
                            (SOURCE / "isometry.py", "_largest_real_root_above_one")]:
         fn = _function(path, qualname)
-        polys = {fn.args.args[0].arg} | {
-            t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
-            for t in n.targets if isinstance(t, ast.Name) and t.id in ("p", "q")}
-        calls = [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Call)
-                 and isinstance(n.func, ast.Name) and n.func.id in polys]
-        assert calls == [], qualname
-        assert "sign_at" in _names(fn), qualname
+        assert _loops(fn) == [], qualname
+        assert "_bisect_enclosure" in _names(fn), qualname
+        # no nudge of a root endpoint, such as lo = 100001/100000
+        assert not [n for n in ast.walk(fn) if isinstance(n, ast.Constant)
+                    and isinstance(n.value, int) and n.value > 2], qualname
+    kernel_loops = _loops(_function(SOURCE / "salem.py", "_bisect_enclosure"))
+    assert len(kernel_loops) == 1
+    assert not {"Fraction", "sign_at"} & _names(kernel_loops[0])
+    # nor of a root midpoint, such as (hi - lo) / 8 or / 17
+    assert not [n for n in ast.walk(kernel_loops[0])
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)]
 
 
 def _tracer_targets():
