@@ -10,6 +10,10 @@ inside Lambda = U^3 + E8(-1)^2, verifies every structural claim exactly
 definiteness of the blocks), constructs eighteen commuting isometries of
 Lambda fixing T pointwise, and certifies that they generate a free
 abelian group of rank 18 through an explicit coordinate homomorphism.
+What the extension stage derives from L, the inverse of its Gram matrix
+and the orthogonal projection onto L, is kept by the lattice and the
+embedding objects, made once per object, so run_k3 calls build_phi,
+extension_order and extend_to_lambda exactly as any other caller does.
 
 The generators sharing e1 (resp. e2) pair nontrivially, so definiteness
 of Nbar genuinely depends on the prime selection; it is verified per run
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .intpoly import MILLER_RABIN_BOUND, _is_probable_prime
@@ -32,11 +36,9 @@ from .isometry import (
     verify_isometry,
 )
 from .lattice import (
-    DiscriminantGroup,
     GramLattice,
     LatticeClass,
     SublatticeEmbedding,
-    _represents,
     _signature_and_witnesses,
     class_of_signature,
     definiteness_witness,
@@ -47,10 +49,11 @@ from .lattice import (
     index_of_sum,
     is_primitive,
     orthogonal_complement,
+    represents,
     saturation,
     signature,
 )
-from .linalg import IntMatrix, IntVector, SparseRows, _nonzero_entries, _sparse_mul
+from .linalg import IntMatrix, IntVector, _nonzero_entries, _sparse_mul
 from .parabolic import abelian_rank_of_image
 
 
@@ -188,13 +191,11 @@ class CheckResult:
 
 def verify_construction(primes: PrimeSelection) -> list[CheckResult]:
     """Exact verification of the structural claims for one prime selection."""
-    subs = build_sublattices(primes)
-    return _structural_checks(subs)[0]
+    return _structural_checks(build_sublattices(primes))
 
 
-def _structural_checks(subs: K3Sublattices
-                       ) -> tuple[list[CheckResult], GramLattice, GramLattice]:
-    """The structural checks, with the Gram lattices of L and Tbar."""
+def _structural_checks(subs: K3Sublattices) -> list[CheckResult]:
+    """The structural checks; each embedding keeps the Gram lattice they read."""
     checks: list[CheckResult] = []
     n_lat = subs.n.induced_gram()
     l_lat = subs.l.induced_gram()
@@ -246,7 +247,7 @@ def _structural_checks(subs: K3Sublattices
         detail=f"rank T = {subs.t.rank}"))
 
     if n_class == LatticeClass.PARABOLIC:
-        has_minus_two, witness = _represents(n_lat, -2, n_sig)
+        has_minus_two, witness = represents(n_lat, -2)
         checks.append(CheckResult(
             "n_does_not_represent_minus_two", not has_minus_two,
             witness=witness))
@@ -254,7 +255,7 @@ def _structural_checks(subs: K3Sublattices
         checks.append(CheckResult(
             "n_does_not_represent_minus_two", False,
             detail="skipped: N is not parabolic"))
-    return checks, l_lat, tbar_lat
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +263,8 @@ def _structural_checks(subs: K3Sublattices
 # ---------------------------------------------------------------------------
 
 
-def _split_u_block(l_lat: GramLattice) -> IntMatrix:
-    """The negative block Q of a lattice shaped U + Q in basis (e0, f0, w...)."""
+def _check_u_block(l_lat: GramLattice) -> None:
+    """ShapeViolationError unless the lattice is U + Q in basis (e0, f0, w...)."""
     g = l_lat.gram
     r = l_lat.rank
     if r < 3 or g[0][0] != 0 or g[1][1] != 0 or g[0][1] != 1:
@@ -271,84 +272,30 @@ def _split_u_block(l_lat: GramLattice) -> IntMatrix:
     for j in range(2, r):
         if g[0][j] != 0 or g[1][j] != 0:
             raise ShapeViolationError("U block is not orthogonal to the rest")
-    return tuple(tuple(g[i][j] for j in range(2, r)) for i in range(2, r))
 
 
-def _block_inverse(l_lat: GramLattice) -> tuple[IntMatrix, int]:
-    """(adj Q, det Q) for L = U + Q, from one Bareiss inverse."""
-    q = _split_u_block(l_lat)
-    try:
-        return linalg.integral_inverse(q)
-    except ValueError:
-        raise ShapeViolationError("the block Q is degenerate") from None
-
-
-def _projection(l_emb: SublatticeEmbedding, tbar_emb: SublatticeEmbedding,
-                l_adj: SparseRows) -> SparseRows:
-    """P = adj(G_L) B G, with B the basis of L and G the ambient Gram matrix.
-
-    P x / det G_L are the coordinates in L of the orthogonal projection of
-    x onto L over Q, which vanishes exactly on L^perp; ValueError unless
-    Tbar is orthogonal to L, since only then do extensions built from P
-    fix Tbar.
-    """
-    ambient = l_emb.ambient
-    n = ambient.rank
-    bg = _sparse_mul(_nonzero_entries(l_emb.basis), ambient.entries, n)
-    if any(any(row) for row in linalg.mat_mul(bg, linalg.transpose(tbar_emb.basis))):
-        raise ValueError("Tbar is not orthogonal to L")
-    return _nonzero_entries(_sparse_mul(l_adj, _nonzero_entries(bg), n))
-
-
-@dataclass(frozen=True)
-class _RunContext:
-    """What the extension stage of one run of run_k3 shares.
-
-    Every inverse comes from the 18 x 18 block Q of G_L = U + Q:
-    det G_L = -det Q and adj G_L = (-det Q) U + (-adj Q). One discriminant
-    group of L serves the report and the cap of the order search. The
-    projection P extends each generator without inverting [L; Tbar].
-    Built once per run and dropped with it, so no run reuses another's.
-    """
-
-    q_adj: IntMatrix
-    q_det: int
-    l_adj: SparseRows
-    l_det: int
-    disc: DiscriminantGroup
-    lift: SparseRows         # B^T, the basis of L as columns
-    projection: SparseRows   # P = adj(G_L) B G
-
-    @staticmethod
-    def build(subs: K3Sublattices, l_lat: GramLattice,
-              disc: DiscriminantGroup) -> "_RunContext":
-        q_adj, q_det = _block_inverse(l_lat)
-        l_adj = ((1, -q_det),), ((0, -q_det),), *(
-            tuple((2 + b, -x) for b, x in enumerate(row) if x) for row in q_adj)
-        return _RunContext(
-            q_adj=q_adj, q_det=q_det, l_adj=l_adj,
-            l_det=-q_det, disc=disc,
-            lift=_nonzero_entries(linalg.transpose(subs.l.basis)),
-            projection=_projection(subs.l, subs.tbar, l_adj))
-
-
-def build_phi(i: int, l_lat: GramLattice,
-              context: _RunContext | None = None) -> LatticeIsometry:
+def build_phi(i: int, l_lat: GramLattice) -> LatticeIsometry:
     """The i-th unipotent isometry of L = U + Q (1-based i).
 
     e0 is fixed, w_i picks up m e0 with m = det Q, every other w_j is
     fixed, and f0 moves by gamma_i e0 + sum_k c_ik w_k where (c_ik) is
     minus the i-th row of the adjugate of Q and 2 gamma_i + (sum c w)^2 = 0.
-    A run passes its context, which holds adj Q and det Q.
+    adj Q and det Q are read off the inverse that L keeps: U is its own
+    inverse with det U = -1, so det G_L = -det Q and
+    adj G_L = (-det Q) U + (-adj Q).
     """
-    if context is None:
-        adj, m = _block_inverse(l_lat)
-    else:
-        adj, m = context.q_adj, context.q_det
-    s = len(adj)
+    _check_u_block(l_lat)
+    try:
+        l_adj, l_det = l_lat._inverse
+    except ValueError:
+        raise ShapeViolationError("the block Q is degenerate") from None
+    s = l_lat.rank - 2
     if not 1 <= i <= s:
         raise ValueError(f"index {i} out of range 1..{s}")
-    c = tuple(-adj[i - 1][k] for k in range(s))
+    m = -l_det
+    c = [0] * s
+    for k, x in l_adj[i + 1]:
+        c[k - 2] = x
     # Q c = -det(Q) e_i since Q adj(Q) = det(Q) I, so (sum c w)^2 = -m c_i
     norm_c = -m * c[i - 1]
     if norm_c % 2:
@@ -357,7 +304,7 @@ def build_phi(i: int, l_lat: GramLattice,
     r = s + 2
     cols = []
     cols.append([1] + [0] * (r - 1))                       # e0
-    cols.append([gamma, 1] + list(c))                      # f0
+    cols.append([gamma, 1] + c)                            # f0
     for j in range(s):                                     # w_{j+1}
         col = [0] * r
         col[2 + j] = 1
@@ -379,53 +326,53 @@ def _commute(a: LatticeIsometry, b: LatticeIsometry) -> bool:
     return _sparse_mul(a.moved, b.moved, n) == _sparse_mul(b.moved, a.moved, n)
 
 
-def extension_order(phi: LatticeIsometry, l_lat: GramLattice,
-                    context: _RunContext | None = None) -> int:
+def extension_order(phi: LatticeIsometry, l_lat: GramLattice) -> int:
     """Least k with phi^k acting as the identity on the dual quotient L*/L.
 
     phi^k is trivial on L*/L iff (phi^k - I) G^{-1} is an integer matrix,
-    that is iff (phi^k - I) adj(G) vanishes modulo det G. The search is
-    capped at |L*/L| times the exponent of the group; going past |L*/L|
-    already contradicts the expected bound and is reported. A run passes
-    its context, which holds adj(G), det G and L*/L; without one they are
-    computed here.
+    that is iff (phi^k - I) adj(G) vanishes modulo det G; adj(G) and det G
+    are the inverse the lattice keeps. The search is capped at |L*/L|
+    times the exponent of the group; going past |L*/L| already contradicts
+    the expected bound and is reported. The cap comes off the same inverse:
+    |L*/L| = |det G|, and the entries of adj(G) are the (n-1)-minors of G,
+    whose gcd is the product of all invariant factors but the last, so the
+    exponent is |det G| / gcd(adj G).
     """
     if phi.lattice != l_lat:
         raise ValueError("isometry does not act on the given lattice")
-    if context is None:
-        disc = discriminant_group(l_lat)
-        adj, det = linalg.integral_inverse(l_lat.gram)
-        adj = _nonzero_entries(adj)
-    else:
-        disc, adj, det = context.disc, context.l_adj, context.l_det
-    cap = disc.order * max(disc.invariant_factors, default=1)
+    adj, det = l_lat._inverse
     n = l_lat.rank
-    power = phi
-    for k in range(1, cap + 1):
+    power, k, cap = phi, 1, None
+    while True:
         scaled = _sparse_mul(power.moved, adj, n)
         if all(x % det == 0 for row in scaled for x in row):
             return k
+        if cap is None:  # only a search past k = 1 needs its cap
+            order = abs(det)
+            cap = order * (order // (gcd(*(x for row in adj for _, x in row)) or 1))
+        if k >= cap:
+            raise BoundExceededError(
+                f"no power up to {cap} acts trivially on the discriminant group")
         power = power.compose(phi)
-    raise BoundExceededError(
-        f"no power up to {cap} acts trivially on the discriminant group")
+        k += 1
 
 
 def extend_to_lambda(phi_power: LatticeIsometry,
                      l_emb: SublatticeEmbedding,
-                     tbar_emb: SublatticeEmbedding,
-                     context: _RunContext | None = None) -> LatticeIsometry:
+                     tbar_emb: SublatticeEmbedding) -> LatticeIsometry:
     """Unique ambient isometry restricting to phi_power on L, identity on Tbar.
 
     Tbar = L^perp and L + Tbar has finite index in the ambient lattice, so
     the block map extends uniquely over Q: x goes to x + B^T (Phi - I) c,
     where c = P x / det G_L are the coordinates in L of the orthogonal
-    projection of x (see _projection). So M - I = B^T (Phi - I) P / det G_L
-    with Phi = phi_power. Integrality on the ambient basis is exactly the
-    discriminant-triviality of phi_power; it holds iff det G_L divides
-    every entry of B^T (Phi - I) P. Phi - I comes from the sparse view of
-    phi_power - I and has about two nonzero columns for a unipotent
-    generator. A run passes its context, which holds B^T, P and det G_L;
-    without one they are computed here.
+    projection of x, with P = adj(G_L) B G the projection the embedding
+    keeps. So M - I = B^T (Phi - I) P / det G_L with Phi = phi_power. The
+    map fixes Tbar only because Tbar is orthogonal to L, which is checked
+    on the small entries of Tbar G B^T. Integrality on the ambient basis is
+    exactly the discriminant-triviality of phi_power; it holds iff det G_L
+    divides every entry of B^T (Phi - I) P. Phi - I comes from the sparse
+    view of phi_power - I and has about two nonzero columns for a
+    unipotent generator.
     """
     ambient = l_emb.ambient
     if tbar_emb.ambient != ambient:
@@ -433,14 +380,12 @@ def extend_to_lambda(phi_power: LatticeIsometry,
     n = ambient.rank
     if l_emb.rank + tbar_emb.rank != n:
         raise ValueError("L + Tbar does not have full rank")
-    if context is None:
-        adj, det = linalg.integral_inverse(l_emb.induced_gram().gram)
-        lift = _nonzero_entries(linalg.transpose(l_emb.basis))
-        projection = _projection(l_emb, tbar_emb, _nonzero_entries(adj))
-    else:
-        lift, projection, det = context.lift, context.projection, context.l_det
-    moved = _nonzero_entries(_sparse_mul(phi_power.moved, projection, n))
-    scaled = _sparse_mul(lift, moved, n)
+    if any(any(row) for row in _sparse_mul(tbar_emb._pairing_rows, l_emb._lift,
+                                           l_emb.rank)):
+        raise ValueError("Tbar is not orthogonal to L")
+    det = l_emb.induced_gram()._inverse[1]
+    moved = _nonzero_entries(_sparse_mul(phi_power.moved, l_emb._projection, n))
+    scaled = _sparse_mul(l_emb._lift, moved, n)
     if any(x % det for row in scaled for x in row):
         raise NonIntegralExtensionError(
             "block map does not preserve the ambient lattice; "
@@ -686,17 +631,17 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
            skip_extension: bool = False) -> K3ConstructionReport:
     """Build, verify, and certify the whole construction for one selection."""
     subs = build_sublattices(primes)
-    checks, l_lat, tbar_lat = _structural_checks(subs)
+    checks = _structural_checks(subs)
+    l_lat, tbar_lat = subs.l.induced_gram(), subs.tbar.induced_gram()
     structural_ok = all(c.passed for c in checks)
 
     report = K3ConstructionReport(primes=primes, checks=())
     if structural_ok:
         tbar_gram = tbar_lat.gram
         stacked = linalg.row_stack(subs.n.basis, subs.t.basis)
-        disc = discriminant_group(l_lat)
         report = replace(
             report,
-            disc_order=disc.order,
+            disc_order=discriminant_group(l_lat).order,
             sum_index_l_tbar=index_of_sum(subs.l, subs.tbar),
             n_plus_t_corank=subs.ambient.rank - linalg.rational_rank(stacked),
             tbar_gram=tbar_gram,
@@ -706,11 +651,10 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
     if skip_extension or not structural_ok:
         return replace(report, checks=tuple(checks))
 
-    context = _RunContext.build(subs, l_lat, disc)
     phis = []
     for i in range(1, 19):
         try:
-            phis.append(build_phi(i, l_lat, context))
+            phis.append(build_phi(i, l_lat))
         except (GramViolationError, DeterminantError) as exc:
             checks.append(CheckResult(
                 "phi_isometries_on_l", False,
@@ -718,12 +662,12 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
             return replace(report, checks=tuple(checks))
     checks.append(CheckResult("phi_isometries_on_l", True,
                               detail="all 18 verified"))
-    orders = [extension_order(phi, l_lat, context) for phi in phis]
+    orders = [extension_order(phi, l_lat) for phi in phis]
     big_phis = []
     extensions_ok = True
     for phi, k in zip(phis, orders):
         try:
-            big_phis.append(extend_to_lambda(phi.power(k), subs.l, subs.tbar, context))
+            big_phis.append(extend_to_lambda(phi.power(k), subs.l, subs.tbar))
         except NonIntegralExtensionError:
             extensions_ok = False
             break

@@ -8,7 +8,9 @@ complements and radicals are Bareiss kernels saturated by a small Smith
 run, as is saturation; primitivity and the index of a sum read Hermite
 normal forms; the discriminant group is the Smith diagonal of the Gram
 matrix's HNF. A basis whose rows each have a private column, as echelon
-forms do, is independent without a Bareiss rank.
+forms do, is independent without a Bareiss rank. What is derived from an
+object is kept by it and made once: a lattice keeps its congruence run
+and its inverse, an embedding its Gram lattice and orthogonal projection.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 
 from . import linalg
-from .linalg import IntMatrix, IntVector, _smith_v
+from .linalg import IntMatrix, IntVector
 
 
 class IndefiniteLatticeError(ValueError):
@@ -87,6 +89,13 @@ class GramLattice:
     def determinant(self) -> int:
         """det G, the last congruence pivot: 0 when G is degenerate, 1 at rank 0."""
         return self._congruence[-1][0] if self.rank else 1
+
+    @cached_property
+    def _inverse(self) -> tuple[linalg.SparseRows, int]:
+        """(adj G by its nonzero entries, det G) from one Bareiss inverse, made
+        once; ValueError when G is degenerate."""
+        adj, det = linalg.integral_inverse(self.gram)
+        return linalg._nonzero_entries(adj), det
 
     def __repr__(self) -> str:
         return f"GramLattice(rank={self.rank})"
@@ -294,10 +303,37 @@ class SublatticeEmbedding:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _pairing_rows(self) -> linalg.SparseRows:
+        """B G by its nonzero entries, B the basis and G the ambient Gram matrix."""
+        return linalg._nonzero_entries(
+            linalg._sparse_mul(linalg._nonzero_entries(self.basis), self.ambient.entries,
+                               self.ambient.rank))
+
+    @cached_property
+    def _lift(self) -> linalg.SparseRows:
+        """B^T by its nonzero entries: coordinates in S to ambient coordinates."""
+        return linalg._nonzero_entries(linalg.transpose(self.basis))
+
+    @cached_property
+    def _gram(self) -> GramLattice:
+        return GramLattice(linalg._sparse_mul(self._pairing_rows, self._lift, self.rank))
+
     def induced_gram(self) -> GramLattice:
-        g = self.ambient.gram
-        bg = linalg.mat_mul(self.basis, g)
-        return GramLattice(linalg.mat_mul(bg, linalg.transpose(self.basis)))
+        """The Gram lattice B G B^T of the sublattice, computed once per embedding."""
+        return self._gram
+
+    @cached_property
+    def _projection(self) -> linalg.SparseRows:
+        """P = adj(G_S) B G by its nonzero entries, G_S = B G B^T.
+
+        P x / det G_S are the coordinates in S of the orthogonal projection
+        of x onto S over Q, which vanishes exactly on S^perp; ValueError
+        when G_S is degenerate.
+        """
+        adj, _ = self._gram._inverse
+        return linalg._nonzero_entries(
+            linalg._sparse_mul(adj, self._pairing_rows, self.ambient.rank))
 
     def spans_same(self, other: "SublatticeEmbedding") -> bool:
         return (linalg.hermite_normal_form(self.basis)
@@ -363,7 +399,7 @@ def _radical_split(lattice: GramLattice):
     if rad.rank != 1:
         raise RadicalRankError(f"radical has rank {rad.rank}, expected 1")
     v = rad.basis[0]
-    _, vm = _smith_v((v,))
+    _, _, vm = linalg.smith_normal_form((v,))
     v_inv = linalg.unimodular_inverse(vm)
     first = v_inv[0]
     if first != v and tuple(-x for x in first) != v:
@@ -450,13 +486,9 @@ def represents(lattice: GramLattice, target: int):
 
     A parabolic form is constant on cosets of its radical, so the question
     reduces to the definite quotient; a witness is lifted back through the
-    chosen splitting.
+    chosen splitting. The signature is that of the lattice's one congruence run.
     """
-    return _represents(lattice, target, signature(lattice))
-
-
-def _represents(lattice: GramLattice, target: int, sig: SignatureTriple):
-    """represents() for a caller that already has the signature."""
+    sig = signature(lattice)
     cls = class_of_signature(sig)
     if cls == LatticeClass.ELLIPTIC or sig == (lattice.rank, 0, 0):
         vecs = vectors_of_norm(lattice, target)

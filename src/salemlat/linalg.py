@@ -6,9 +6,9 @@ Determinant, adjugate, inverses, solve, rank and the rational kernel all
 come from one Bareiss fraction-free elimination core, which never leaves
 the integers; fractions.Fraction appears only in the outputs of the
 fraction_* fronts. Hermite normal forms answer span questions. Smith
-normal forms come from one core, which records both transforms, only u,
-only v, or neither, as its callers need; saturating k independent rows
-(and so the integer kernel) costs one Smith run with a k x k transform.
+normal forms come from one core, which records both transforms or
+neither, as its callers need; saturating k independent rows (and so the
+integer kernel) costs one Smith run that records only a k x k transform.
 Nothing here is tolerant of floating point, by design.
 """
 
@@ -236,19 +236,6 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return (freeze(row[n:] for row in rows[:m]),
             freeze(row[:n] for row in rows[:m]),
             freeze(row[:n] for row in rows[m:]))
-
-
-def _smith_v(a: IntMatrix) -> tuple[list[int], IntMatrix]:
-    """(diagonal, v) of a Smith form u a v = d; u is not recorded.
-
-    The core runs on [a; I], so its column operations record v in the
-    bottom rows; saturation, radicals and kernels read only v.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rows = [list(row) for row in a] + [list(row) for row in identity(n)]
-    _smith(rows, m, n)
-    return [rows[i][i] for i in range(min(m, n))], freeze(rows[m:])
 
 
 def snf_diagonal(a: IntMatrix) -> list[int]:

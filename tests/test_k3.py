@@ -1,7 +1,10 @@
+import functools
+import inspect
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -19,6 +22,7 @@ from salemlat.isometry import (
 )
 from salemlat.k3 import (
     DEFAULT_PRIMES,
+    BoundExceededError,
     K3Sublattices,
     NonIntegralExtensionError,
     PeriodPoint,
@@ -52,7 +56,13 @@ from salemlat.lattice import (
     signature,
 )
 
-from oracles import dense_mat_mul, sympy_mat_mul, sympy_rank
+from oracles import (
+    dense_mat_mul,
+    sympy_det,
+    sympy_invariant_factors,
+    sympy_mat_mul,
+    sympy_rank,
+)
 
 TOY_L = GramLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
 
@@ -299,43 +309,47 @@ class TestExtension:
                              SublatticeEmbedding.from_rows(subs.ambient, bent[:1]))
 
 
-class TestRunContext:
+class TestInverseOfL:
     @pytest.mark.parametrize("primes", (DEFAULT_PRIMES, *OTHER_VALID_SELECTIONS))
     def test_block_inverse_of_l_matches_bareiss(self, primes):
-        # adj G_L = (-det Q) U + (-adj Q) and det G_L = -det Q, read off Q
-        subs = build_sublattices(primes)
-        l_lat = subs.l.induced_gram()
-        context = k3_module._RunContext.build(subs, l_lat, discriminant_group(l_lat))
-        adj, det = linalg.integral_inverse(l_lat.gram)
-        assert context.l_det == det == l_lat.determinant()
-        assert context.l_adj == linalg._nonzero_entries(adj)
-        assert context.disc == discriminant_group(l_lat)
+        # adj G_L = (-det Q) U + (-adj Q) and det G_L = -det Q, so build_phi
+        # reads adj Q and det Q off the one inverse that L keeps
+        l_lat = build_sublattices(primes).l.induced_gram()
+        q = tuple(row[2:] for row in l_lat.gram[2:])
+        q_adj, q_det = linalg.integral_inverse(q)
+        assert q_det == sympy_det(q)
+        adj, det = l_lat._inverse
+        assert det == -q_det
+        assert adj[:2] == (((1, -q_det),), ((0, -q_det),))
+        assert adj[2:] == linalg._nonzero_entries(
+            tuple((0, 0, *(-x for x in row)) for row in q_adj))
+        for i in (1, 7, 18):
+            f0_image = linalg.transpose(build_phi(i, l_lat).matrix)[1]
+            assert f0_image[2:] == tuple(-x for x in q_adj[i - 1])
 
-    def test_context_and_public_forms_agree(self, subs, full_report):
-        # the run's context and the forms that build what they need agree on
-        # every generator, its extension order and its extension
-        l_lat = subs.l.induced_gram()
-        context = k3_module._RunContext.build(subs, l_lat, discriminant_group(l_lat))
-        orders = []
-        for i in range(1, 19):
-            phi = build_phi(i, l_lat, context)
-            assert phi == build_phi(i, l_lat)
-            k = extension_order(phi, l_lat, context)
-            assert k == extension_order(phi, l_lat)
-            orders.append(k)
-            if i in (1, 10, 18):
-                power = phi.power(k)
-                assert (extend_to_lambda(power, subs.l, subs.tbar, context)
-                        == extend_to_lambda(power, subs.l, subs.tbar))
-        assert tuple(orders) == full_report.extension_orders
-
-    def test_nontrivial_disc_action_fails_with_context(self, subs):
-        l_lat = subs.l.induced_gram()
-        context = k3_module._RunContext.build(subs, l_lat, discriminant_group(l_lat))
-        neg = verify_isometry(linalg.mat_neg(linalg.identity(20)), l_lat)
-        assert extension_order(neg, l_lat, context) == extension_order(neg, l_lat)
-        with pytest.raises(NonIntegralExtensionError):
-            extend_to_lambda(neg, subs.l, subs.tbar, context)
+    def test_extension_cap_matches_the_discriminant_group(self, suite_seed):
+        # the order search stops at |L*/L| times the exponent of L*/L, read
+        # off the kept inverse; the zero map is trivial on L*/L only for a
+        # unimodular lattice, so elsewhere the search reports its cap
+        rng = random.Random(suite_seed + 23)
+        seen = 0
+        while seen < 40:
+            n = rng.randint(1, 4)
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    g[i][j] = g[j][i] = rng.randint(-3, 3)
+            if not 1 < abs(sympy_det(g)) <= 40:
+                continue
+            seen += 1
+            lat = GramLattice.from_rows(g)
+            zero = LatticeIsometry(lat, linalg.freeze([[0] * n] * n))
+            factors = sympy_invariant_factors(g)
+            disc = discriminant_group(lat)
+            cap = disc.order * max(disc.invariant_factors, default=1)
+            assert cap == prod(factors) * max(factors)
+            with pytest.raises(BoundExceededError, match=f"no power up to {cap} "):
+                extension_order(zero, lat)
 
 
 def fraction_extension(phi_power, l_emb, tbar_emb):
@@ -648,7 +662,7 @@ class TestFullPipeline:
         assert all(c.passed for c in report.checks)
 
     def test_non_isometry_fails_phi_check_with_witness(self, monkeypatch):
-        def doubling(i, l_lat, context=None):
+        def doubling(i, l_lat):
             return verify_isometry(
                 linalg.mat_scale(linalg.identity(l_lat.rank), 2), l_lat)
 
@@ -664,12 +678,12 @@ class TestFullPipeline:
 
     def test_shared_inverses_are_computed_once(self, monkeypatch):
         # the unimodular inverse in _radical_split (19 rows) and, with the
-        # extension stage, the 18 x 18 block Q, from which every inverse of
-        # the run is read; per-generator work would show up as 18 or more
-        # calls. One discriminant group, of L, serves the report and the
-        # order search. One signature each of N, Nbar, L, Tbar and the
-        # definite quotient of N (represents reuses that of N), and with the
-        # extension stage Tbar again in period_point.
+        # extension stage, the Gram matrix of L, which keeps its inverse for
+        # every generator; per-generator work would show up as 18 or more
+        # calls. One discriminant group, of L, serves the report. One
+        # signature each of N, Nbar, L, Tbar and the definite quotient of N
+        # (represents reuses that of N), and with the extension stage Tbar
+        # again in period_point.
         calls = Counter()
         inverted = []
 
@@ -691,7 +705,7 @@ class TestFullPipeline:
         monkeypatch.setattr(lattice_module, "discriminant_group", disc)
         monkeypatch.setattr(k3_module, "discriminant_group", disc)
         for skip_extension, inverses, signatures in (
-                (True, [19], 5), (False, [19, 18], 6)):
+                (True, [19], 5), (False, [19, 20], 6)):
             calls.clear()
             inverted.clear()
             assert run_k3(DEFAULT_PRIMES, skip_extension).all_passed
@@ -699,9 +713,11 @@ class TestFullPipeline:
             assert calls["discriminant_group"] == 1
             assert 0 < calls["signature"] <= signatures
 
-    def test_full_run_inverts_neither_l_nor_l_plus_tbar(self, monkeypatch):
-        # G_L (20 rows) and [L; Tbar] (22 rows) are never inverted: adj G_L
-        # is read off Q, and the extensions go through the projection
+    def test_each_run_inverts_l_once_and_never_l_plus_tbar(self, monkeypatch):
+        # G_L (20 rows) is inverted once per run, by the lattice object of
+        # that run, and [L; Tbar] (22 rows) never: the extensions go through
+        # the projection that the embedding of L keeps. Two runs in a row
+        # each pay for their own inverse, so nothing outlives a run.
         shapes, discs = [], []
         integral_inverse = linalg.integral_inverse
 
@@ -715,10 +731,21 @@ class TestFullPipeline:
 
         monkeypatch.setattr(linalg, "integral_inverse", counted_inverse)
         monkeypatch.setattr(k3_module, "discriminant_group", counted_disc)
-        report = run_k3(DEFAULT_PRIMES)
-        assert report.all_passed and report.group_rank == 18
-        assert not {20, 22} & set(shapes)
-        assert discs == [20]
+        for _ in range(2):
+            shapes.clear()
+            discs.clear()
+            report = run_k3(DEFAULT_PRIMES)
+            assert report.all_passed and report.group_rank == 18
+            assert shapes.count(20) == 1
+            assert 22 not in shapes
+            assert discs == [20]
+
+    def test_extension_stage_has_no_run_context(self):
+        # run_k3 calls the public functions as every caller does; what they
+        # share lives on the lattice and embedding objects
+        for f in (build_phi, extension_order, extend_to_lambda):
+            assert "context" not in inspect.signature(f).parameters
+        assert not {"_RunContext", "_block_inverse", "_projection"} & set(vars(k3_module))
 
     def test_structural_stage_runs_small_smith_forms(self, monkeypatch):
         # Smith runs: the kernels behind T (3 x 22) and Tbar (2 x 3), the
@@ -764,16 +791,19 @@ class TestFullPipeline:
         assert args == []
 
     def test_induced_grams_are_computed_once(self, monkeypatch):
-        # N, Nbar, L, Tbar and the quotient of N, and with the extension
-        # stage T; L and Tbar are reused from the structural checks
+        # one Gram product per basis: N, Nbar, L, Tbar and the quotient of
+        # N, and with the extension stage T; every later induced_gram() of
+        # an embedding returns the lattice it keeps
         calls = Counter()
-        induced_gram = lattice_module.SublatticeEmbedding.induced_gram
+        kept = lattice_module.SublatticeEmbedding.__dict__["_gram"]
 
         def counted(emb):
             calls[emb.basis] += 1
-            return induced_gram(emb)
+            return kept.func(emb)
 
-        monkeypatch.setattr(lattice_module.SublatticeEmbedding, "induced_gram", counted)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(lattice_module.SublatticeEmbedding, "_gram")
+        monkeypatch.setattr(lattice_module.SublatticeEmbedding, "_gram", prop)
         for skip_extension, grams in ((True, 5), (False, 6)):
             calls.clear()
             assert run_k3(DEFAULT_PRIMES, skip_extension).all_passed

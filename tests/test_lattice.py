@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from salemlat import linalg
-from salemlat.k3 import DEFAULT_PRIMES, build_sublattices
+from salemlat.k3 import DEFAULT_PRIMES, build_sublattices, k3_lattice
 from salemlat.lattice import (
     DegenerateLatticeError,
     GramLattice,
@@ -36,14 +36,17 @@ from salemlat.lattice import (
 )
 
 from oracles import (
+    dense_mat_mul,
     descartes_signature,
     fraction_definiteness_witness,
     fraction_vectors_of_norm,
     naive_vectors_of_norm,
     signature_with_basis,
+    sympy_adjugate,
     sympy_det,
     sympy_invariant_factors,
     sympy_rank,
+    sympy_solve,
 )
 from test_k3 import SMALL_PRIME_SELECTION
 
@@ -177,6 +180,76 @@ class TestCongruenceBareiss:
             det = sympy_det(lat.gram) if lat.rank else 1
             assert lat.determinant() == det
             degenerate += det == 0
+        assert degenerate > 0
+
+
+def dense(rows: linalg.SparseRows, ncols: int) -> list[list[int]]:
+    out = [[0] * ncols for _ in rows]
+    for row, entries in zip(out, rows):
+        for j, x in entries:
+            row[j] = x
+    return out
+
+
+class TestKeptInverseAndProjection:
+    def test_inverse_against_sympy(self, suite_seed):
+        # one Bareiss inverse per lattice object, (adj G by its nonzero
+        # entries, det G); sympy's adjugate is too slow past rank 5, where
+        # G adj G = det G I pins adj G down instead
+        degenerate = 0
+        for lat in [*congruence_inputs(suite_seed + 17), *k3_inputs(), k3_lattice()]:
+            n = lat.rank
+            if n and sympy_det(lat.gram) == 0:
+                degenerate += 1
+                with pytest.raises(ValueError, match="singular"):
+                    lat._inverse
+                continue
+            adj, det = lat._inverse
+            assert lat._inverse is lat._inverse
+            assert det == (sympy_det(lat.gram) if n else 1)
+            adj = dense(adj, n)
+            if 0 < n <= 5:
+                assert adj == [list(row) for row in sympy_adjugate(lat.gram)]
+            assert dense_mat_mul(lat.gram, adj) == tuple(
+                tuple(det * (i == j) for j in range(n)) for i in range(n))
+        assert degenerate > 0
+
+    def test_projection_solves_the_normal_equations(self, suite_seed):
+        # P x / det G_S is the exact solution c of G_S c = B G x, so P
+        # vanishes on S^perp; the Gram lattice of S is made once
+        rng = random.Random(suite_seed + 19)
+        subs = build_sublattices(DEFAULT_PRIMES)
+        ambient = subs.ambient
+        cases = [(subs.l, subs.tbar), (subs.tbar, subs.l), (subs.nbar, subs.t)]
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            amb = GramLattice.from_rows(seeded_symmetric(rng, n, "general"))
+            k = rng.randint(1, n)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            if sympy_rank(rows) == k:
+                cases.append((SublatticeEmbedding.from_rows(amb, rows), None))
+        degenerate = 0
+        for emb, perp in cases:
+            amb, basis = emb.ambient, emb.basis
+            gram = emb.induced_gram()
+            assert gram is emb.induced_gram()
+            bg = dense_mat_mul(basis, amb.gram)
+            assert gram.gram == dense_mat_mul(bg, linalg.transpose(basis))
+            if sympy_det(gram.gram) == 0:
+                degenerate += 1
+                with pytest.raises(ValueError, match="singular"):
+                    emb._projection
+                continue
+            p = dense(emb._projection, amb.rank)
+            det = gram._inverse[1]
+            for _ in range(5):
+                x = [rng.randint(-9, 9) for _ in range(amb.rank)]
+                c = [Fraction(sum(a * b for a, b in zip(row, x)), det) for row in p]
+                assert c == sympy_solve(gram.gram, [sum(a * b for a, b in zip(row, x))
+                                                    for row in bg])
+            if perp is not None:
+                assert not any(any(row) for row in dense_mat_mul(
+                    p, linalg.transpose(perp.basis)))
         assert degenerate > 0
 
 
