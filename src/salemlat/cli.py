@@ -15,7 +15,7 @@ import sys
 
 from . import __version__, serialize
 from .intpoly import poly_from_string
-from .isometry import char_poly, classify_isometry, order, verify_isometry
+from .isometry import FiniteOrder, char_poly, classify_isometry, verify_isometry
 from .isometry import GramViolationError, DeterminantError
 from .k3 import DEFAULT_PRIMES, PrimeSelection, run_k3
 from .lattice import (
@@ -126,7 +126,7 @@ def _cmd_isom_classify(args) -> tuple[dict, list[dict]]:
         return ({"error": str(exc)},
                 [{"name": "determinant_unit", "pass": False}])
     cls = classify_isometry(g)
-    k = order(g)
+    k = cls.order if isinstance(cls, FiniteOrder) else None
     result = {
         "char_poly": serialize.poly_to_json(char_poly(g)),
         "determinant": g.determinant(),

@@ -18,13 +18,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import lcm
 
 from . import linalg
 from .intpoly import (
     IntPolynomial,
     SturmContext,
-    _factorize,
     cauchy_root_bound,
     count_real_roots,
     gcd_poly,
@@ -39,7 +38,7 @@ from .intpoly import (
 from .lattice import GramLattice, SublatticeEmbedding
 from .linalg import IntMatrix, IntVector, SparseRows, _nonzero_entries, _sparse_mul
 from .rational import RationalInterval, interval_max
-from .salem import SalemCertificate, _bisect_enclosure, classify_salem
+from .salem import SalemCertificate, _bisect_enclosure, _require_positive, classify_salem
 
 DEFAULT_SEED = 1729
 
@@ -163,27 +162,25 @@ def char_poly(g: LatticeIsometry) -> IntPolynomial:
     return IntPolynomial.from_coeffs(linalg.charpoly_coeffs(g.matrix))
 
 
+def _finite_order(g: LatticeIsometry, cyclo) -> int | None:
+    """order(g) from the cyclotomic split `cyclo` of an all-cyclotomic
+    characteristic polynomial: one matrix power at the lcm."""
+    k = lcm(*[n for n, _ in cyclo])
+    return k if linalg.mat_pow(g.matrix, k) == linalg.identity(g.rank) else None
+
+
 def order(g: LatticeIsometry) -> int | None:
     """Exact multiplicative order; None for infinite order.
 
     A non-cyclotomic factor of the characteristic polynomial forces
-    infinite order. Otherwise the only candidate is the lcm of the
-    cyclotomic orders present, verified by an actual matrix power; a
-    failure there exposes a non-semisimple (unipotent-type) isometry,
-    which also has infinite order.
+    infinite order. Otherwise each Phi_n dividing it gives an eigenvalue of
+    exact order n, so every n present divides any finite order of g, and
+    their lcm L is the only candidate: ord(g) = L as soon as g^L = I, and
+    one matrix power decides. g^L != I exposes a non-semisimple
+    (unipotent-type) isometry, which has infinite order.
     """
-    phi = char_poly(g)
-    remainder, cyclo = strip_cyclotomic_factors(phi)
-    if remainder.degree > 0:
-        return None
-    candidate = lcm(*[n for n, _ in cyclo]) if cyclo else 1
-    if linalg.mat_pow(g.matrix, candidate) != linalg.identity(g.rank):
-        return None
-    k = candidate
-    for p in _factorize(candidate):
-        while k % p == 0 and linalg.mat_pow(g.matrix, k // p) == linalg.identity(g.rank):
-            k //= p
-    return k
+    remainder, cyclo = strip_cyclotomic_factors(char_poly(g))
+    return _finite_order(g, cyclo) if remainder.degree == 0 else None
 
 
 @dataclass(frozen=True)
@@ -213,12 +210,14 @@ def classify_isometry(g: LatticeIsometry) -> IsometryClassification:
 
     FiniteOrder when it is a product of cyclotomics, SalemType when it is
     itself a Salem polynomial, MixedSpectrum otherwise together with the
-    irreducible factors (repeated according to multiplicity).
+    irreducible factors (repeated according to multiplicity, sorted by
+    degree and coefficients). The order of a FiniteOrder comes from the
+    same cyclotomic split, with one matrix power.
     """
     phi = char_poly(g)
     remainder, cyclo = strip_cyclotomic_factors(phi)
     if remainder.degree == 0:
-        return FiniteOrder(order=order(g))
+        return FiniteOrder(order=_finite_order(g, cyclo))
     if not cyclo:
         cert = classify_salem(phi) if phi.degree >= 2 else None
         if isinstance(cert, SalemCertificate):
@@ -229,7 +228,6 @@ def classify_isometry(g: LatticeIsometry) -> IsometryClassification:
     factors: list[IntPolynomial] = []
     for f, mult in monic_irreducible_factors(phi):
         factors.extend([f] * mult)
-    factors.sort(key=lambda f: (f.degree, f.coeffs))
     return MixedSpectrum(factors=tuple(factors))
 
 
@@ -241,12 +239,8 @@ def is_primary_charpoly(g: LatticeIsometry) -> bool:
         return len(cyclo) == 1
     if cyclo:
         return False  # a cyclotomic factor and a non-cyclotomic one coexist
-    base = squarefree_part(phi)
-    if phi.degree % base.degree != 0:
-        return False
-    if phi != prod([base] * (phi.degree // base.degree), start=IntPolynomial.one()):
-        return False
-    return is_irreducible_over_integers(base)
+    parts = squarefree_decomposition(phi)
+    return len(parts) == 1 and is_irreducible_over_integers(parts[0][0])
 
 
 def has_simple_spectrum(g: LatticeIsometry) -> bool:
@@ -310,6 +304,7 @@ def entropy(g: LatticeIsometry,
     is the largest absolute value of a real eigenvalue; a spectrum whose
     radius is attained only at non-real eigenvalues is refused.
     """
+    _require_positive(precision)
     phi = char_poly(g)
     remainder, _ = strip_cyclotomic_factors(phi)
     if remainder.degree == 0:

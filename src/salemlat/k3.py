@@ -43,7 +43,6 @@ from .lattice import (
     class_of_signature,
     definiteness_witness,
     direct_sum,
-    discriminant_group,
     e8_minus_one,
     hyperbolic_plane,
     index_of_sum,
@@ -629,7 +628,10 @@ class K3ConstructionReport:
 
 def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
            skip_extension: bool = False) -> K3ConstructionReport:
-    """Build, verify, and certify the whole construction for one selection."""
+    """Build, verify, and certify the whole construction for one selection.
+
+    disc_order = |L*/L| = |det G_L|, the last pivot of signature(L)'s
+    congruence run; L is nondegenerate whenever the structural checks pass."""
     subs = build_sublattices(primes)
     checks = _structural_checks(subs)
     l_lat, tbar_lat = subs.l.induced_gram(), subs.tbar.induced_gram()
@@ -641,7 +643,7 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
         stacked = linalg.row_stack(subs.n.basis, subs.t.basis)
         report = replace(
             report,
-            disc_order=discriminant_group(l_lat).order,
+            disc_order=abs(l_lat.determinant()),
             sum_index_l_tbar=index_of_sum(subs.l, subs.tbar),
             n_plus_t_corank=subs.ambient.rank - linalg.rational_rank(stacked),
             tbar_gram=tbar_gram,

@@ -29,14 +29,8 @@ class RationalInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
-
-
-ZERO_INTERVAL = RationalInterval(Fraction(0), Fraction(0))
 
 
 def interval_mul(a: RationalInterval, b: RationalInterval) -> RationalInterval:

@@ -70,6 +70,11 @@ class UndecidableComparisonError(ValueError):
     """Interval refinement hit its budget without deciding a comparison."""
 
 
+def _require_positive(precision: Fraction) -> None:
+    if precision <= 0:  # a bisection down to zero width never stops
+        raise ValueError(f"precision must be positive; got {precision}")
+
+
 def _bisect_enclosure(p: IntPolynomial, lo: Fraction, hi: Fraction,
                       precision: Fraction,
                       sturm: SturmContext | None = None) -> RationalInterval:
@@ -112,6 +117,7 @@ def salem_enclosure(p: IntPolynomial, precision: Fraction) -> RationalInterval:
     only real roots are alpha and 1/alpha, so plain sign bisection on
     [1, B] converges to alpha.
     """
+    _require_positive(precision)
     lo = Fraction(1)
     hi = cauchy_root_bound(p)
     if not (p.sign_at(lo) < 0 < p.sign_at(hi)):
@@ -139,6 +145,7 @@ def classify_salem(p: IntPolynomial,
     """
     if not p.is_monic or p.degree < 2:
         raise ValueError("monic polynomial of degree >= 2 required")
+    _require_positive(precision)
     if not is_reciprocal(p):
         return SalemRejection(RejectionReason.NOT_RECIPROCAL,
                               "coefficient list is not palindromic")
@@ -183,7 +190,8 @@ def enumerate_salem(degree: int, trace_min: int, trace_max: int,
     and elementary symmetric functions of roots bounded by R are bounded by
     binomial sums. Candidates failing the necessary sign test p(1) < 0 <
     p(-1) are skipped unclassified. Output is duplicate-free and sorted
-    lexicographically on the ascending coefficient tuple.
+    lexicographically on the ascending coefficient tuple, the order in
+    which the box is walked: the free coefficients lead that tuple.
     """
     if degree % 2 != 0:
         raise OddDegreeError(
@@ -193,6 +201,7 @@ def enumerate_salem(degree: int, trace_min: int, trace_max: int,
             f"degree must lie in [2, {ENUMERATION_DEGREE_BOUND}]")
     if trace_min > trace_max:
         raise ValueError("empty trace window")
+    _require_positive(precision)
     n = degree
     half = n // 2
     big = max(Fraction(2), Fraction(trace_max + (n - 2)))
@@ -226,9 +235,7 @@ def enumerate_salem(degree: int, trace_min: int, trace_max: int,
             continue
         result = classify_salem(p, precision)
         if isinstance(result, SalemCertificate):
-            if trace_min <= result.trace <= trace_max:
-                found.append(result)
-    found.sort(key=lambda c: c.polynomial.coeffs)
+            found.append(result)
     return found
 
 

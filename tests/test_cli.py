@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,21 @@ class TestExitCodes:
         assert code == EXIT_INTERNAL == 4
         assert out == ""
         assert "internal error: period identity" in err
+
+    @pytest.mark.parametrize("flag", [("--precision", "0"), ("--precision=-1/10",)])
+    def test_non_positive_precision_is_two(self, flag):
+        # in a child process with a timeout, so that a bisection that never
+        # stops fails the test instead of hanging the suite
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "salemlat.cli", "salem-test", "--poly", "1,-3,1", *flag],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: precision must be positive")
+        assert "Traceback" not in proc.stderr
 
     def test_malformed_json_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,10 +3,12 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 from salemlat import isometry as isometry_module
 from salemlat import linalg
@@ -157,15 +159,49 @@ class TestOrder:
         assert order(g) is None
 
     def test_finite_order_power_check(self, suite_seed):
-        rng = random.Random(suite_seed)
-        for g in random_isometries(direct_sum(U, diagonal_lattice([-2])), 40,
-                                   rng.randrange(2**30)):
+        # order() checks only g^L = I at the lcm L of the cyclotomic orders;
+        # minimality comes from the eigenvalues, and this checks it: no
+        # g^(k/p) is the identity, for any prime p dividing k
+        finite = 0
+        corpus = ps._corpus(ps.HYPERBOLIC_LATTICES + ps.TWO_POSITIVE_LATTICES, 180, suite_seed)
+        for g in corpus + [g.power(3) for g in corpus]:
             k = order(g)
             if k is not None:
+                finite += 1
                 assert g.power(k).is_identity()
-                for p in (2, 3, 5, 7):
-                    if k % p == 0:
-                        assert not g.power(k // p).is_identity()
+                for p in sympy.primefactors(k):
+                    assert not g.power(k // p).is_identity(), (g.matrix, k, p)
+        assert finite >= 20
+
+    def test_one_power_and_one_charpoly(self, monkeypatch):
+        # order() makes one matrix power, at the lcm, and no search below
+        # it; classify_isometry reads a finite order off its own cyclotomic
+        # split and never calls order()
+        calls = Counter()
+
+        def counted(name):
+            f = getattr(linalg, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        for name in ("mat_pow", "charpoly_coeffs"):
+            monkeypatch.setattr(linalg, name, counted(name))
+        monkeypatch.setattr(isometry_module, "order",
+                            lambda g: pytest.fail("classify_isometry called order()"))
+        unipotent = verify_isometry([[1, 1, -2], [0, 1, 0], [0, -1, 1]],
+                                    GramLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -2]]))
+        for g, k in ((verify_isometry([[-1, -1], [1, 0]], A2), 3),
+                     (verify_isometry([[-1, 0], [0, -1]], U), 2),
+                     (identity_isometry(U), 1), (unipotent, None)):
+            calls.clear()
+            assert order(g) == k
+            assert calls == {"mat_pow": 1, "charpoly_coeffs": 1}
+            calls.clear()
+            assert classify_isometry(g) == FiniteOrder(order=k)
+            assert calls == {"mat_pow": 1, "charpoly_coeffs": 1}
 
 
 class TestClassification:
@@ -210,6 +246,12 @@ class TestEntropy:
                             GramLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -2]]))
         iv = entropy(g)
         assert iv.lo == 0 and iv.hi == 0
+
+    @pytest.mark.parametrize("precision", [Fraction(0), Fraction(-1, 10)])
+    def test_non_positive_precision_is_refused(self, precision):
+        for g in (pell(), identity_isometry(U)):
+            with pytest.raises(ValueError, match="precision must be positive"):
+                entropy(g, precision)
 
     def test_pell_log(self):
         iv = entropy(pell(), Fraction(1, 10**6))

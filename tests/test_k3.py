@@ -598,6 +598,20 @@ class TestFullPipeline:
     def test_disc_order_equals_sum_index(self, full_report):
         assert full_report.sum_index_l_tbar == full_report.disc_order
 
+    def test_disc_order_is_the_discriminant_group_order(self, suite_seed):
+        # |det G_L| against the Smith diagonal of L*/L, on scan-style
+        # selections; a selection failing its structural checks reports none
+        passed = 0
+        for primes in (DEFAULT_PRIMES, *scan_selections(suite_seed + 41, 16)):
+            report = run_k3(primes, skip_extension=True)
+            if not report.all_passed:
+                assert report.disc_order is None
+                continue
+            passed += 1
+            l_lat = build_sublattices(primes).l.induced_gram()
+            assert report.disc_order == discriminant_group(l_lat).order
+        assert passed >= 5
+
     def test_n_plus_t_corank_one(self, full_report):
         assert full_report.n_plus_t_corank == 1
 
@@ -680,8 +694,8 @@ class TestFullPipeline:
         # the unimodular inverse in _radical_split (19 rows) and, with the
         # extension stage, the Gram matrix of L, which keeps its inverse for
         # every generator; per-generator work would show up as 18 or more
-        # calls. One discriminant group, of L, serves the report. One
-        # signature each of N, Nbar, L, Tbar and the definite quotient of N
+        # calls. No discriminant group: the report reads |L*/L| off det G_L.
+        # One signature each of N, Nbar, L, Tbar and the definite quotient of N
         # (represents reuses that of N), and with the extension stage Tbar
         # again in period_point.
         calls = Counter()
@@ -698,26 +712,32 @@ class TestFullPipeline:
             return integral_inverse(a)
 
         integral_inverse = linalg.integral_inverse
+        # the ambient lattice is made once per process and keeps its
+        # congruence run (det G of the extensions' verify_isometry), so
+        # whether an earlier test made it does not change the counts
+        k3_lattice().determinant()
         monkeypatch.setattr(linalg, "integral_inverse", counted_inverse)
         monkeypatch.setattr(lattice_module, "_congruence_bareiss",
                             counted("signature", lattice_module._congruence_bareiss))
         disc = counted("discriminant_group", discriminant_group)
         monkeypatch.setattr(lattice_module, "discriminant_group", disc)
-        monkeypatch.setattr(k3_module, "discriminant_group", disc)
+        # k3 binds no such name; a re-import would be counted too
+        monkeypatch.setattr(k3_module, "discriminant_group", disc, raising=False)
         for skip_extension, inverses, signatures in (
                 (True, [19], 5), (False, [19, 20], 6)):
             calls.clear()
             inverted.clear()
             assert run_k3(DEFAULT_PRIMES, skip_extension).all_passed
             assert inverted == inverses
-            assert calls["discriminant_group"] == 1
+            assert calls["discriminant_group"] == 0
             assert 0 < calls["signature"] <= signatures
 
     def test_each_run_inverts_l_once_and_never_l_plus_tbar(self, monkeypatch):
         # G_L (20 rows) is inverted once per run, by the lattice object of
         # that run, and [L; Tbar] (22 rows) never: the extensions go through
         # the projection that the embedding of L keeps. Two runs in a row
-        # each pay for their own inverse, so nothing outlives a run.
+        # each pay for their own inverse, so nothing outlives a run. No run
+        # builds a discriminant group.
         shapes, discs = [], []
         integral_inverse = linalg.integral_inverse
 
@@ -730,7 +750,8 @@ class TestFullPipeline:
             return discriminant_group(lat)
 
         monkeypatch.setattr(linalg, "integral_inverse", counted_inverse)
-        monkeypatch.setattr(k3_module, "discriminant_group", counted_disc)
+        monkeypatch.setattr(lattice_module, "discriminant_group", counted_disc)
+        monkeypatch.setattr(k3_module, "discriminant_group", counted_disc, raising=False)
         for _ in range(2):
             shapes.clear()
             discs.clear()
@@ -738,7 +759,7 @@ class TestFullPipeline:
             assert report.all_passed and report.group_rank == 18
             assert shapes.count(20) == 1
             assert 22 not in shapes
-            assert discs == [20]
+            assert discs == []
 
     def test_extension_stage_has_no_run_context(self):
         # run_k3 calls the public functions as every caller does; what they
@@ -748,11 +769,11 @@ class TestFullPipeline:
         assert not {"_RunContext", "_block_inverse", "_projection"} & set(vars(k3_module))
 
     def test_structural_stage_runs_small_smith_forms(self, monkeypatch):
-        # Smith runs: the kernels behind T (3 x 22) and Tbar (2 x 3), the
-        # basis completion of N's radical (1 x 19) and the discriminant
-        # group of L (20 x 20). Primitivity and the index of L + Tbar read
-        # HNFs, and every basis the stage builds has private columns, so the
-        # only rational rank is that of N + T
+        # Smith runs: the kernels behind T (3 x 22) and Tbar (2 x 3) and the
+        # basis completion of N's radical (1 x 19); |L*/L| is det G_L, so no
+        # 20 x 20 run. Primitivity and the index of L + Tbar read HNFs, and
+        # every basis the stage builds has private columns, so the only
+        # rational rank is that of N + T
         shapes, ranks = [], []
         smith, rational_rank = linalg._smith, linalg.rational_rank
 
@@ -767,8 +788,8 @@ class TestFullPipeline:
         monkeypatch.setattr(linalg, "_smith", counted_smith)
         monkeypatch.setattr(linalg, "rational_rank", counted_rank)
         assert run_k3(DEFAULT_PRIMES, skip_extension=True).all_passed
-        assert len(shapes) <= 4
-        assert [s for s in shapes if s[0] > 3] == [(20, 20)]
+        assert len(shapes) <= 3
+        assert set(shapes) <= {(3, 22), (2, 3), (1, 19)}
         assert len(ranks) <= 1
 
     def test_isometries_are_verified_without_their_determinants(self, monkeypatch):

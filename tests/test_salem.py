@@ -290,6 +290,19 @@ class TestPowerProducts:
             bounded_power_products(alpha, alpha, Fraction(2), near, (0, 0))
 
 
+class TestPrecision:
+    @pytest.mark.parametrize("precision", [Fraction(0), Fraction(-1, 10)])
+    def test_non_positive_precision_is_refused(self, precision):
+        # a bisection down to a width below zero would never stop; the
+        # rejected x^2 + x + 1 shows the check comes before any other work
+        for call in (lambda: salem_enclosure(P([1, -3, 1]), precision),
+                     lambda: classify_salem(P([1, -3, 1]), precision),
+                     lambda: classify_salem(P([1, 1, 1]), precision),
+                     lambda: enumerate_salem(4, 1, 1, precision)):
+            with pytest.raises(ValueError, match="precision must be positive"):
+                call()
+
+
 class TestOneBisection:
     """The dyadic integer kernel against the Fraction bisections it replaced."""
 
