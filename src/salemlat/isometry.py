@@ -37,7 +37,7 @@ from .intpoly import (
 )
 from .lattice import GramLattice, SublatticeEmbedding
 from .linalg import IntMatrix, IntVector, SparseRows, _nonzero_entries, _sparse_mul
-from .rational import RationalInterval, interval_max
+from .rational import RationalInterval, _log_nearest
 from .salem import SalemCertificate, _bisect_enclosure, _require_positive, classify_salem
 
 DEFAULT_SEED = 1729
@@ -262,36 +262,6 @@ def _largest_real_root_above_one(p: IntPolynomial, precision: Fraction) -> Ratio
     return _bisect_enclosure(-q if q.leading < 0 else q, Fraction(1), hi, precision, sturm)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    import mpmath
-
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(man) * Fraction(2) ** exp
-    return -val if sign else val
-
-
-def _log_interval(x: RationalInterval, precision: Fraction) -> RationalInterval:
-    """Outward-rounded rational enclosure of log on a positive interval.
-
-    mpmath is imported here, at the first log, so that importing salemlat
-    and every operation that takes no log skip its start-up time and memory.
-    """
-    import mpmath
-
-    bits = max(64, int(precision.denominator.bit_length()) + 32)
-    saved = mpmath.iv.prec
-    try:
-        mpmath.iv.prec = bits
-        iv = mpmath.iv.mpf
-        lo = mpmath.iv.log(iv(x.lo.numerator) / iv(x.lo.denominator))
-        hi = mpmath.iv.log(iv(x.hi.numerator) / iv(x.hi.denominator))
-        return RationalInterval(_mpf_to_fraction(lo.a), _mpf_to_fraction(hi.b))
-    finally:
-        mpmath.iv.prec = saved
-
-
 DEFAULT_ENTROPY_PRECISION = Fraction(1, 10**6)
 
 
@@ -303,6 +273,12 @@ def entropy(g: LatticeIsometry,
     1 even for infinite-order unipotent isometries). Otherwise the radius
     is the largest absolute value of a real eigenvalue; a spectrum whose
     radius is attained only at non-real eigenvalues is refused.
+
+    The log y of each end of the radius enclosure is rounded to nearest at
+    b = max(53, bits of the precision's denominator + 32) bits. It is off
+    by at most half an ulp, |y| 2^-b <= |y| 2^-32 precision, so the pad of
+    precision/8 covers it whenever |y| < 2^29, that is for every radius
+    below e^(2^29).
     """
     _require_positive(precision)
     phi = char_poly(g)
@@ -316,6 +292,7 @@ def entropy(g: LatticeIsometry,
         if count_real_roots(t) != t.degree:
             raise UnsupportedSpectrumError(
                 "spectral radius attained at non-real eigenvalues")
+    bits = max(53, precision.denominator.bit_length() + 32)
     root_precision = precision / 4
     while True:
         candidates = []
@@ -325,13 +302,11 @@ def entropy(g: LatticeIsometry,
                 candidates.append(enclosure)
         if not candidates:
             raise ArithmeticError("off-circle spectrum must have a real root beyond 1")
-        radius = candidates[0]
-        for other in candidates[1:]:
-            radius = interval_max(radius, other)
-        result = _log_interval(radius, precision)
+        radius = RationalInterval(max(c.lo for c in candidates), max(c.hi for c in candidates))
+        result = RationalInterval(_log_nearest(radius.lo, bits), _log_nearest(radius.hi, bits))
         if result.width <= precision / 2:
-            # pad outward so the true value keeps a precision/8 margin
-            # from both endpoints; the width stays below the request
+            # pad outward by precision/8, which covers the half ulp of
+            # each rounded end; the width stays below the request
             pad = precision / 8
             return RationalInterval(result.lo - pad, result.hi + pad)
         root_precision /= 16

@@ -12,10 +12,11 @@ finding. isometry.entropy runs the same kernel behind a Sturm phase.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, floor, lcm, log
+from math import comb, floor, lcm
 
 from .intpoly import (
     DegreeBoundError,
@@ -29,7 +30,7 @@ from .intpoly import (
     strip_cyclotomic_factors,
     trace_polynomial,
 )
-from .rational import RationalInterval, interval_mul, interval_pow
+from .rational import RationalInterval
 
 ENUMERATION_DEGREE_BOUND = 12
 
@@ -242,72 +243,60 @@ def enumerate_salem(degree: int, trace_min: int, trace_max: int,
 REFINEMENT_BUDGET = 60
 
 
-def _log(x: Fraction) -> float:
-    """log x for a positive rational, from the logs of its integer parts, so
-    that no float conversion overflows however large x is."""
-    x = Fraction(x)
-    return log(x.numerator) - log(x.denominator)
-
-
-def _decide_inside(value: RationalInterval, c1: Fraction, c2: Fraction) -> bool | None:
-    if value.lo > c1 and value.hi < c2:
-        return True
-    if value.hi <= c1 or value.lo >= c2:
-        return False
-    return None
-
-
 def bounded_power_products(alpha: SalemCertificate, beta: SalemCertificate,
                            c1: Fraction, c2: Fraction,
                            n_range: tuple[int, int]
                            ) -> list[tuple[int, int, RationalInterval]]:
     """All (n, m) with alpha^n * beta^m certified inside (c1, c2).
 
-    n runs over the inclusive range; for each n the admissible m form a
-    finite window because beta > 1. Comparisons are decided by interval
-    arithmetic on the certified enclosures, refined on demand; exhausting
-    the refinement budget means c1 or c2 coincides with a power product.
+    n runs over the inclusive range. For each n the product increases with
+    m because beta > 1, so the admissible m form one run: gallop from m = 0
+    and bisect to the first m not below c1, then walk up while inside.
+    Each place is decided by interval arithmetic on the certified
+    enclosures, refined on demand; exhausting the refinement budget means
+    c1 or c2 coincides with a power product.
     """
     if not 1 < c1 < c2:
         raise ValueError("need 1 < c1 < c2")
     n_lo, n_hi = n_range
     if n_lo > n_hi:
         raise ValueError("empty n range")
-    a_iv = alpha.salem_number_interval
-    b_iv = beta.salem_number_interval
+    held = [alpha.salem_number_interval, beta.salem_number_interval]
+
+    def place(n: int, m: int) -> tuple[int, RationalInterval]:
+        """-1, 0 or 1 as alpha^n beta^m lies below c1, inside or above c2."""
+        for _ in range(REFINEMENT_BUDGET):
+            # a power k of a positive interval [l, h] has the ends l^k and h^k
+            a, b = (sorted((iv.lo ** k, iv.hi ** k)) for iv, k in zip(held, (n, m)))
+            value = RationalInterval(a[0] * b[0], a[1] * b[1])
+            below, above = value.hi <= c1, value.lo >= c2
+            if below or above or c1 < value.lo and value.hi < c2:
+                return above - below, value
+            # continue from the held brackets, which a restart from [1, B] passes
+            held[:] = [_bisect_enclosure(c.polynomial, iv.lo, iv.hi, iv.width / 4)
+                       for c, iv in zip((alpha, beta), held)]
+        raise UndecidableComparisonError(
+            f"cannot separate alpha^{n} * beta^{m} from ({c1}, {c2}); "
+            "a bound may equal a power product")
+
     results: list[tuple[int, int, RationalInterval]] = []
-    log_a = _log(a_iv.midpoint)
-    log_b = _log(b_iv.midpoint)
     for n in range(n_lo, n_hi + 1):
-        m_start = floor((_log(c1) - n * log_a) / log_b) - 2
-        m_stop = floor((_log(c2) - n * log_a) / log_b) + 3
-        for m in range(m_start, m_stop):
-            verdict, value, a_iv, b_iv = _decide_power_product(
-                alpha, beta, a_iv, b_iv, n, m, c1, c2)
-            if verdict:
-                results.append((n, m, value))
-        # the float window can be off by a step; extend while still inside
-        for step, m in ((1, m_stop), (-1, m_start - 1)):
-            while True:
-                verdict, value, a_iv, b_iv = _decide_power_product(
-                    alpha, beta, a_iv, b_iv, n, m, c1, c2)
-                if not verdict:
-                    break
-                results.append((n, m, value))
-                m += step
-    results.sort()
+        placed: dict[int, tuple[int, RationalInterval]] = {}
+
+        def reached(m: int) -> bool:  # alpha^n beta^m is not below c1
+            placed[m] = place(n, m)
+            return placed[m][0] >= 0
+
+        # gallop from m = 0 in doubling steps; then lo is below c1, hi is not
+        step = -1 if reached(0) else 1
+        near, far = 0, step
+        while reached(far) == (step < 0):
+            near, far = far, 3 * far - 2 * near
+        lo, hi = sorted((near, far))
+        m = lo + 1 + bisect_left(range(lo + 1, hi), True, key=reached)
+        verdict, value = placed[m]
+        while verdict == 0:
+            results.append((n, m, value))
+            m += 1
+            verdict, value = place(n, m)
     return results
-
-
-def _decide_power_product(alpha, beta, a_iv, b_iv, n, m, c1, c2):
-    for _ in range(REFINEMENT_BUDGET):
-        value = interval_mul(interval_pow(a_iv, n), interval_pow(b_iv, m))
-        verdict = _decide_inside(value, c1, c2)
-        if verdict is not None:
-            return verdict, value, a_iv, b_iv
-        # continue from the held brackets, which a restart from [1, B] passes
-        a_iv = _bisect_enclosure(alpha.polynomial, a_iv.lo, a_iv.hi, a_iv.width / 4)
-        b_iv = _bisect_enclosure(beta.polynomial, b_iv.lo, b_iv.hi, b_iv.width / 4)
-    raise UndecidableComparisonError(
-        f"cannot separate alpha^{n} * beta^{m} from ({c1}, {c2}); "
-        "a bound may equal a power product")

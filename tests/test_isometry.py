@@ -3,10 +3,12 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 import sympy
 
@@ -267,25 +269,68 @@ class TestEntropy:
             mid = k * base.midpoint
             assert iv.lo <= mid <= iv.hi
 
-    def test_mpmath_is_imported_by_the_first_log(self):
-        # importing the package and the CLI leaves mpmath out; entropy
-        # imports it and gives the same enclosure as in this process
+    def test_entropy_loads_no_mpmath(self):
+        # the log is taken in integers: importing the package and the CLI
+        # and taking an entropy load no mpmath, and a fresh process gives
+        # the same enclosure as this one
         code = (
             "import sys\n"
             "import salemlat, salemlat.cli\n"
             "from salemlat.isometry import entropy, verify_isometry\n"
             "from salemlat.lattice import diagonal_lattice\n"
-            "before = 'mpmath' in sys.modules\n"
             "h = entropy(verify_isometry([[3, 4], [2, 3]], diagonal_lattice([2, -4])))\n"
-            "print(before, 'mpmath' in sys.modules, h.lo, h.hi)\n")
+            "print('mpmath' in sys.modules, h.lo, h.hi)\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout.split()
-        assert out[:2] == ["False", "True"]
+        assert out[0] == "False"
         iv = entropy(pell())
-        assert (Fraction(out[2]), Fraction(out[3])) == (iv.lo, iv.hi)
+        assert (Fraction(out[1]), Fraction(out[2])) == (iv.lo, iv.hi)
+
+    @pytest.mark.parametrize("prec", [20, 200])
+    def test_independent_of_the_mpmath_precision(self, prec, monkeypatch):
+        # no process-global working precision reaches the enclosure
+        before = entropy(pell())
+        monkeypatch.setattr(mpmath.mp, "prec", prec)
+        assert entropy(pell()) == before
+
+    def test_concurrent_calls_agree(self):
+        # nothing process-global is read or written: threads that switch
+        # every microsecond get the single-threaded enclosures
+        g = pell()
+        precisions = (Fraction(1, 10**6), Fraction(1, 10**40))
+        want = [entropy(g, p) for p in precisions]
+        got = []
+
+        def work():
+            got.append([[entropy(g, p) for p in precisions] for _ in range(300)])
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[want] * 300] * 4
+
+    @pytest.mark.parametrize("k", [16, 20, 40])
+    def test_fine_precision_contains_the_log(self, k):
+        # each end is rounded at the bits of the precision, not again at 53
+        precision = Fraction(1, 10**k)
+        iv = entropy(pell(), precision)
+        assert iv.width <= precision
+        with mpmath.workprec(400):
+            log = mpmath.log(3 + 2 * mpmath.sqrt(2))
+            lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
+            hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+            assert lo < log < hi
 
     def test_enclosures_match_the_fraction_bisection(self, suite_seed, monkeypatch):
         # entropy on the one dyadic kernel against the Fraction Sturm

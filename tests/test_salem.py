@@ -2,6 +2,7 @@ import hashlib
 import itertools
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from salemlat import intpoly
@@ -224,6 +225,28 @@ class TestTraceSignFilter:
             assert (-1) ** q.degree * q(-2) == cert.polynomial(-1)
 
 
+def pell_powers_inside(c1: int, c2: int, count: int) -> list[int]:
+    """The k in [0, count) with c1 < (3 + 2 sqrt 2)^k < c2, for integers
+    1 < c1 < c2, exactly: (3 + 2 sqrt 2)^k = x + y sqrt 2 with integers
+    x, y >= 0, and x + y sqrt 2 against c is decided by squaring. The last
+    power must lie above c2, so no k beyond count is missed."""
+    def above(x, y, c):
+        return c < x or 2 * y * y > (c - x) ** 2
+
+    def below(x, y, c):
+        return x < c and 2 * y * y < (c - x) ** 2
+
+    inside = []
+    x, y = 1, 0
+    for k in range(count):
+        if above(x, y, c1) and below(x, y, c2):
+            inside.append(k)
+        last = (x, y)
+        x, y = 3 * x + 4 * y, 2 * x + 3 * y
+    assert above(*last, c2)
+    return inside
+
+
 class TestPowerProducts:
     def setup_method(self):
         self.pell = classify_salem(P([1, -6, 1]))
@@ -254,29 +277,51 @@ class TestPowerProducts:
         assert covered == {-4, -3, -2, -1}
 
     def test_bounds_beyond_float_range(self):
-        # 10^400 overflows a float; the m window comes from integer logs.
-        # Oracle: (3 + 2 sqrt 2)^k = x + y sqrt 2 with integers x, y > 0, and
-        # x + y sqrt 2 against an integer c is decided by squaring.
+        # 10^400 overflows a float; the m window comes from exact tests
         c1, c2 = 10**400, 10**401
         res = bounded_power_products(self.pell, self.pell, Fraction(c1), Fraction(c2),
                                      (0, 1))
-
-        def above(x, y, c):
-            return c < x or 2 * y * y > (c - x) ** 2
-
-        def below(x, y, c):
-            return x < c and 2 * y * y < (c - x) ** 2
-
-        inside = []
-        x, y = 1, 0
-        for k in range(600):
-            if above(x, y, c1) and below(x, y, c2):
-                inside.append(k)
-            x, y = 3 * x + 4 * y, 2 * x + 3 * y
+        inside = pell_powers_inside(c1, c2, 600)
         assert inside
         assert [(n, m) for n, m, _ in res] == [(n, k - n) for n in (0, 1) for k in inside]
         for _, _, value in res:
             assert c1 < value.lo and value.hi < c2
+
+    def test_window_far_from_m_zero(self):
+        # alpha^1000 beta^m, traces 3 and 4, enclosures of width 1/10: a
+        # window of m read off float logs of the enclosure midpoints would be
+        # about 6.5 steps of log beta off at this n and find nothing
+        alpha = classify_salem(P([1, -3, 1]), Fraction(1, 10))
+        beta = classify_salem(P([1, -4, 1]), Fraction(1, 10))
+        res = bounded_power_products(alpha, beta, Fraction(2), Fraction(20), (1000, 1000))
+        with mpmath.workdps(200):
+            values = {m: ((3 + mpmath.sqrt(5)) / 2) ** 1000 * (2 + mpmath.sqrt(3)) ** m
+                      for m in range(-760, -700)}
+            # the ends lie outside the bounds, and no value comes within
+            # 10^-100 of one, so 200 digits decide every m
+            assert values[-760] < 2 and values[-701] > 20
+            margin = min(abs(v - c) for v in values.values() for c in (2, 20))
+            assert margin > mpmath.mpf(10) ** -100
+            assert [m for m, v in values.items() if 2 < v < 20] == [-730, -729]
+            assert [(n, m) for n, m, _ in res] == [(1000, -730), (1000, -729)]
+            for _, m, iv in res:
+                assert (mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= values[m]
+                        <= mpmath.mpf(iv.hi.numerator) / iv.hi.denominator)
+
+    @pytest.mark.parametrize("precision", [Fraction(1), Fraction(1, 2), Fraction(1, 4)])
+    def test_coarse_enclosures_at_large_n(self, precision):
+        # alpha = 3 + 2 sqrt 2 and beta = alpha^2, so alpha^n beta^m = alpha^(n + 2m),
+        # against the exact oracle on Z[sqrt 2]; at precision 1/2 a window of
+        # m read off float logs would miss every m at |n| near 10^3
+        alpha = classify_salem(P([1, -6, 1]), precision)
+        beta = classify_salem(P([1, -34, 1]), precision)
+        for c1, c2 in ((2, 40), (10, 10**4)):
+            inside = pell_powers_inside(c1, c2, 20)
+            for n_range in ((-1000, -996), (996, 1000)):
+                res = bounded_power_products(alpha, beta, Fraction(c1), Fraction(c2), n_range)
+                expected = [(n, (k - n) // 2) for n in range(n_range[0], n_range[1] + 1)
+                            for k in inside if (k - n) % 2 == 0]
+                assert [(n, m) for n, m, _ in res] == expected
 
     def test_boundary_too_close_exhausts_budget(self, monkeypatch):
         import salemlat.salem as salem_mod

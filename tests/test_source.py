@@ -42,6 +42,29 @@ def test_no_assertion_error_raised():
     assert found == []
 
 
+def test_no_floating_point():
+    # every comparison is decided in integers and rationals: no float, no
+    # log from math and no mpmath anywhere in the package
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                bad = any(a.name.split(".")[0] == "mpmath" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = (node.module or "").split(".")[0] == "mpmath" or (
+                    node.module == "math" and any(a.name.startswith("log") for a in node.names))
+            elif isinstance(node, ast.Attribute):
+                bad = (isinstance(node.value, ast.Name) and node.value.id == "math"
+                       and node.attr.startswith("log"))
+            else:
+                bad = (isinstance(node, ast.Name) and node.id in ("float", "mpmath")
+                       or isinstance(node, ast.Constant) and isinstance(node.value, float))
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert sorted(SOURCE.glob("*.py"))
+    assert found == []
+
+
 def test_congruence_core_builds_no_fraction():
     # the signature kernel stays in the integers
     tree = ast.parse((SOURCE / "lattice.py").read_text())
