@@ -6,10 +6,11 @@ kernel: Sturm chains and gcds are primitive pseudo-remainder sequences,
 scaled by positive integers only, so every sign of the rational Sturm
 sequence survives. Signs at a rational a/b come from homogeneous integer
 Horner evaluation. Roots of unity are recognised by trial division by
-cyclotomic polynomials, and irreducibility testing combines the
-rational-root test, factor-degree patterns modulo small primes and a
-Kronecker-style bounded search for monic factors, interpolated through
-one integral inverse of a Vandermonde matrix.
+cyclotomic polynomials. Factorization strips those once, then splits
+each squarefree part by a Kronecker-style bounded search for monic
+factors, interpolated through one integral inverse of a Vandermonde
+matrix, over the degrees that factor-degree patterns modulo small primes
+allow; the patterns run on the same pseudo-division, reduced mod p.
 """
 
 from __future__ import annotations
@@ -457,61 +458,25 @@ def trace_polynomial(p: IntPolynomial) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mod(coeffs: tuple[int, ...], p: int) -> list[int]:
+def _reduce_mod(coeffs, p: int) -> list[int]:
+    """The coefficients mod p in [0, p), trimmed."""
     cs = [c % p for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
 
 
-def _pm_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pm_divmod(a, m, p):
-    """Quotient and trimmed remainder of a by m over GF(p)."""
-    rem = a[:]
-    quot = [0] * max(len(a) - len(m) + 1, 0)
-    inv_lead = pow(m[-1], -1, p)
-    while len(rem) >= len(m):
-        c = (rem[-1] * inv_lead) % p
-        k = len(rem) - len(m)
-        quot[k] = c
-        for j in range(len(m) - 1):
-            rem[j + k] = (rem[j + k] - c * m[j]) % p
-        rem.pop()  # cancelled exactly
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return quot, rem
-
-
 def _pm_gcd(a, b, p):
+    """Monic gcd over GF(p) of reduced a and b, a monic.
+
+    Each divisor is made monic mod p first, so the integer pseudo-division
+    runs with m = 1 and its remainder, reduced mod p, is the GF(p) one.
+    """
     while b:
-        a, b = b, _pm_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _reduce_mod(_pseudo_divmod(a, b)[2], p)
     return a
-
-
-def _pm_powmod(base, e, m, p):
-    result = [1]
-    base = _pm_divmod(base, m, p)[1]
-    while e:
-        if e & 1:
-            result = _pm_divmod(_pm_mul(result, base, p), m, p)[1]
-        base = _pm_divmod(_pm_mul(base, base, p), m, p)[1]
-        e >>= 1
-    return result
 
 
 def _ddf_degrees(poly: IntPolynomial, p: int) -> list[int] | None:
@@ -519,34 +484,27 @@ def _ddf_degrees(poly: IntPolynomial, p: int) -> list[int] | None:
 
     Distinct-degree factorization; None when poly is not squarefree mod p
     or drops degree mod p, in which case the pattern gives no information.
+    f stays monic, so products and quotients reduce through the integer
+    pseudo-division with m = 1.
     """
-    f = _poly_mod(poly.coeffs, p)
+    f = _reduce_mod(poly.coeffs, p)
     if len(f) - 1 != poly.degree:
         return None
-    fd = [(i * c) % p for i, c in enumerate(f)][1:]
-    while fd and fd[-1] == 0:
-        fd.pop()
+    fd = _reduce_mod([i * c for i, c in enumerate(f)][1:], p)
     if not fd or len(_pm_gcd(f, fd, p)) > 1:
         return None
     degrees = []
-    x = [0, 1]
-    h = x[:]
+    h = [0, 1]
     d = 1
     while len(f) - 1 >= 2 * d:
-        h = _pm_powmod(h, p, f, p)
-        delta = h[:]
-        # h - x
-        while len(delta) < 2:
-            delta.append(0)
-        delta[1] = (delta[1] - 1) % p
-        while delta and delta[-1] == 0:
-            delta.pop()
-        g = _pm_gcd(f, delta, p)
+        base = IntPolynomial(tuple(h))  # x^(p^(d-1)) mod f; h becomes its p-th power
+        for _ in range(p - 1):
+            h = _reduce_mod(_pseudo_divmod((IntPolynomial(tuple(h)) * base).coeffs, f)[2], p)
+        g = _pm_gcd(f, _reduce_mod([c - (i == 1) for i, c in enumerate(h + [0, 0])], p), p)
         if len(g) > 1:
-            for _ in range((len(g) - 1) // d):
-                degrees.append(d)
-            f = _pm_divmod(f, g, p)[0]
-            h = _pm_divmod(h, f, p)[1]
+            degrees += [d] * ((len(g) - 1) // d)
+            f = _reduce_mod(_pseudo_divmod(f, g)[1], p)
+            h = _reduce_mod(_pseudo_divmod(h, f)[2], p)
         d += 1
     if len(f) > 1:
         degrees.append(len(f) - 1)
@@ -558,6 +516,8 @@ def _possible_proper_degrees(p: IntPolynomial) -> set[int]:
     n = p.degree
     possible = set(range(1, n))
     for prime in (2, 3, 5, 7, 11):
+        if not possible & set(range(1, n // 2 + 1)):
+            break
         degs = _ddf_degrees(p, prime)
         if degs is None:
             continue
@@ -565,8 +525,6 @@ def _possible_proper_degrees(p: IntPolynomial) -> set[int]:
         for d in degs:
             sums |= {s + d for s in sums}
         possible &= sums
-        if not possible & set(range(1, n // 2 + 1)):
-            break
     return possible
 
 
@@ -764,60 +722,29 @@ def is_irreducible_over_integers(p: IntPolynomial) -> bool:
 def monic_irreducible_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     """Factor a monic p into monic irreducibles, sorted, with multiplicities.
 
-    Squarefree parts are split by the rational-root test, cyclotomic
-    stripping and a bounded Kronecker search over the factor degrees that
-    the patterns modulo small primes allow.
+    One pass: x^k and the cyclotomic factors are divided out once, what is
+    left is decomposed into squarefree parts, and each part is split by a
+    bounded Kronecker search over the factor degrees that the patterns
+    modulo small primes allow. At degree 1 the search tries x + v for each
+    v dividing q(0), which is the rational-root test.
     """
     if not p.is_monic:
         raise ValueError("monic polynomial required")
-    factors: dict[tuple[int, ...], int] = {}
-
-    def add(f: IntPolynomial, mult: int):
-        factors[f.coeffs] = factors.get(f.coeffs, 0) + mult
-
-    def work(q: IntPolynomial, mult: int):
-        if q.degree == 0:
-            return
-        while q.constant == 0:
-            add(IntPolynomial.x(), mult)
-            q = q.exact_div(IntPolynomial.x())
-            if q.degree == 0:
-                return
-        for part, k in squarefree_decomposition(q):
-            split_squarefree(part, mult * k)
-
-    def split_squarefree(q: IntPolynomial, mult: int):
-        if q.degree == 0:
-            return
-        if q.degree == 1:
-            add(q, mult)
-            return
-        for r in _divisors_signed(q.constant):
-            if q(r) == 0:
-                add(IntPolynomial.from_coeffs([-r, 1]), mult)
-                split_squarefree(q.exact_div(IntPolynomial.from_coeffs([-r, 1])), mult)
-                return
-        rem, cyclo = strip_cyclotomic_factors(q)
-        if cyclo:
-            for n, k in cyclo:
-                add(cyclotomic_polynomial(n), mult * k)
-            split_squarefree(rem, mult)
-            return
-        possible = _possible_proper_degrees(q)
-        for d in sorted(possible):
-            if d > q.degree // 2:
-                break
-            if d == 1:
-                continue  # integer roots were exhausted above
-            g = _kronecker_factor(q, d)
-            if g is not None:
-                split_squarefree(g, mult)
-                split_squarefree(q.exact_div(g), mult)
-                return
-        add(q, mult)
-
-    work(p, 1)
-    out = [(IntPolynomial(c), m) for c, m in factors.items()]
+    k = next(i for i, c in enumerate(p.coeffs) if c)
+    rem, cyclo = strip_cyclotomic_factors(IntPolynomial(p.coeffs[k:]))
+    out = [(IntPolynomial.x(), k)] if k else []
+    out += [(cyclotomic_polynomial(n), mult) for n, mult in cyclo]
+    for part, mult in squarefree_decomposition(rem):
+        work = [part]
+        while work:
+            q = work.pop()
+            for d in sorted(_possible_proper_degrees(q)):
+                g = _kronecker_factor(q, d) if d <= q.degree // 2 else None
+                if g is not None:
+                    work += [g, q.exact_div(g)]
+                    break
+            else:
+                out.append((q, mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 

@@ -233,14 +233,7 @@ def classify_isometry(g: LatticeIsometry) -> IsometryClassification:
 
 def is_primary_charpoly(g: LatticeIsometry) -> bool:
     """True iff the characteristic polynomial is f^m with f irreducible."""
-    phi = char_poly(g)
-    remainder, cyclo = strip_cyclotomic_factors(phi)
-    if remainder.degree == 0:
-        return len(cyclo) == 1
-    if cyclo:
-        return False  # a cyclotomic factor and a non-cyclotomic one coexist
-    parts = squarefree_decomposition(phi)
-    return len(parts) == 1 and is_irreducible_over_integers(parts[0][0])
+    return len(monic_irreducible_factors(char_poly(g))) == 1
 
 
 def has_simple_spectrum(g: LatticeIsometry) -> bool:
@@ -271,8 +264,12 @@ def entropy(g: LatticeIsometry,
 
     Exactly [0, 0] when every eigenvalue is a root of unity (the radius is
     1 even for infinite-order unipotent isometries). Otherwise the radius
-    is the largest absolute value of a real eigenvalue; a spectrum whose
-    radius is attained only at non-real eigenvalues is refused.
+    is the largest absolute value of a real eigenvalue, and any non-real
+    eigenvalue off the unit circle is refused, with the message "spectral
+    radius attained at non-real eigenvalues". That message is exact when
+    min(n_plus, n_minus) <= 2, since a real pair off the circle spans a
+    (1, 1) block and a non-real quadruple a (2, 2) block; beyond that a
+    real radius beside a non-real quadruple is refused as well.
 
     The log y of each end of the radius enclosure is rounded to nearest at
     b = max(53, bits of the precision's denominator + 32) bits. It is off

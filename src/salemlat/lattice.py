@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
+from typing import NamedTuple
 
 from . import linalg
 from .linalg import IntMatrix, IntVector
@@ -137,23 +138,12 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
     return GramLattice.from_rows(g)
 
 
-class SignatureTriple(tuple):
+class SignatureTriple(NamedTuple):
     """(n_plus, n_zero, n_minus)."""
 
-    def __new__(cls, n_plus: int, n_zero: int, n_minus: int):
-        return super().__new__(cls, (n_plus, n_zero, n_minus))
-
-    @property
-    def n_plus(self) -> int:
-        return self[0]
-
-    @property
-    def n_zero(self) -> int:
-        return self[1]
-
-    @property
-    def n_minus(self) -> int:
-        return self[2]
+    n_plus: int
+    n_zero: int
+    n_minus: int
 
 
 class LatticeClass(Enum):

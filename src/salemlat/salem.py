@@ -250,8 +250,11 @@ def bounded_power_products(alpha: SalemCertificate, beta: SalemCertificate,
     """All (n, m) with alpha^n * beta^m certified inside (c1, c2).
 
     n runs over the inclusive range. For each n the product increases with
-    m because beta > 1, so the admissible m form one run: gallop from m = 0
-    and bisect to the first m not below c1, then walk up while inside.
+    m because beta > 1, so the admissible m form one run: gallop from the
+    previous n's first m (from m = 0 at the first n) and bisect to the
+    first m not below c1, then walk up while inside. That first m moves by
+    about -log alpha / log beta per n, so each n after the first costs a
+    few tests beyond its run.
     Each place is decided by interval arithmetic on the certified
     enclosures, refined on demand; exhausting the refinement budget means
     c1 or c2 coincides with a power product.
@@ -280,6 +283,7 @@ def bounded_power_products(alpha: SalemCertificate, beta: SalemCertificate,
             "a bound may equal a power product")
 
     results: list[tuple[int, int, RationalInterval]] = []
+    first = 0
     for n in range(n_lo, n_hi + 1):
         placed: dict[int, tuple[int, RationalInterval]] = {}
 
@@ -287,13 +291,14 @@ def bounded_power_products(alpha: SalemCertificate, beta: SalemCertificate,
             placed[m] = place(n, m)
             return placed[m][0] >= 0
 
-        # gallop from m = 0 in doubling steps; then lo is below c1, hi is not
-        step = -1 if reached(0) else 1
-        near, far = 0, step
+        # gallop from the first m of the previous n in doubling steps;
+        # then lo is below c1, hi is not
+        step = -1 if reached(first) else 1
+        near, far = first, first + step
         while reached(far) == (step < 0):
             near, far = far, 3 * far - 2 * near
         lo, hi = sorted((near, far))
-        m = lo + 1 + bisect_left(range(lo + 1, hi), True, key=reached)
+        first = m = lo + 1 + bisect_left(range(lo + 1, hi), True, key=reached)
         verdict, value = placed[m]
         while verdict == 0:
             results.append((n, m, value))

@@ -45,6 +45,7 @@ from salemlat.lattice import (
     diagonal_lattice,
     direct_sum,
     hyperbolic_plane,
+    signature,
 )
 from salemlat.rational import RationalInterval
 
@@ -254,6 +255,26 @@ class TestEntropy:
         for g in (pell(), identity_isometry(U)):
             with pytest.raises(ValueError, match="precision must be positive"):
                 entropy(g, precision)
+
+    def test_real_radius_beside_a_non_real_quadruple_is_refused(self):
+        # signature (3, 0, 3) holds the (1, 1) block of the Pell pair and the
+        # (2, 2) block of the quadruple of x^4 + x^3 + 3x^2 + x + 1, so the
+        # radius 3 + 2 sqrt 2 is real, yet any non-real eigenvalue off the
+        # circle is refused; pinned until roots are counted by modulus
+        quartic = GramLattice.from_rows([[-2, -2, 5, 5], [-2, -2, -2, 5],
+                                         [5, -2, -2, -2], [5, 5, -2, -2]])
+        lattice = direct_sum(PELL_LAT, quartic)
+        assert tuple(signature(lattice)) == (3, 0, 3)
+        companion = [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -3], [0, 0, 1, -1]]
+        g = verify_isometry([[3, 4, 0, 0, 0, 0], [2, 3, 0, 0, 0, 0]]
+                            + [[0, 0] + row for row in companion], lattice)
+        moduli = sorted(abs(r) for r in mpmath.polyroots(char_poly(g).coeffs[::-1]))
+        assert moduli[-1] == pytest.approx(3 + 2 * math.sqrt(2))
+        assert all(abs(r.imag) > 0.1 for r in mpmath.polyroots([1, 1, 3, 1, 1]))
+        assert 1.5 < moduli[-2] < 1.6
+        with pytest.raises(UnsupportedSpectrumError,
+                           match="^spectral radius attained at non-real eigenvalues$"):
+            entropy(g)
 
     def test_pell_log(self):
         iv = entropy(pell(), Fraction(1, 10**6))

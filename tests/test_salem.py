@@ -323,6 +323,47 @@ class TestPowerProducts:
                             for k in inside if (k - n) % 2 == 0]
                 assert [(n, m) for n, m, _ in res] == expected
 
+    def test_gallop_starts_at_the_previous_first_m(self, monkeypatch):
+        # alpha = 3 + 2 sqrt 2 and beta = alpha^2 again, so the first m moves
+        # by 0 or -1 per n: each n after the first costs its run of inside m
+        # plus at most four interval tests, where a gallop from m = 0 to m
+        # near 300 costs about 2 log2 300 = 16
+        alpha = classify_salem(P([1, -6, 1]))
+        beta = classify_salem(P([1, -34, 1]))
+        c1, c2, n_range = 10, 10**4, (-600, -560)
+        intervals, refinements = [], []
+        interval, bisect = salem_module.RationalInterval, salem_module._bisect_enclosure
+
+        def counted_interval(lo, hi):
+            intervals.append(None)
+            return interval(lo, hi)
+
+        def counted_bisect(*args):
+            refinements.append(None)  # each refinement builds one interval too
+            return bisect(*args)
+
+        monkeypatch.setattr(salem_module, "RationalInterval", counted_interval)
+        monkeypatch.setattr(salem_module, "_bisect_enclosure", counted_bisect)
+        tests = []
+        for end in (n_range[0], n_range[1]):
+            intervals.clear()
+            refinements.clear()
+            res = bounded_power_products(alpha, beta, Fraction(c1), Fraction(c2),
+                                         (n_range[0], end))
+            tests.append(len(intervals) - len(refinements))
+        monkeypatch.undo()
+        inside = pell_powers_inside(c1, c2, 20)
+        expected = [(n, (k - n) // 2) for n in range(n_range[0], n_range[1] + 1)
+                    for k in inside if (k - n) % 2 == 0]
+        assert [(n, m) for n, m, _ in res] == expected
+        later = n_range[1] - n_range[0]
+        assert tests[1] - tests[0] <= len(expected) + 4 * later
+        with mpmath.workdps(60):
+            root = 3 + 2 * mpmath.sqrt(2)
+            for n, m, iv in res:
+                assert (mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= root ** (n + 2 * m)
+                        <= mpmath.mpf(iv.hi.numerator) / iv.hi.denominator)
+
     def test_boundary_too_close_exhausts_budget(self, monkeypatch):
         import salemlat.salem as salem_mod
 

@@ -161,6 +161,22 @@ def test_one_bisection():
                 if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)]
 
 
+def test_one_factor_search():
+    # the mod-p patterns divide on the integer kernel, and the factor search
+    # strips cyclotomics once and finds rational roots as Kronecker's
+    # search at degree 1, so none of these keeps a copy of its own
+    defined = {node.name for path in SOURCE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert not {"_poly_mod", "_pm_mul", "_pm_divmod", "_pm_powmod"} & defined
+    assert "_pseudo_divmod" in _names(_function(SOURCE / "intpoly.py", "_ddf_degrees"))
+    search = _function(SOURCE / "intpoly.py", "monic_irreducible_factors")
+    assert "_divisors_signed" not in _names(search)
+    assert "_kronecker_factor" in _names(search)
+    assert not [loop for loop in _loops(search) if "strip_cyclotomic_factors" in _names(loop)]
+    assert not [n for n in ast.walk(search) if isinstance(n, ast.FunctionDef) and n is not search]
+
+
 def _tracer_targets():
     # read the literal without importing or running the tracer
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
