@@ -136,12 +136,6 @@ class IntPolynomial:
             [i * c for i, c in enumerate(self.coeffs)][1:]
         )
 
-    def mirror(self) -> "IntPolynomial":
-        """p(-x)."""
-        return IntPolynomial.from_coeffs(
-            [c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)]
-        )
-
     def content(self) -> int:
         g = 0
         for c in self.coeffs:
@@ -515,7 +509,7 @@ def _possible_proper_degrees(p: IntPolynomial) -> set[int]:
     """Degrees d in [1, n-1] that a monic integer factor could have."""
     n = p.degree
     possible = set(range(1, n))
-    for prime in (2, 3, 5, 7, 11):
+    for prime in (2, 3, 5, 7, 11, 13):
         if not possible & set(range(1, n // 2 + 1)):
             break
         degs = _ddf_degrees(p, prime)

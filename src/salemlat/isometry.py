@@ -5,6 +5,8 @@ sign and has determinant +-1, which the classification exploits: the
 cyclotomic part is split off by trial division, and what remains is
 either empty (finite-order spectrum), a single Salem polynomial, or a
 genuinely mixed spectrum reported with its irreducible factorization.
+Entropy bisects for the spectral radius on Sturm counts of the trace
+polynomial, whose roots are lambda + 1/lambda.
 
 Each isometry keeps a sparse view of M - I. Verification reads it, and so
 do the K3 readers of g(v) - v, which for a unipotent M touch a few dozen
@@ -25,12 +27,10 @@ from .intpoly import (
     IntPolynomial,
     SturmContext,
     cauchy_root_bound,
-    count_real_roots,
     gcd_poly,
     is_irreducible_over_integers,
     is_reciprocal,
     monic_irreducible_factors,
-    squarefree_decomposition,
     squarefree_part,
     strip_cyclotomic_factors,
     trace_polynomial,
@@ -241,20 +241,6 @@ def has_simple_spectrum(g: LatticeIsometry) -> bool:
     return gcd_poly(phi, phi.derivative()).degree == 0
 
 
-def _largest_real_root_above_one(p: IntPolynomial, precision: Fraction) -> RationalInterval | None:
-    """Certified enclosure of the largest real root in (1, infinity), if any.
-
-    q has leading and constant coefficients +-1 and no cyclotomic factor:
-    its only possible rational roots, +-1, are roots of Phi_1 and Phi_2,
-    so neither 1 nor any bisection midpoint is a root."""
-    q = squarefree_part(p)
-    sturm = SturmContext(q)
-    hi = cauchy_root_bound(q)
-    if sturm.count(1, hi) == 0:
-        return None
-    return _bisect_enclosure(-q if q.leading < 0 else q, Fraction(1), hi, precision, sturm)
-
-
 DEFAULT_ENTROPY_PRECISION = Fraction(1, 10**6)
 
 
@@ -271,6 +257,12 @@ def entropy(g: LatticeIsometry,
     (1, 1) block and a non-real quadruple a (2, 2) block; beyond that a
     real radius beside a non-real quadruple is refused as well.
 
+    Both the refusal and the radius are read off one Sturm chain of the
+    trace polynomial t of the squarefree remainder, of half its degree,
+    whose roots are lambda + 1/lambda: a non-real root of t is refused, and
+    the radius exceeds x > 1 exactly when a root of t lies outside
+    (-(x + 1/x), x + 1/x), which decides each step of the bisection.
+
     The log y of each end of the radius enclosure is rounded to nearest at
     b = max(53, bits of the precision's denominator + 32) bits. It is off
     by at most half an ulp, |y| 2^-b <= |y| 2^-32 precision, so the pad of
@@ -278,28 +270,32 @@ def entropy(g: LatticeIsometry,
     below e^(2^29).
     """
     _require_positive(precision)
-    phi = char_poly(g)
-    remainder, _ = strip_cyclotomic_factors(phi)
+    remainder, _ = strip_cyclotomic_factors(char_poly(g))
     if remainder.degree == 0:
         return RationalInterval(Fraction(0), Fraction(0))
     if not is_reciprocal(remainder):
         raise UnsupportedSpectrumError("non-reciprocal non-cyclotomic part")
-    for part, _ in squarefree_decomposition(remainder):
-        t = trace_polynomial(part)
-        if count_real_roots(t) != t.degree:
-            raise UnsupportedSpectrumError(
-                "spectral radius attained at non-real eigenvalues")
+    q = squarefree_part(remainder)
+    t = trace_polynomial(q)  # squarefree, since q has no root +-1
+    s = t.degree
+    sturm = SturmContext(t)
+    bound = cauchy_root_bound(t)
+    if sturm.count(-bound, bound) != s:
+        raise UnsupportedSpectrumError(
+            "spectral radius attained at non-real eigenvalues")
+
+    def value_at(m: int, d: int) -> int:
+        # the radius exceeds x = m/d > 1 exactly when some trace root lies
+        # outside (-y, y), y = x + 1/x = (m^2 + d^2)/(md): negative then, else 1
+        y, md = m * m + d * d, m * d
+        return sturm.variations(-y, md) - sturm.variations(y, md) - s or 1
+
     bits = max(53, precision.denominator.bit_length() + 32)
+    radius = RationalInterval(Fraction(1), cauchy_root_bound(q))
     root_precision = precision / 4
     while True:
-        candidates = []
-        for side in (remainder, remainder.mirror()):
-            enclosure = _largest_real_root_above_one(side, root_precision)
-            if enclosure is not None:
-                candidates.append(enclosure)
-        if not candidates:
-            raise ArithmeticError("off-circle spectrum must have a real root beyond 1")
-        radius = RationalInterval(max(c.lo for c in candidates), max(c.hi for c in candidates))
+        # continue from the held bracket, which a restart from [1, B] passes
+        radius = _bisect_enclosure(value_at, radius.lo, radius.hi, root_precision)
         result = RationalInterval(_log_nearest(radius.lo, bits), _log_nearest(radius.hi, bits))
         if result.width <= precision / 2:
             # pad outward by precision/8, which covers the half ulp of

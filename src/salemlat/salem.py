@@ -6,7 +6,8 @@ the unit circle. Classification works entirely through the trace
 polynomial and integer Sturm counts; the Salem number is enclosed by a
 dyadic bisection in integers, a/2^k < b/2^k, the sign of p(m/2^k) being
 that of the integer sum of c_i m^i 2^(k(n-i)), never by numerical root
-finding. isometry.entropy runs the same kernel behind a Sturm phase.
+finding. isometry.entropy runs the same kernel on Sturm counts of a
+trace polynomial.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import comb, floor, lcm
 
 from .intpoly import (
@@ -76,38 +78,27 @@ def _require_positive(precision: Fraction) -> None:
         raise ValueError(f"precision must be positive; got {precision}")
 
 
-def _bisect_enclosure(p: IntPolynomial, lo: Fraction, hi: Fraction,
-                      precision: Fraction,
-                      sturm: SturmContext | None = None) -> RationalInterval:
-    """Enclosure of the largest root of p in (lo, hi), where p(hi) > 0.
+def _bisect_enclosure(value_at, lo: Fraction, hi: Fraction,
+                      precision: Fraction) -> RationalInterval:
+    """Enclosure of a root r > 1 in (lo, hi), located by value_at.
 
-    The one bisection, dyadic and in integers: the bracket is a/d < b/d and
-    the midpoint (a + b)/2d, so from 1 and an integral Cauchy bound every
-    midpoint is some a/2^k; only the result is built as Fractions. With a
-    Sturm context, variations decide whether a root lies above the midpoint
-    until one root is left; then, as without one, p(lo) < 0 < p(hi), signs
-    decide and stopping also needs lo > 1. A root midpoint returns [r, r].
+    value_at(m, d) is an integer: negative when r lies above m/d, 0 at it
+    and positive below. The one bisection, dyadic and in integers: the
+    bracket is a/d < b/d and the midpoint (a + b)/2d, so from 1 and an
+    integral Cauchy bound every midpoint is some a/2^k; only the result is
+    built as Fractions. It stops once the width is below precision and
+    lo > 1. A root midpoint returns [r, r].
     """
     d = lcm(lo.denominator, hi.denominator)
     a, b = int(lo * d), int(hi * d)
     eps = Fraction(precision)
-    if sturm is not None:
-        v_lo, v_hi = sturm.variations(a, d), sturm.variations(b, d)
-    while (b - a) * eps.denominator >= eps.numerator * d or (sturm is None and a <= d):
+    while (b - a) * eps.denominator >= eps.numerator * d or a <= d:
         m, d = a + b, 2 * d
-        if sturm is None:
-            v = _horner(p.coeffs, m, d)
-            if v == 0:
-                a = b = m
-                break
-            up = v < 0
-        else:
-            v = sturm.variations(m, d)
-            up = v > v_hi  # a root lies in (mid, hi)
-            v_lo = v if up else v_lo
-        a, b = (m, 2 * b) if up else (2 * a, m)
-        if sturm is not None and v_lo - v_hi == 1:
-            sturm = None  # one root left: signs decide from here
+        v = value_at(m, d)
+        if v == 0:
+            a = b = m
+            break
+        a, b = (m, 2 * b) if v < 0 else (2 * a, m)
     return RationalInterval(Fraction(a, d), Fraction(b, d))
 
 
@@ -123,7 +114,7 @@ def salem_enclosure(p: IntPolynomial, precision: Fraction) -> RationalInterval:
     hi = cauchy_root_bound(p)
     if not (p.sign_at(lo) < 0 < p.sign_at(hi)):
         raise ValueError("not a Salem-shaped polynomial")
-    return _bisect_enclosure(p, lo, hi, precision)
+    return _bisect_enclosure(partial(_horner, p.coeffs), lo, hi, precision)
 
 
 DEFAULT_PRECISION = Fraction(1, 10**6)
@@ -276,7 +267,8 @@ def bounded_power_products(alpha: SalemCertificate, beta: SalemCertificate,
             if below or above or c1 < value.lo and value.hi < c2:
                 return above - below, value
             # continue from the held brackets, which a restart from [1, B] passes
-            held[:] = [_bisect_enclosure(c.polynomial, iv.lo, iv.hi, iv.width / 4)
+            held[:] = [_bisect_enclosure(partial(_horner, c.polynomial.coeffs),
+                                         iv.lo, iv.hi, iv.width / 4)
                        for c, iv in zip((alpha, beta), held)]
         raise UndecidableComparisonError(
             f"cannot separate alpha^{n} * beta^{m} from ({c1}, {c2}); "

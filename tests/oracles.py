@@ -14,7 +14,8 @@ enclosures come from the earlier Fraction bisections, with signs by
 Fraction Horner evaluation and counts on sympy's Sturm sequence. The one
 exception is the unfiltered Salem enumeration loop: it runs the package's
 classify_salem on every candidate of the coefficient box, to check the
-sign filter in front of it.
+sign filter in front of it. Coxeter elements of E_n are checked against
+the closed form of their characteristic polynomial, divided out by sympy.
 """
 
 from __future__ import annotations
@@ -184,6 +185,16 @@ def sympy_factor_multiset(p: IntPolynomial):
 def sympy_charpoly(matrix) -> list[int]:
     m = sympy.Matrix([list(r) for r in matrix])
     return [int(c) for c in reversed(m.charpoly().all_coeffs())]
+
+
+def e_n_coxeter_polynomial(n: int) -> IntPolynomial:
+    """The Coxeter polynomial of E_n in closed form (McMullen, Publ. Math.
+    IHES 95, 2002): (x^(n-2) (x^3 - x - 1) + x^3 + x^2 - 1) / (x - 1)."""
+    x = sympy.symbols("x")
+    num = x ** (n - 2) * (x**3 - x - 1) + x**3 + x**2 - 1
+    quot, rem = sympy.div(sympy.Poly(num, x), sympy.Poly(x - 1, x))
+    assert rem.is_zero
+    return IntPolynomial.from_coeffs(int(c) for c in reversed(quot.all_coeffs()))
 
 
 def divides_x_power_minus_one(p: IntPolynomial, k_bound: int) -> bool:

@@ -35,6 +35,7 @@ from salemlat.rational import RationalInterval
 
 from oracles import (
     divides_x_power_minus_one,
+    e_n_coxeter_polynomial,
     fraction_divmod,
     fraction_value,
     lagrange_interpolate_monic,
@@ -337,13 +338,12 @@ class TestIrreducibility:
             split += sum(1 for f, _ in expected if len(f) > 2) >= 2
         assert split > 0
 
-    @pytest.mark.parametrize("n", [9, 10, 11, 12, 16, 20, 22, 24, 25, 30])
+    @pytest.mark.parametrize("n", [9, 10, 11, 12, 16, 20, 22, 24, 25, 28, 30])
     def test_coxeter_polynomials_of_e_n_against_sympy(self, n):
         # the Coxeter polynomial of E_n, (x^(n-2) (x^3 - x - 1) + x^3 + x^2 - 1)
         # / (x - 1): a Salem factor times cyclotomic ones for n >= 10, of
-        # degree beyond the irreducibility bound at n = 25 and 30
-        num = P([0] * (n - 2) + [-1, -1, 0, 1]) + P([-1, 0, 1, 1])
-        p = num.exact_div(P([-1, 1]))
+        # degree beyond the irreducibility bound at n = 25, 28 and 30
+        p = e_n_coxeter_polynomial(n)
         assert p.degree == n
         got = sorted((f.coeffs, m) for f, m in monic_irreducible_factors(p))
         assert got == sympy_factor_multiset(p)

@@ -12,9 +12,18 @@ import mpmath
 import pytest
 import sympy
 
+from salemlat import intpoly as intpoly_module
 from salemlat import isometry as isometry_module
 from salemlat import linalg
-from salemlat.intpoly import IntPolynomial
+from salemlat.intpoly import (
+    IntPolynomial,
+    count_real_roots,
+    is_reciprocal,
+    monic_irreducible_factors,
+    squarefree_decomposition,
+    strip_cyclotomic_factors,
+    trace_polynomial,
+)
 from salemlat.isometry import (
     DeterminantError,
     FiniteOrder,
@@ -48,9 +57,14 @@ from salemlat.lattice import (
     signature,
 )
 from salemlat.rational import RationalInterval
+from salemlat.salem import SalemCertificate, classify_salem
 
 import property_suites as ps
-from oracles import dense_mat_mul, fraction_largest_real_root_above_one
+from oracles import (
+    dense_mat_mul,
+    e_n_coxeter_polynomial,
+    fraction_largest_real_root_above_one,
+)
 
 P = IntPolynomial.from_coeffs
 U = hyperbolic_plane()
@@ -354,27 +368,48 @@ class TestEntropy:
             assert lo < log < hi
 
     def test_enclosures_match_the_fraction_bisection(self, suite_seed, monkeypatch):
-        # entropy on the one dyadic kernel against the Fraction Sturm
-        # bisection it replaced, over the property-suite isometries; some
-        # sides hold two roots above 1, so the Sturm phase isolates one
+        # the radius enclosures that entropy takes logs of, from Sturm counts
+        # on one trace polynomial, against the Fraction Sturm bisection on p
+        # and its mirror p(-x) that they replaced, over the property-suite
+        # isometries; some sides hold two roots above 1, so the Sturm phase
+        # of the oracle isolates one
         corpus = ps._corpus(ps.HYPERBOLIC_LATTICES + ps.TWO_POSITIVE_LATTICES, 90, suite_seed)
         corpus += ps._salem_pool(suite_seed)
+        ends, log_nearest = [], isometry_module._log_nearest
 
-        def outcomes():
-            out = []
-            for g in corpus:
-                for precision in (Fraction(1, 10**6), Fraction(1, 10**12)):
-                    try:
-                        out.append(entropy(g, precision))
-                    except UnsupportedSpectrumError as exc:
-                        out.append(type(exc))
-            return out
+        def recorded(x, bits):
+            ends.append(x)
+            return log_nearest(x, bits)
 
-        mine = outcomes()
-        monkeypatch.setattr(isometry_module, "_largest_real_root_above_one",
-                            fraction_largest_real_root_above_one)
-        assert outcomes() == mine
-        assert sum(isinstance(iv, RationalInterval) and iv.hi > 0 for iv in mine) > 50
+        monkeypatch.setattr(isometry_module, "_log_nearest", recorded)
+        checked = 0
+        for g in corpus:
+            remainder, _ = strip_cyclotomic_factors(char_poly(g))
+            mirror = P([-c if i % 2 else c for i, c in enumerate(remainder.coeffs)])
+            # refused exactly for a non-reciprocal remainder or a squarefree
+            # part whose trace polynomial has a non-real root
+            refused = remainder.degree > 0 and (not is_reciprocal(remainder) or any(
+                count_real_roots(trace_polynomial(part)) != part.degree // 2
+                for part, _ in squarefree_decomposition(remainder)))
+            for precision in (Fraction(1, 10**6), Fraction(1, 10**12)):
+                ends.clear()
+                try:
+                    entropy(g, precision)
+                except UnsupportedSpectrumError:
+                    assert refused and ends == []
+                    continue
+                assert not refused
+                # one (lo, hi) pair per round of the log loop, each round
+                # at a sixteenth of the root precision before
+                root_precision = precision / 4
+                for lo, hi in zip(ends[::2], ends[1::2]):
+                    sides = [fraction_largest_real_root_above_one(side, root_precision)
+                             for side in (remainder, mirror)]
+                    sides = [iv for iv in sides if iv is not None]
+                    assert (lo, hi) == (max(iv.lo for iv in sides), max(iv.hi for iv in sides))
+                    root_precision /= 16
+                    checked += 1
+        assert checked > 50
 
     def test_negative_salem_side(self):
         g = pell()
@@ -382,6 +417,73 @@ class TestEntropy:
         iv = entropy(neg, Fraction(1, 10**6))
         expected = math.log(3 + 2 * math.sqrt(2))
         assert float(iv.lo) <= expected <= float(iv.hi)
+
+
+def coxeter_element(n):
+    """w_n, the product of the n simple reflections of E_n = T_{2,3,n-3}:
+    minus the Cartan matrix of the star with arms of 1, 2 and n - 4 nodes
+    around node 0, signature (1, n - 1) from n = 10 on."""
+    edges = [(0, 1), (0, 2), (2, 3), (0, 4)] + [(i, i + 1) for i in range(4, n - 1)]
+    gram = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = 1
+    lat = GramLattice.from_rows(gram)
+    w = identity_isometry(lat)
+    for i in range(n):
+        w = w.compose(reflection_in_vector(lat, tuple(int(i == j) for j in range(n))))
+    return w
+
+
+def mp(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+class TestCoxeterElements:
+    """The E_n Coxeter elements, whose Salem factors reach degree 28
+    (McMullen, Publ. Math. IHES 95, 2002)."""
+
+    @pytest.mark.parametrize("n", range(9, 31))
+    def test_spectrum_and_entropy(self, n):
+        w = coxeter_element(n)
+        assert char_poly(w) == e_n_coxeter_polynomial(n)
+        kind = classify_isometry(w)
+        if n == 9:
+            assert isinstance(kind, FiniteOrder)
+            assert entropy(w) == RationalInterval(Fraction(0), Fraction(0))
+            return
+        if n in (10, 16, 20, 22, 26, 28):
+            assert isinstance(kind, SalemType)
+            cert = kind.certificate
+        else:
+            assert isinstance(kind, MixedSpectrum)
+            certs = [c for c in (classify_salem(f) for f in kind.factors if f.degree >= 2)
+                     if isinstance(c, SalemCertificate)]
+            assert len(certs) == 1
+            cert = certs[0]
+        iv, cube = entropy(w), entropy(w.power(3))
+        assert cube.lo <= 3 * iv.hi and 3 * iv.lo <= cube.hi
+        with mpmath.workdps(50):
+            salem = cert.salem_number_interval
+            assert mp(iv.lo) <= mpmath.log(mp(salem.hi))
+            assert mpmath.log(mp(salem.lo)) <= mp(iv.hi)
+
+    def test_entropy_increases_toward_the_plastic_number(self):
+        # lambda(E_n) increases with n toward the real root of x^3 - x - 1
+        ivs = [entropy(coxeter_element(n), Fraction(1, 10**12)) for n in range(10, 31)]
+        assert all(a.hi < b.lo for a, b in zip(ivs, ivs[1:]))
+        with mpmath.workdps(50):
+            assert mp(ivs[-1].hi) < mpmath.log(mpmath.mpf("1.3248"))
+
+    def test_e_28_needs_no_kronecker_search(self, monkeypatch):
+        # E_28 is irreducible; mod 13 it splits as 2 + 2 + 24, which leaves
+        # no proper factor degree open, so no search runs
+        def no_search(p, d):
+            raise AssertionError(f"Kronecker search at degree {d}")
+
+        monkeypatch.setattr(intpoly_module, "_kronecker_factor", no_search)
+        p = e_n_coxeter_polynomial(28)
+        assert monic_irreducible_factors(p) == [(p, 1)]
+        assert is_primary_charpoly(coxeter_element(28))
 
 
 class TestExpressInPowers:

@@ -415,7 +415,8 @@ class TestOneBisection:
         for p in (LEHMER, P([1, -6, 1]), poly_from_string("1,-1,-1,-1,1")):
             iv = salem_enclosure(p, DEFAULT_PRECISION)
             for _ in range(8):
-                more = salem_module._bisect_enclosure(p, iv.lo, iv.hi, iv.width / 4)
+                more = salem_module._bisect_enclosure(
+                    lambda m, d: intpoly._horner(p.coeffs, m, d), iv.lo, iv.hi, iv.width / 4)
                 assert more == salem_enclosure(p, iv.width / 4)
                 assert more.width < iv.width / 4
                 iv = more

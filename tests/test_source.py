@@ -145,15 +145,29 @@ def test_one_bisection():
                      if isinstance(fn, ast.FunctionDef)
                      and any(_halves_a_bracket(loop) for loop in _loops(fn)))
     assert halving == ["salem._bisect_enclosure"]
-    for path, qualname in [(SOURCE / "salem.py", "salem_enclosure"),
-                           (SOURCE / "isometry.py", "_largest_real_root_above_one")]:
-        fn = _function(path, qualname)
-        assert _loops(fn) == [], qualname
-        assert "_bisect_enclosure" in _names(fn), qualname
+    # one mode: the kernel reads every step off the caller's value_at
+    kernel = _function(SOURCE / "salem.py", "_bisect_enclosure")
+    assert [a.arg for a in kernel.args.args] == ["value_at", "lo", "hi", "precision"]
+    assert not (kernel.args.kwonlyargs or kernel.args.vararg or kernel.args.kwarg)
+    # entropy decides on one Sturm chain of its trace polynomial, with no
+    # second pass over the mirror p(-x)
+    entropy = _function(SOURCE / "isometry.py", "entropy")
+    called = [n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+              for n in ast.walk(entropy) if isinstance(n, ast.Call)
+              and isinstance(n.func, (ast.Name, ast.Attribute))]
+    assert called.count("trace_polynomial") == called.count("SturmContext") == 1
+    assert "mirror" not in _names(entropy)
+    value_at = [n for n in ast.walk(entropy)
+                if isinstance(n, ast.FunctionDef) and n.name == "value_at"]
+    assert len(value_at) == 1
+    enclosure = _function(SOURCE / "salem.py", "salem_enclosure")
+    assert "_bisect_enclosure" in _names(enclosure) & _names(entropy)
+    for fn, name in [(enclosure, "salem_enclosure"), (value_at[0], "entropy.value_at")]:
+        assert _loops(fn) == [], name
         # no nudge of a root endpoint, such as lo = 100001/100000
         assert not [n for n in ast.walk(fn) if isinstance(n, ast.Constant)
-                    and isinstance(n.value, int) and n.value > 2], qualname
-    kernel_loops = _loops(_function(SOURCE / "salem.py", "_bisect_enclosure"))
+                    and isinstance(n.value, int) and n.value > 2], name
+    kernel_loops = _loops(kernel)
     assert len(kernel_loops) == 1
     assert not {"Fraction", "sign_at"} & _names(kernel_loops[0])
     # nor of a root midpoint, such as (hi - lo) / 8 or / 17
