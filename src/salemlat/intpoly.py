@@ -4,13 +4,14 @@ Coefficients are arbitrary-precision integers in ascending degree order.
 Division, gcds and Sturm sequences share one integer pseudo-division
 kernel: Sturm chains and gcds are primitive pseudo-remainder sequences,
 scaled by positive integers only, so every sign of the rational Sturm
-sequence survives. Signs at a rational a/b come from homogeneous integer
-Horner evaluation. Roots of unity are recognised by trial division by
-cyclotomic polynomials. Factorization strips those once, then splits
-each squarefree part by a Kronecker-style bounded search for monic
-factors, interpolated through one integral inverse of a Vandermonde
-matrix, over the degrees that factor-degree patterns modulo small primes
-allow; the patterns run on the same pseudo-division, reduced mod p.
+sequence survives. Signs at a rational a/b, and at +-infinity, come from
+homogeneous integer Horner evaluation. Roots of unity are recognised by
+trial division by cyclotomic polynomials. Factorization strips those
+once, then splits each squarefree part by a Kronecker-style bounded
+search for monic factors, interpolated through one integral inverse of a
+Vandermonde matrix, over the degrees that factor-degree patterns modulo
+small primes allow; the patterns run on the same pseudo-division, reduced
+mod p. The integers whose divisors it tries are factored by Pollard rho.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ IRREDUCIBILITY_DEGREE_BOUND = 24
 
 
 class EndpointRootError(ValueError):
-    """A Sturm-count endpoint is itself a root."""
+    """A Sturm-count endpoint a/b is itself a root."""
 
-    def __init__(self, endpoint: Fraction):
-        self.endpoint = endpoint
-        super().__init__(f"interval endpoint {endpoint} is a root")
+    def __init__(self, a: int, b: int):
+        self.endpoint = Fraction(a, b)
+        super().__init__(f"interval endpoint {self.endpoint} is a root")
 
 
 class DegreeBoundError(ValueError):
@@ -63,10 +64,6 @@ class IntPolynomial:
     @staticmethod
     def zero() -> "IntPolynomial":
         return IntPolynomial(())
-
-    @staticmethod
-    def one() -> "IntPolynomial":
-        return IntPolynomial((1,))
 
     @staticmethod
     def x() -> "IntPolynomial":
@@ -240,7 +237,8 @@ def _remainder_sequence(a, b) -> list[list[int]]:
 
 
 def _horner(coeffs, a: int, b: int) -> int:
-    """b^n p(a/b) for n = deg p and b > 0: the sum of c_i a^i b^(n-i)."""
+    """b^n p(a/b) for n = deg p and b > 0: the sum of c_i a^i b^(n-i); at
+    (a, b) = (+-1, 0) that is c_n (+-1)^n, the sign of p at +-infinity."""
     acc = 0
     bk = 1
     for c in reversed(coeffs):
@@ -310,11 +308,6 @@ def _variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _eval_chain(chain, a: int, b: int) -> list[int]:
-    """Values at a/b (b > 0) of the chain terms, each scaled by a positive integer."""
-    return [_horner(cs, a, b) for cs in chain]
-
-
 class SturmContext:
     """Precomputed Sturm chain for repeated counting on one polynomial."""
 
@@ -322,11 +315,17 @@ class SturmContext:
         self.polynomial = p
         self._chain = _sturm_chain(p) if p.degree >= 1 else []
 
+    @property
+    def squarefree(self) -> bool:
+        """Whether p is squarefree: the chain ends in gcd(p, p')."""
+        return not self._chain or len(self._chain[-1]) == 1
+
     def variations(self, a: int, b: int) -> int:
-        """Sign variations of the chain at a/b (b > 0); EndpointRootError at a root."""
-        values = _eval_chain(self._chain, a, b)
+        """Sign variations of the chain at a/b (b > 0), or at +-infinity for
+        (a, b) = (+-1, 0); EndpointRootError at a root."""
+        values = [_horner(cs, a, b) for cs in self._chain]
         if values and values[0] == 0:
-            raise EndpointRootError(Fraction(a, b))
+            raise EndpointRootError(a, b)
         return _variations(values)
 
     def count(self, lo, hi) -> int:
@@ -347,13 +346,10 @@ def sturm_count(p: IntPolynomial, interval: RationalInterval) -> int:
 
 
 def count_real_roots(p: IntPolynomial) -> int:
-    """Distinct real roots of a squarefree p over all of R."""
-    if p.degree < 1:
-        return 0
-    chain = _sturm_chain(p)
-    at_minus = [cs[-1] * (-1) ** (len(cs) - 1) for cs in chain]
-    at_plus = [cs[-1] for cs in chain]
-    return _variations(at_minus) - _variations(at_plus)
+    """Distinct real roots of a squarefree p over all of R: the chain's
+    variations at -infinity less those at +infinity."""
+    sturm = SturmContext(p)
+    return sturm.variations(-1, 0) - sturm.variations(1, 0)
 
 
 def euler_phi(n: int) -> int:
@@ -523,59 +519,26 @@ def _possible_proper_degrees(p: IntPolynomial) -> set[int]:
 
 
 def _divisors_signed(n: int) -> list[int]:
-    n = abs(n)
-    divs = set()
-    f = _factorize(n)
-    items = list(f.items())
-
-    def rec(i, cur):
-        if i == len(items):
-            divs.add(cur)
-            divs.add(-cur)
-            return
-        pr, e = items[i]
-        v = 1
-        for _ in range(e + 1):
-            rec(i + 1, cur * v)
-            v *= pr
-    rec(0, 1)
-    return sorted(divs, key=abs)
+    """Every divisor of n != 0 with both signs, sorted by absolute value."""
+    divs = [1]
+    for prime, e in _factorize(n).items():
+        divs = [d * prime ** k for d in divs for k in range(e + 1)]
+    return sorted(divs + [-d for d in divs], key=abs)
 
 
 def _factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of |n| for n != 0: each cofactor is kept once
+    _is_probable_prime accepts it, else split by Pollard rho."""
     out: dict[int, int] = {}
-    n = abs(n)
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f * f <= n and f < 10**6:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += wheel[i % 8]
-        i += 1
-    if n > 1:
-        n = _pollard_split(n, out)
-    return out
-
-
-def _pollard_split(n: int, out: dict[int, int]) -> int:
-    stack = [n]
+    stack = [abs(n)]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return 1
+        elif m > 1:
+            d = _pollard_rho(m)
+            stack += [d, m // d]
+    return out
 
 
 # psi_12: the least strong pseudoprime to every prime base 2..37, so the

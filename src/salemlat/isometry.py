@@ -15,6 +15,7 @@ entries instead of the whole matrix.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from .intpoly import (
     IntPolynomial,
     SturmContext,
     cauchy_root_bound,
-    gcd_poly,
     is_irreducible_over_integers,
     is_reciprocal,
     monic_irreducible_factors,
@@ -237,8 +237,7 @@ def is_primary_charpoly(g: LatticeIsometry) -> bool:
 
 
 def has_simple_spectrum(g: LatticeIsometry) -> bool:
-    phi = char_poly(g)
-    return gcd_poly(phi, phi.derivative()).degree == 0
+    return SturmContext(char_poly(g)).squarefree
 
 
 DEFAULT_ENTROPY_PRECISION = Fraction(1, 10**6)
@@ -279,8 +278,7 @@ def entropy(g: LatticeIsometry,
     t = trace_polynomial(q)  # squarefree, since q has no root +-1
     s = t.degree
     sturm = SturmContext(t)
-    bound = cauchy_root_bound(t)
-    if sturm.count(-bound, bound) != s:
+    if sturm.variations(-1, 0) - sturm.variations(1, 0) != s:  # signs at -+infinity
         raise UnsupportedSpectrumError(
             "spectral radius attained at non-real eigenvalues")
 
@@ -389,23 +387,25 @@ def reflection_in_vector(lattice: GramLattice, w: IntVector) -> LatticeIsometry:
     return verify_isometry(matrix, lattice)
 
 
-def root_vectors(lattice: GramLattice, coefficient_bound: int = 2,
-                 max_support: int = 3) -> list[IntVector]:
+ROOT_COEFFICIENT_BOUND = 2
+ROOT_MAX_SUPPORT = 3
+MAX_REFLECTIONS = 6
+
+
+def root_vectors(lattice: GramLattice) -> list[IntVector]:
     """Norm +-2 vectors supported on few coordinates, one per sign pair.
 
     Full box enumeration is exponential in the rank; vectors of small
-    support already generate a rich reflection pool on the block lattices
-    used for the property suites.
+    support and entries already generate a rich reflection pool on the
+    block lattices used for the property suites.
     """
-    import itertools as _it
-
     n = lattice.rank
     out = []
     seen = set()
-    box = [c for c in range(-coefficient_bound, coefficient_bound + 1) if c != 0]
-    for size in range(1, min(max_support, n) + 1):
-        for support in _it.combinations(range(n), size):
-            for vals in _it.product(box, repeat=size):
+    box = [c for c in range(-ROOT_COEFFICIENT_BOUND, ROOT_COEFFICIENT_BOUND + 1) if c != 0]
+    for size in range(1, min(ROOT_MAX_SUPPORT, n) + 1):
+        for support in itertools.combinations(range(n), size):
+            for vals in itertools.product(box, repeat=size):
                 v = [0] * n
                 for idx, c in zip(support, vals):
                     v[idx] = c
@@ -421,8 +421,7 @@ def root_vectors(lattice: GramLattice, coefficient_bound: int = 2,
     return out
 
 
-def random_isometries(lattice: GramLattice, count: int, seed: int,
-                      max_reflections: int = 6) -> list[LatticeIsometry]:
+def random_isometries(lattice: GramLattice, count: int, seed: int) -> list[LatticeIsometry]:
     """Deterministic corpus of isometries: products of norm +-2 reflections."""
     rng = random.Random(seed)
     pool = root_vectors(lattice)
@@ -430,7 +429,7 @@ def random_isometries(lattice: GramLattice, count: int, seed: int,
         raise ValueError("lattice has no norm +-2 vectors in the sampling box")
     out = []
     for _ in range(count):
-        k = rng.randint(1, max_reflections)
+        k = rng.randint(1, MAX_REFLECTIONS)
         g = identity_isometry(lattice)
         for _ in range(k):
             w = pool[rng.randrange(len(pool))]

@@ -37,11 +37,8 @@ from .isometry import (
 )
 from .lattice import (
     GramLattice,
-    LatticeClass,
     SublatticeEmbedding,
     _signature_and_witnesses,
-    class_of_signature,
-    definiteness_witness,
     direct_sum,
     e8_minus_one,
     hyperbolic_plane,
@@ -193,68 +190,52 @@ def verify_construction(primes: PrimeSelection) -> list[CheckResult]:
     return _structural_checks(build_sublattices(primes))
 
 
+def _signature_check(name: str, lat: GramLattice, wanted: tuple[int, int, int],
+                     witness_signs: tuple[int, ...] = ()) -> CheckResult:
+    """Whether lat has the wanted signature, read off its kept congruence run.
+
+    Only a mismatch with witness signs costs one augmented run; its witness
+    is a vector of the first listed norm sign (+1, 0 or -1) that run finds.
+    """
+    sig = signature(lat)
+    witness = None
+    if sig != wanted and witness_signs:
+        found = _signature_and_witnesses(lat)[1]
+        witness = next((found[s] for s in witness_signs if s in found), None)
+    return CheckResult(name, sig == wanted, witness=witness,
+                       detail=f"signature {tuple(sig)}")
+
+
 def _structural_checks(subs: K3Sublattices) -> list[CheckResult]:
-    """The structural checks; each embedding keeps the Gram lattice they read."""
-    checks: list[CheckResult] = []
+    """The structural checks; each embedding keeps the Gram lattice they read.
+
+    The signatures come from each lattice's kept congruence run; only a
+    failed one of N, Nbar or Tbar adds an augmented run for its witness.
+    Tbar's signature (2, 0, 0) sums to its rank, so it implies rank 2.
+    """
     n_lat = subs.n.induced_gram()
-    l_lat = subs.l.induced_gram()
-    nbar_lat = subs.nbar.induced_gram()
-    tbar_lat = subs.tbar.induced_gram()
-
-    checks.append(CheckResult("n_rank_19", subs.n.rank == 19,
-                              detail=f"rank {subs.n.rank}"))
-    n_sig = signature(n_lat)
-    n_class = class_of_signature(n_sig)
-    checks.append(CheckResult(
-        "n_parabolic", n_class == LatticeClass.PARABOLIC,
-        witness=None if n_class == LatticeClass.PARABOLIC
-        else definiteness_witness(n_lat, 1),
-        detail=f"signature {tuple(n_sig)}"))
-
-    nbar_sig = signature(nbar_lat)
-    nbar_ok = nbar_sig == (0, 0, 18)  # elliptic of rank 18
-    if nbar_ok:
-        nbar_witness = None
-    else:
-        # one augmented run: a positive vector, or else an isotropic one
-        found = _signature_and_witnesses(nbar_lat)[1]
-        nbar_witness = found.get(1) or found.get(0)
-    checks.append(CheckResult(
-        "nbar_elliptic_rank_18", nbar_ok, witness=nbar_witness,
-        detail=f"signature {tuple(nbar_sig)}"))
-
-    checks.append(CheckResult("l_rank_20", subs.l.rank == 20,
-                              detail=f"rank {subs.l.rank}"))
-    l_sig = signature(l_lat)
-    checks.append(CheckResult(
-        "l_hyperbolic", class_of_signature(l_sig) == LatticeClass.HYPERBOLIC,
-        detail=f"signature {tuple(l_sig)}"))
-
-    # Tbar has rank 2, so the augmented run costs no more than a plain one
-    tbar_sig, tbar_witnesses = _signature_and_witnesses(tbar_lat)
-    tbar_ok = subs.tbar.rank == 2 and tbar_sig == (2, 0, 0)
-    checks.append(CheckResult(
-        "tbar_positive_definite_rank_2", tbar_ok,
-        witness=None if tbar_ok else tbar_witnesses.get(-1),
-        detail=f"signature {tuple(tbar_sig)}"))
-
-    checks.append(CheckResult("n_primitive", is_primitive(subs.n)))
-    checks.append(CheckResult("l_primitive", is_primitive(subs.l)))
-
-    checks.append(CheckResult(
-        "t_splits_as_e0_plus_tbar", subs.t.spans_same(subs.t_split),
-        detail=f"rank T = {subs.t.rank}"))
-
-    if n_class == LatticeClass.PARABOLIC:
-        has_minus_two, witness = represents(n_lat, -2)
-        checks.append(CheckResult(
-            "n_does_not_represent_minus_two", not has_minus_two,
-            witness=witness))
-    else:
-        checks.append(CheckResult(
-            "n_does_not_represent_minus_two", False,
-            detail="skipped: N is not parabolic"))
-    return checks
+    l_rank = subs.l.rank
+    n_parabolic = _signature_check("n_parabolic", n_lat, (0, 1, n_lat.rank - 1), (1,))
+    checks = [
+        CheckResult("n_rank_19", subs.n.rank == 19, detail=f"rank {subs.n.rank}"),
+        n_parabolic,
+        _signature_check("nbar_elliptic_rank_18", subs.nbar.induced_gram(),
+                         (0, 0, 18), (1, 0)),
+        CheckResult("l_rank_20", l_rank == 20, detail=f"rank {l_rank}"),
+        _signature_check("l_hyperbolic", subs.l.induced_gram(), (1, 0, l_rank - 1)),
+        _signature_check("tbar_positive_definite_rank_2", subs.tbar.induced_gram(),
+                         (2, 0, 0), (-1,)),
+        CheckResult("n_primitive", is_primitive(subs.n)),
+        CheckResult("l_primitive", is_primitive(subs.l)),
+        CheckResult("t_splits_as_e0_plus_tbar", subs.t.spans_same(subs.t_split),
+                    detail=f"rank T = {subs.t.rank}"),
+    ]
+    if not n_parabolic.passed:
+        return checks + [CheckResult("n_does_not_represent_minus_two", False,
+                                     detail="skipped: N is not parabolic")]
+    has_minus_two, witness = represents(n_lat, -2)
+    return checks + [CheckResult("n_does_not_represent_minus_two", not has_minus_two,
+                                 witness=witness)]
 
 
 # ---------------------------------------------------------------------------
@@ -675,17 +656,17 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
             break
     checks.append(CheckResult("extensions_integral", extensions_ok))
 
+    alpha_vectors = rank = None
     if extensions_ok:
         t_lat = subs.t.induced_gram()
         sigma = period_point(tbar_lat, t_lat)
         t_split = subs.t_split
         certs = [torelli_certificate(phi, sigma, t_split, subs.e0)
                  for phi in big_phis]
-        checks.append(CheckResult(
-            "phis_fix_e0", all(c.fixes_e0 for c in certs)))
-        checks.append(CheckResult(
-            "phis_fix_t_pointwise",
-            all(c.fixes_t_pointwise and c.fixes_period for c in certs)))
+        fix_e0 = all(c.fixes_e0 for c in certs)
+        fix_t = all(c.fixes_t_pointwise and c.fixes_period for c in certs)
+        checks.append(CheckResult("phis_fix_e0", fix_e0))
+        checks.append(CheckResult("phis_fix_t_pointwise", fix_t))
         commute = all(_commute(a, b)
                       for idx, a in enumerate(big_phis) for b in big_phis[idx + 1:])
         checks.append(CheckResult("phis_commute", commute))
@@ -694,13 +675,15 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
             minimal.ambient, linalg.identity(3))
         checks.append(CheckResult(
             "period_minimal_sublattice_is_t", minimal.spans_same(full)))
-        alpha_vectors = tuple(alpha_map(g, subs) for g in big_phis)
-        rank = abelian_rank_of_image(list(alpha_vectors))
-        checks.append(CheckResult("alpha_rank_18", rank == 18,
-                                  detail=f"rank {rank}"))
-    else:
-        alpha_vectors = None
-        rank = None
+        if fix_e0 and fix_t:  # what alpha_map needs of every generator
+            alpha_vectors = tuple(alpha_map(g, subs) for g in big_phis)
+            rank = abelian_rank_of_image(list(alpha_vectors))
+            checks.append(CheckResult("alpha_rank_18", rank == 18,
+                                      detail=f"rank {rank}"))
+        else:
+            checks.append(CheckResult(
+                "alpha_rank_18", False,
+                detail="skipped: the generators do not fix e0 and T pointwise"))
 
     all_ok = all(c.passed for c in checks)
     return replace(

@@ -265,22 +265,12 @@ def _smith(d: list[list[int]], m: int, n: int) -> None:
             row[dst] += q * row[src]
 
     def move_min_pivot(t) -> bool:
-        piv = None
-        best = None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                x = abs(row[j])
-                if x != 0 and (best is None or x < best):
-                    best = x
-                    piv = (i, j)
-                    if x == 1:
-                        break
-            if best == 1:
-                break
+        # the first least nonzero |entry| of the trailing block, row by row
+        piv = min(((abs(x), i, j) for i in range(t, m)
+                   for j, x in enumerate(d[i][t:n], t) if x), default=None)
         if piv is None:
             return False
-        i, j = piv
+        _, i, j = piv
         d[t], d[i] = d[i], d[t]
         if j != t:
             for row in d:

@@ -27,7 +27,6 @@ from .intpoly import (
     SturmContext,
     _horner,
     cauchy_root_bound,
-    gcd_poly,
     is_reciprocal,
     strip_cyclotomic_factors,
     trace_polynomial,
@@ -127,8 +126,11 @@ def classify_salem(p: IntPolynomial,
 
     The steps are exact throughout: reciprocity is a palindrome test,
     cyclotomic factors are found by trial division (complete, since such a
-    factor has phi(n) <= deg p), repeated factors by a gcd, and the root
-    layout by Sturm counts on the trace polynomial. A reciprocal
+    factor has phi(n) <= deg p), and both repeated factors and the root
+    layout are read off one Sturm chain of the trace polynomial q: once p
+    has no root +-1, p and q are squarefree together, which the last term
+    of the chain, gcd(q, q'), decides, and the layout is three sign
+    variations of the chain, at -2, 2 and +infinity. A reciprocal
     polynomial with constant term 1, no cyclotomic factor, no repeated
     factor and exactly one trace root beyond 2 is automatically
     irreducible: each of its non-cyclotomic irreducible factors has
@@ -150,14 +152,14 @@ def classify_salem(p: IntPolynomial,
         orders = ", ".join(str(n) for n, _ in cyclo)
         return SalemRejection(RejectionReason.REDUCIBLE,
                               f"cyclotomic factor(s) of order {orders}")
-    if gcd_poly(p, p.derivative()).degree > 0:
-        return SalemRejection(RejectionReason.REDUCIBLE, "repeated factor")
     q = trace_polynomial(p)
-    s = q.degree
-    bound = max(Fraction(3), cauchy_root_bound(q))
     sturm = SturmContext(q)
-    beyond = sturm.count(Fraction(2), bound)
-    inside = sturm.count(Fraction(-2), Fraction(2))
+    if not sturm.squarefree:
+        return SalemRejection(RejectionReason.REDUCIBLE, "repeated factor")
+    s = q.degree
+    at_two = sturm.variations(2, 1)  # q(+-2) = (+-1)^s p(+-1) != 0
+    beyond = at_two - sturm.variations(1, 0)
+    inside = sturm.variations(-2, 1) - at_two
     if beyond != 1 or inside != s - 1:
         return SalemRejection(
             RejectionReason.ROOT_LAYOUT,

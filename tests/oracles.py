@@ -355,6 +355,16 @@ def sympy_is_squarefree(p: IntPolynomial) -> bool:
     return _sympy_poly(p).is_sqf
 
 
+def sympy_factorint(n: int) -> dict[int, int]:
+    """{prime: exponent} of |n|."""
+    return {int(p): e for p, e in sympy.factorint(abs(n)).items()}
+
+
+def sympy_signed_divisors(n: int) -> list[int]:
+    """The divisors of |n| with both signs, by absolute value, d before -d."""
+    return [s for d in sympy.divisors(abs(n)) for s in (int(d), -int(d))]
+
+
 def sympy_real_root_count(p: IntPolynomial) -> int:
     return len(sympy.real_roots(_sympy_poly(p)))
 

@@ -70,6 +70,22 @@ class TestExitCodes:
         assert out == ""
         assert "internal error: period identity" in err
 
+    def test_failed_torelli_check_is_one(self, capsys, monkeypatch):
+        # extensions that do not fix e0 fail phis_fix_e0; the alpha vectors
+        # are then not read, so no shape error can pose as a usage error
+        def minus_identity(phi_power, l_emb, tbar_emb):
+            n = l_emb.ambient.rank
+            return k3_module.verify_isometry(
+                [[-(i == j) for j in range(n)] for i in range(n)], l_emb.ambient)
+
+        monkeypatch.setattr(k3_module, "extend_to_lambda", minus_identity)
+        code, out, err = run(capsys, "k3-run")
+        assert code == 1
+        assert err == ""
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["phis_fix_e0"]["pass"] is False
+        assert checks["alpha_rank_18"]["pass"] is False
+
     @pytest.mark.parametrize("flag", [("--precision", "0"), ("--precision=-1/10",)])
     def test_non_positive_precision_is_two(self, flag):
         # in a child process with a timeout, so that a bisection that never

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,8 @@ from salemlat.intpoly import (
     NotReciprocalError,
     OddDegreeError,
     SturmContext,
+    _divisors_signed,
+    _factorize,
     _monic_interpolation,
     _pseudo_divmod,
     _sturm_chain,
@@ -42,10 +46,12 @@ from oracles import (
     sympy_divmod,
     sympy_exact_quotient,
     sympy_factor_multiset,
+    sympy_factorint,
     sympy_is_squarefree,
     sympy_primitive_gcd,
     sympy_real_root_count,
     sympy_real_roots_between,
+    sympy_signed_divisors,
     sympy_sturm_sequence,
 )
 
@@ -125,18 +131,40 @@ class TestKernelsAgainstSympy:
             assert gcd_poly(g, f) == gcd_poly(f, g)
 
     def test_count_real_roots(self, suite_seed):
-        rng = random.Random(suite_seed + 12)
-        checked = 0
-        while checked < 60:
-            # distinct integer roots guarantee real roots are present
-            roots = rng.sample(range(-6, 7), rng.randint(0, 4))
-            p = random_poly(rng, 4, 6)
-            for r in roots:
-                p = p * P([-r, 1])
-            if p.degree < 1 or not sympy_is_squarefree(p):
-                continue
+        polys = polys_with_real_roots(random.Random(suite_seed + 12))
+        for p in islice((p for p in polys if sympy_is_squarefree(p)), 60):
             assert count_real_roots(p) == sympy_real_root_count(p)
-            checked += 1
+
+    def test_sturm_squarefree(self, suite_seed):
+        # the polynomials of test_count_real_roots and their squares: the
+        # chain ends in gcd(p, p'), a constant exactly when p is squarefree
+        for p in islice(polys_with_real_roots(random.Random(suite_seed + 12)), 60):
+            assert SturmContext(p).squarefree == sympy_is_squarefree(p), p
+            assert not SturmContext(p * p).squarefree, p
+        assert SturmContext(P([5])).squarefree
+
+    def test_factorize_and_divisors(self, suite_seed):
+        # 1..20000, 300 seeded |n| < 10^24 of 1 to 24 digits, and a
+        # product of two primes near 10^11, beyond any trial division
+        rng = random.Random(suite_seed + 13)
+        big = [rng.randrange(1, 10**rng.randint(1, 24)) * rng.choice([-1, 1])
+               for _ in range(300)]
+        p = sympy.nextprime(10**11)
+        for n in [*range(1, 20001), *big, -p * sympy.nextprime(p)]:
+            assert _factorize(n) == sympy_factorint(n), n
+            assert _divisors_signed(n) == sympy_signed_divisors(n), n
+
+
+def polys_with_real_roots(rng):
+    """Random polynomials of degree >= 1 times distinct linear factors, endlessly."""
+    while True:
+        # distinct integer roots guarantee real roots are present
+        roots = rng.sample(range(-6, 7), rng.randint(0, 4))
+        p = random_poly(rng, 4, 6)
+        for r in roots:
+            p = p * P([-r, 1])
+        if p.degree >= 1:
+            yield p
 
 
 def leading_mixed_poly(rng, degree, bound=7):

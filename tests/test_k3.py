@@ -831,9 +831,9 @@ class TestFullPipeline:
             assert sum(calls.values()) == grams
             assert set(calls.values()) == {1}
 
-    def test_failing_selection_runs_the_symmetric_core_six_times(self, monkeypatch):
-        # signatures of N, Nbar, L and Tbar; one augmented run each for the
-        # witnesses of N and Nbar; Tbar's witness comes with its signature
+    def test_failing_selection_runs_the_symmetric_core_seven_times(self, monkeypatch):
+        # plain runs for the signatures of N, Nbar, L and Tbar; one
+        # augmented run each for the witnesses of N, Nbar and Tbar
         calls = []
         core = lattice_module._congruence_bareiss
 
@@ -845,8 +845,23 @@ class TestFullPipeline:
         report = run_k3(SMALL_PRIME_SELECTION, skip_extension=True)
         failed = {c.name for c in report.checks if not c.passed}
         assert {"nbar_elliptic_rank_18", "tbar_positive_definite_rank_2"} <= failed
-        assert len(calls) == 6
-        assert calls.count(0) == 3
+        assert len(calls) == 7
+        assert calls.count(0) == 4
+
+    def test_failed_torelli_check_skips_the_alpha_vectors(self, monkeypatch):
+        # -I on Lambda is an isometry that fixes neither e0 nor T, so
+        # alpha_map would raise ShapeViolationError on it
+        ambient = k3_lattice()
+        minus_identity = verify_isometry(
+            [[-(i == j) for j in range(ambient.rank)] for i in range(ambient.rank)], ambient)
+        monkeypatch.setattr(k3_module, "extend_to_lambda", lambda *args: minus_identity)
+        report = run_k3(DEFAULT_PRIMES)
+        checks = {c.name: c for c in report.checks}
+        assert not checks["phis_fix_e0"].passed
+        assert not checks["phis_fix_t_pointwise"].passed
+        assert not checks["alpha_rank_18"].passed
+        assert checks["alpha_rank_18"].detail.startswith("skipped: ")
+        assert report.alpha_vectors is None and report.group_rank is None
 
     def test_failed_selection_reports_and_omits_rank(self):
         report = run_k3(SMALL_PRIME_SELECTION)

@@ -81,9 +81,14 @@ class TestClassify:
         assert rej.reason == RejectionReason.REDUCIBLE
 
     def test_repeated_salem_factor_rejected(self):
+        # no root +-1, so the trace polynomial's Sturm chain ends in a
+        # nonconstant gcd exactly when p has a repeated factor
         pell = P([1, -6, 1])
-        rej = classify_salem(pell * pell)
-        assert isinstance(rej, SalemRejection)
+        for p in (pell * pell, LEHMER * LEHMER, pell * pell * P([1, -3, 1])):
+            rej = classify_salem(p)
+            assert isinstance(rej, SalemRejection), p
+            assert rej.reason == RejectionReason.REDUCIBLE, p
+            assert rej.detail == "repeated factor", p
 
     def test_quadratic_flagged(self):
         cert = classify_salem(P([1, -6, 1]))

@@ -96,8 +96,9 @@ def _names(node):
 def test_polynomial_kernels_build_no_fraction():
     # division, stripping, Sturm chains, gcds and sign tests run in integers
     kernels = ["_pseudo_divmod", "_remainder_sequence", "_horner", "_sturm_chain",
-               "_eval_chain", "gcd_poly", "strip_cyclotomic_factors", "SturmContext.count",
-               "IntPolynomial.sign_at", "IntPolynomial.divides", "IntPolynomial.exact_div"]
+               "SturmContext.variations", "SturmContext.count", "gcd_poly",
+               "strip_cyclotomic_factors", "IntPolynomial.sign_at", "IntPolynomial.divides",
+               "IntPolynomial.exact_div"]
     found = [q for q in kernels if "Fraction" in _names(_function(SOURCE / "intpoly.py", q))]
     assert found == []
     defined = {node.name for path in SOURCE.glob("*.py")
@@ -189,6 +190,34 @@ def test_one_factor_search():
     assert "_kronecker_factor" in _names(search)
     assert not [loop for loop in _loops(search) if "strip_cyclotomic_factors" in _names(loop)]
     assert not [n for n in ast.walk(search) if isinstance(n, ast.FunctionDef) and n is not search]
+
+
+def _calls(node, name):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == name]
+
+
+def test_classify_salem_reads_one_trace_chain():
+    # repeated factors and the root layout come off the trace polynomial's
+    # one Sturm chain, with no full-degree gcd and no bound for infinity
+    classify = _function(SOURCE / "salem.py", "classify_salem")
+    assert not {"gcd_poly", "cauchy_root_bound"} & _names(classify)
+
+
+def test_single_use_helpers_stay_gone():
+    # each of these had one caller or none, or repeated the Pollard loop
+    intpoly = ast.parse((SOURCE / "intpoly.py").read_text())
+    defined = {node.name for node in ast.walk(intpoly) if isinstance(node, ast.FunctionDef)}
+    assert not {"_eval_chain", "_pollard_split"} & defined
+    poly_class = next(n for n in intpoly.body
+                      if isinstance(n, ast.ClassDef) and n.name == "IntPolynomial")
+    assert "one" not in {n.name for n in poly_class.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_structural_signatures_go_through_one_check():
+    structural = _function(SOURCE / "k3.py", "_structural_checks")
+    assert len(_calls(structural, "_signature_check")) == 4
+    assert not {"class_of_signature", "definiteness_witness"} & _names(structural)
 
 
 def _tracer_targets():
