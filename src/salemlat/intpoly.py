@@ -573,18 +573,40 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
+_RHO_BATCH = 100
+
+
 def _pollard_rho(n: int) -> int:
+    """A proper factor of a composite n by Brent's cycle search on y^2 + c.
+
+    Each step is one squaring; y runs r steps past the saved x, r doubling,
+    and the x - y of a batch of _RHO_BATCH steps are multiplied mod n under
+    one gcd. A batch whose gcd is n is walked again from its start, one gcd
+    per step (Brent, BIT 20, 1980).
+    """
     if n % 2 == 0:
         return 2
     c = 1
     while True:
-        x = y = 2
-        d = 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                start = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                d = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                start = (start * start + c) % n
+                d = gcd(x - start, n)
         if d != n:
             return d
         c += 1

@@ -36,7 +36,14 @@ from .intpoly import (
     trace_polynomial,
 )
 from .lattice import GramLattice, SublatticeEmbedding
-from .linalg import IntMatrix, IntVector, SparseRows, _nonzero_entries, _sparse_mul
+from .linalg import (
+    IntMatrix,
+    IntVector,
+    SparseRows,
+    _nonzero_entries,
+    _sparse_mul,
+    _sparse_transpose,
+)
 from .rational import RationalInterval, _log_nearest
 from .salem import SalemCertificate, _bisect_enclosure, _require_positive, classify_salem
 
@@ -91,17 +98,15 @@ class LatticeIsometry:
         A unipotent generator of the K3 construction has about 21 nonzero
         entries here out of 484, so its readers never touch the dense M.
         """
-        return tuple(tuple((j, x - (i == j)) for j, x in enumerate(row)
-                           if x != (i == j)) for i, row in enumerate(self.matrix))
+        rows = [list(row) for row in self.matrix]
+        for i, row in enumerate(rows):
+            row[i] -= 1
+        return _nonzero_entries(rows)
 
     def displacements(self, vectors) -> tuple[IntVector, ...]:
-        """g(v) - v for each v, from the one sparse product (M - I) V^T."""
-        rows = [[] for _ in range(self.rank)]   # V^T, by its nonzero entries
-        for c, v in enumerate(vectors):
-            for j, x in enumerate(v):
-                if x:
-                    rows[j].append((c, x))
-        return linalg.transpose(_sparse_mul(self.moved, rows, len(vectors)))
+        """g(v) - v for each v, from the one sparse product V (M - I)^T."""
+        moved_t = _sparse_transpose(self.moved, self.rank)
+        return _sparse_mul(_nonzero_entries(vectors), moved_t, self.rank, tuple)
 
     def compose(self, other: "LatticeIsometry") -> "LatticeIsometry":
         if self.lattice != other.lattice:
@@ -124,11 +129,13 @@ class LatticeIsometry:
 def verify_isometry(matrix, lattice: GramLattice) -> LatticeIsometry:
     """Check M^T G M = G entry by entry and det M = +-1.
 
-    With D = G (M - I) and G symmetric, M^T G M - G = D^T + D + (M - I)^T D,
-    so the check is two products on M - I, nearly empty for a unipotent M,
-    and the sparse rows of G, kept per lattice. The witness is the first
-    (i, j), row by row, where M^T G M and G differ. For det G != 0 (also
-    kept per lattice) the identity gives det(M)^2 = 1, so only a
+    With D = G (M - I) and G symmetric, M^T G M - G = M^T D + D^T, the one
+    sparse product [M^T | I] [D; D^T], where the rows of M^T are those of
+    (M - I)^T plus one unit entry each. Both products read only the nonzero
+    entries of M - I, nearly empty for a unipotent M, and of G, kept per
+    lattice. The witness is the first (i, j), row by row, where M^T G M and
+    G differ: the first entry of the first row that has one. For det G != 0
+    (also kept per lattice) the identity gives det(M)^2 = 1, so only a
     degenerate G needs the determinant of M.
     """
     m = linalg.freeze(matrix)
@@ -137,15 +144,15 @@ def verify_isometry(matrix, lattice: GramLattice) -> LatticeIsometry:
         raise ValueError(f"matrix must be {n} x {n}")
     g = LatticeIsometry(lattice, m)
     d = _sparse_mul(lattice.entries, g.moved, n)
-    moved_t = [[] for _ in range(n)]
+    rows = [[(i, 1), (n + i, 1)] for i in range(n)]  # [M^T | I] by nonzero entries
     for i, row in enumerate(g.moved):
         for j, x in row:
-            moved_t[j].append((i, x))
-    excess = _sparse_mul(moved_t, _nonzero_entries(d), n)
-    for i in range(n):
-        for j in range(n):
-            if excess[i][j] + d[i][j] + d[j][i]:
-                raise GramViolationError(i, j)
+            rows[j].append((i, x))
+    stacked = d + _sparse_transpose(d, n)
+    differs = _sparse_mul(rows, stacked, n, any)
+    if True in differs:
+        i = differs.index(True)
+        raise GramViolationError(i, _sparse_mul(rows[i:i + 1], stacked, n)[0][0][0])
     if lattice.determinant() == 0:
         det = linalg.det_bareiss(m)
         if det not in (1, -1):

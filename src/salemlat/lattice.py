@@ -9,8 +9,13 @@ run, as is saturation; primitivity and the index of a sum read Hermite
 normal forms; the discriminant group is the Smith diagonal of the Gram
 matrix's HNF. A basis whose rows each have a private column, as echelon
 forms do, is independent without a Bareiss rank. What is derived from an
-object is kept by it and made once: a lattice keeps its congruence run
-and its inverse, an embedding its Gram lattice and orthogonal projection.
+object is kept by it and made once: a lattice keeps its orthogonal
+summands, their congruence runs and inverses, an embedding its Gram
+lattice and orthogonal projection. The summands are the connected
+components of the graph of nonzero Gram entries; signature, determinant,
+inverse, radical and short vectors work per summand, so the K3 lattices
+N = 1 + 9 + 9, Nbar = 9 + 9 and L = U + 9 + 9 run eliminations of at most
+9 rows.
 """
 
 from __future__ import annotations
@@ -83,20 +88,58 @@ class GramLattice:
         return linalg._nonzero_entries(self.gram)
 
     @cached_property
-    def _congruence(self) -> tuple[tuple[int, int], ...]:
-        """The (p_k, prev_k) of one symmetric Bareiss run on G, made once."""
-        return tuple(_congruence_bareiss([list(row) for row in self.gram], self.rank)[0])
+    def summands(self) -> tuple[tuple[int, ...], ...]:
+        """The coordinates of each orthogonal summand, computed once.
+
+        The summands are the connected components of the graph on the basis
+        whose edges are the nonzero Gram entries, so G is block diagonal on
+        them; each is sorted, and they are ordered by their first coordinate.
+        """
+        seen: set[int] = set()
+        out = []
+        for start in range(self.rank):
+            if start not in seen:
+                seen.add(start)
+                coords = [start]
+                for i in coords:  # a breadth-first walk; coords grows as it is read
+                    for j, _ in self.entries[i]:
+                        if j not in seen:
+                            seen.add(j)
+                            coords.append(j)
+                out.append(tuple(sorted(coords)))
+        return tuple(out)
+
+    def _block(self, coords) -> list[list[int]]:
+        """The Gram matrix of the summand on coords, as fresh rows."""
+        return [[self.gram[i][j] for j in coords] for i in coords]
+
+    @cached_property
+    def _congruence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The (p_k, prev_k) of one symmetric Bareiss run on each summand, made once."""
+        return tuple(tuple(_congruence_bareiss(self._block(s), len(s))[0])
+                     for s in self.summands)
 
     def determinant(self) -> int:
-        """det G, the last congruence pivot: 0 when G is degenerate, 1 at rank 0."""
-        return self._congruence[-1][0] if self.rank else 1
+        """det G, the product of each summand's last congruence pivot: 0 when G
+        is degenerate, 1 at rank 0."""
+        return prod([run[-1][0] for run in self._congruence])
 
     @cached_property
     def _inverse(self) -> tuple[linalg.SparseRows, int]:
-        """(adj G by its nonzero entries, det G) from one Bareiss inverse, made
-        once; ValueError when G is degenerate."""
-        adj, det = linalg.integral_inverse(self.gram)
-        return linalg._nonzero_entries(adj), det
+        """(adj G by its nonzero entries, det G) from one Bareiss inverse per
+        summand, made once; ValueError when G is degenerate.
+
+        adj G is block diagonal, and on summand i it is adj(G_i) times the
+        determinants of the other summands.
+        """
+        inverses = [linalg.integral_inverse(self._block(s)) for s in self.summands]
+        det = prod(d for _, d in inverses)
+        rows: list = [()] * self.rank
+        for coords, (adj, d) in zip(self.summands, inverses):
+            scale = det // d
+            for i, row in zip(coords, adj):
+                rows[i] = tuple((coords[j], scale * x) for j, x in enumerate(row) if x)
+        return tuple(rows), det
 
     def __repr__(self) -> str:
         return f"GramLattice(rank={self.rank})"
@@ -217,7 +260,7 @@ def _signature_of(pairs: list[tuple[int, int]]) -> SignatureTriple:
 
 
 def signature(lattice: GramLattice) -> SignatureTriple:
-    return _signature_of(lattice._congruence)
+    return _signature_of([pair for run in lattice._congruence for pair in run])
 
 
 def _signature_and_witnesses(lattice: GramLattice
@@ -296,9 +339,8 @@ class SublatticeEmbedding:
     @cached_property
     def _pairing_rows(self) -> linalg.SparseRows:
         """B G by its nonzero entries, B the basis and G the ambient Gram matrix."""
-        return linalg._nonzero_entries(
-            linalg._sparse_mul(linalg._nonzero_entries(self.basis), self.ambient.entries,
-                               self.ambient.rank))
+        return linalg._sparse_mul(linalg._nonzero_entries(self.basis), self.ambient.entries,
+                                  self.ambient.rank)
 
     @cached_property
     def _lift(self) -> linalg.SparseRows:
@@ -307,7 +349,7 @@ class SublatticeEmbedding:
 
     @cached_property
     def _gram(self) -> GramLattice:
-        return GramLattice(linalg._sparse_mul(self._pairing_rows, self._lift, self.rank))
+        return GramLattice(linalg._sparse_mul(self._pairing_rows, self._lift, self.rank, tuple))
 
     def induced_gram(self) -> GramLattice:
         """The Gram lattice B G B^T of the sublattice, computed once per embedding."""
@@ -322,8 +364,7 @@ class SublatticeEmbedding:
         when G_S is degenerate.
         """
         adj, _ = self._gram._inverse
-        return linalg._nonzero_entries(
-            linalg._sparse_mul(adj, self._pairing_rows, self.ambient.rank))
+        return linalg._sparse_mul(adj, self._pairing_rows, self.ambient.rank)
 
     def spans_same(self, other: "SublatticeEmbedding") -> bool:
         return (linalg.hermite_normal_form(self.basis)
@@ -378,8 +419,19 @@ def discriminant_group(lattice: GramLattice) -> DiscriminantGroup:
 
 
 def radical(lattice: GramLattice) -> SublatticeEmbedding:
-    """Primitive kernel of the form, as a sublattice of the lattice itself."""
-    kernel = linalg.integer_kernel(lattice.gram)
+    """Primitive kernel of the form, as a sublattice of the lattice itself.
+
+    It is the sum of the kernels of the degenerate summands, so only those
+    summands need an integer kernel.
+    """
+    kernel = []
+    for coords, run in zip(lattice.summands, lattice._congruence):
+        if run[-1][0] == 0:
+            for vec in linalg.integer_kernel(lattice._block(coords)):
+                row = [0] * lattice.rank
+                for i, x in zip(coords, vec):
+                    row[i] = x
+                kernel.append(row)
     return SublatticeEmbedding(lattice, linalg.hermite_normal_form(kernel))
 
 
@@ -414,9 +466,10 @@ def quotient_by_radical(lattice: GramLattice) -> GramLattice:
 def vectors_of_norm(lattice: GramLattice, target: int) -> list[IntVector]:
     """All v with v G v^T = target in a definite lattice, one per sign pair.
 
-    Fincke-Pohst enumeration on one run of the symmetric Bareiss core.
-    With y_k the product of row k (from column k on) with the coordinates
-    in pivot order, v G v^T = sum_k y_k^2 / (p_k prev_k), and every
+    Fincke-Pohst enumeration on one run of the symmetric Bareiss core per
+    summand, whose rows sit side by side in a block triangular form. With
+    y_k the product of row k (from column k on) with the coordinates in
+    pivot order, v G v^T = sum_k y_k^2 / (p_k prev_k), and every
     p_k prev_k has the sign of the form, so a negative definite form is
     enumerated as its negation on the same rows. Scaled by
     D = lcm |p_k prev_k|, every level's budget is an integer and its bound
@@ -427,9 +480,15 @@ def vectors_of_norm(lattice: GramLattice, target: int) -> list[IntVector]:
     short length in a lattice (Math. Comp. 44, 1985).
     """
     n = lattice.rank
-    rows = [list(row) for row in lattice.gram]
-    pairs, perm = _congruence_bareiss(rows, n)
-    dens = [p * prev for p, prev in pairs]
+    rows: list[list[int]] = []
+    perm: list[int] = []  # the coordinate of each pivot position
+    dens: list[int] = []
+    for coords in lattice.summands:
+        block = lattice._block(coords)
+        pairs, order = _congruence_bareiss(block, len(coords))
+        rows += [[0] * len(perm) + row + [0] * (n - len(perm) - len(row)) for row in block]
+        perm += [coords[i] for i in order]
+        dens += [p * prev for p, prev in pairs]
     if all(d > 0 for d in dens):
         c = target
     elif all(d < 0 for d in dens):

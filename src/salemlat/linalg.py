@@ -1,7 +1,9 @@
 """Exact linear algebra over the integers and rationals.
 
 Matrices are tuples of tuples (rows). Every product comes from one
-zero-skipping kernel, which multiplies only pairs of nonzero entries.
+zero-skipping kernel, which multiplies only pairs of nonzero entries and
+returns the nonzero entries of each row, so a product of sparse factors
+stays sparse, or dense rows for mat_mul.
 Determinant, adjugate, inverses, solve, rank and the rational kernel all
 come from one Bareiss fraction-free elimination core, which never leaves
 the integers; fractions.Fraction appears only in the outputs of the
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -36,27 +38,59 @@ def transpose(a: IntMatrix) -> IntMatrix:
     return tuple(zip(*a)) if a else ()
 
 
+_entry = itemgetter(1)
+
+
+def _nonzero_row(row) -> tuple[tuple[int, int], ...]:
+    """The (column, entry) pairs of the nonzero entries of one row."""
+    return tuple(filter(_entry, enumerate(row)))
+
+
 def _nonzero_entries(a) -> SparseRows:
     """Each row of a as the (column, entry) pairs of its nonzero entries."""
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
+    return tuple(map(_nonzero_row, a))
 
 
-def _sparse_mul(a: SparseRows, b: SparseRows, ncols: int) -> IntMatrix:
-    """The dense product a b; only nonzero entries are multiplied."""
+def _sparse_transpose(a: SparseRows, ncols: int) -> SparseRows:
+    """The transpose of the ncols-column matrix a, by nonzero entries."""
+    out = [[] for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j, x in row:
+            out[j].append((i, x))
+    return tuple(map(tuple, out))
+
+
+def _sparse_mul(a: SparseRows, b: SparseRows, ncols: int, shape=_nonzero_row):
+    """The product a b, each row given by shape of its ncols accumulated
+    entries: by default its nonzero entries, columns ascending, so a product
+    of sparse factors stays sparse; shape = tuple gives dense rows.
+
+    Only pairs of nonzero entries are multiplied, and a row of a that meets
+    only empty rows of b costs no accumulator.
+    """
     out = []
+    zero = None
     for row in a:
-        acc = [0] * ncols
+        acc = None
         for k, x in row:
-            for j, y in b[k]:
-                acc[j] += x * y
-        out.append(tuple(acc))
+            brow = b[k]
+            if brow:
+                if acc is None:
+                    acc = [0] * ncols
+                for j, y in brow:
+                    acc[j] += x * y
+        if acc is not None:
+            out.append(shape(acc))
+        else:
+            if zero is None:
+                zero = shape([0] * ncols)
+            out.append(zero)
     return tuple(out)
 
 
 def mat_mul(a, b):
-    """The product a b by the zero-skipping kernel."""
-    return _sparse_mul(_nonzero_entries(a), _nonzero_entries(b),
-                       len(b[0]) if b else 0)
+    """The dense product a b by the zero-skipping kernel."""
+    return _sparse_mul(_nonzero_entries(a), _nonzero_entries(b), len(b[0]) if b else 0, tuple)
 
 
 def mat_vec(a, v):
@@ -322,7 +356,7 @@ def saturate(rows: IntMatrix) -> IntMatrix:
     k, n = len(rows), len(rows[0])
     aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
     _smith(aug, k, n)
-    uk = _sparse_mul(_nonzero_entries(row[n:] for row in aug), _nonzero_entries(rows), n)
+    uk = mat_mul([row[n:] for row in aug], rows)
     return tuple(tuple(x // aug[i][i] for x in row) for i, row in enumerate(uk))
 
 

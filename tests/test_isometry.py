@@ -144,6 +144,33 @@ class TestVerify:
         assert broken >= 30
 
 
+    def test_witness_on_perturbed_dense_suite_isometries(self, suite_seed):
+        # products of up to six reflections on the property-suite lattices
+        # (rank 2 to 10) and their cubes are dense, unlike the K3 generators;
+        # the witness is still the first nonzero (i, j) of a dense M^T G M - G
+        rng = random.Random(suite_seed + 41)
+        broken = filled = total = 0
+        for k, lat in enumerate(ps.HYPERBOLIC_LATTICES + ps.TWO_POSITIVE_LATTICES):
+            for g in random_isometries(lat, 6, suite_seed + 50 + k):
+                for m in (g.matrix, g.power(3).matrix):
+                    filled += sum(1 for row in m for x in row if x)
+                    total += lat.rank ** 2
+                    m = [list(row) for row in m]
+                    for _ in range(rng.randint(1, 2)):
+                        m[rng.randrange(lat.rank)][rng.randrange(lat.rank)] += rng.choice((-1, 1, 2))
+                    product = dense_mat_mul(dense_mat_mul(linalg.transpose(m), lat.gram), m)
+                    witness = next(((i, j) for i in range(lat.rank) for j in range(lat.rank)
+                                    if product[i][j] != lat.gram[i][j]), None)
+                    if witness is None:
+                        continue
+                    broken += 1
+                    with pytest.raises(GramViolationError) as err:
+                        verify_isometry(m, lat)
+                    assert err.value.witness == witness
+        assert broken >= 80
+        assert 2 * filled > total
+
+
 class TestCharPoly:
     def test_identity_rank_2(self):
         assert char_poly(identity_isometry(U)) == P([1, -2, 1])

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import random
 import time
@@ -55,6 +56,7 @@ from salemlat.lattice import (
     orthogonal_complement,
     signature,
 )
+from salemlat.serialize import dumps_certificate, report_to_json
 
 from oracles import (
     dense_mat_mul,
@@ -403,6 +405,25 @@ class TestCommute:
         assert _commute(first, second) is commutes
 
 
+class TestSparseCommute:
+    def test_all_pairs_against_dense_products(self, extended):
+        # the 153 pairs of extended generators commute, and _commute reads
+        # that off the sparse products of differences as the dense ab = ba
+        pairs = [(a, b) for idx, a in enumerate(extended) for b in extended[idx + 1:]]
+        assert len(pairs) == 153
+        for a, b in pairs:
+            dense = linalg.mat_mul(a.matrix, b.matrix) == linalg.mat_mul(b.matrix, a.matrix)
+            assert dense and _commute(a, b)
+
+    def test_non_commuting_pair(self, extended):
+        # the reflection in v_11 moves e1, which the generators move e0 by
+        reflection = reflection_in_vector(k3_lattice(), _unit(6))
+        for g in (extended[0], extended[9]):
+            assert (linalg.mat_mul(g.matrix, reflection.matrix)
+                    != linalg.mat_mul(reflection.matrix, g.matrix))
+            assert not _commute(g, reflection) and not _commute(reflection, g)
+
+
 class TestProductKernel:
     def test_extended_generators_against_dense_and_sympy(self, full_report, subs):
         # the products of the extension stage: 22 x 22 isometries with
@@ -691,53 +712,59 @@ class TestFullPipeline:
         assert report.group_rank is None
 
     def test_shared_inverses_are_computed_once(self, monkeypatch):
-        # the unimodular inverse in _radical_split (19 rows) and, with the
-        # extension stage, the Gram matrix of L, which keeps its inverse for
-        # every generator; per-generator work would show up as 18 or more
-        # calls. No discriminant group: the report reads |L*/L| off det G_L.
-        # One signature each of N, Nbar, L, Tbar and the definite quotient of N
-        # (represents reuses that of N), and with the extension stage Tbar
-        # again in period_point.
-        calls = Counter()
+        # Inverses: the unimodular one in _radical_split (19 rows) and, with
+        # the extension stage, one per summand of G_L = U + 9 + 9, which L
+        # keeps for every generator; per-generator work would show up as 18
+        # or more calls. No discriminant group: the report reads |L*/L| off
+        # det G_L. Congruence runs, one per summand: N = 1 + 9 + 9,
+        # Nbar = 9 + 9, L = 2 + 9 + 9, Tbar = 1 + 1 (diagonal here) and the
+        # definite quotient of N, 9 + 9, in vectors_of_norm (represents reuses
+        # the run of N); period_point reuses the run of Tbar.
+        runs = []
         inverted = []
-
-        def counted(name, f):
-            def wrapper(*args):
-                calls[name] += 1
-                return f(*args)
-            return wrapper
 
         def counted_inverse(a):
             inverted.append(len(a))
             return integral_inverse(a)
 
+        def counted_core(rows, n):
+            runs.append((n, len(rows[0]) - n))
+            return core(rows, n)
+
         integral_inverse = linalg.integral_inverse
+        core = lattice_module._congruence_bareiss
         # the ambient lattice is made once per process and keeps its
-        # congruence run (det G of the extensions' verify_isometry), so
+        # congruence runs (det G of the extensions' verify_isometry), so
         # whether an earlier test made it does not change the counts
         k3_lattice().determinant()
         monkeypatch.setattr(linalg, "integral_inverse", counted_inverse)
-        monkeypatch.setattr(lattice_module, "_congruence_bareiss",
-                            counted("signature", lattice_module._congruence_bareiss))
-        disc = counted("discriminant_group", discriminant_group)
-        monkeypatch.setattr(lattice_module, "discriminant_group", disc)
+        monkeypatch.setattr(lattice_module, "_congruence_bareiss", counted_core)
+        discs = []
+
+        def counted_disc(lat):
+            discs.append(lat.rank)
+            return discriminant_group(lat)
+
+        monkeypatch.setattr(lattice_module, "discriminant_group", counted_disc)
         # k3 binds no such name; a re-import would be counted too
-        monkeypatch.setattr(k3_module, "discriminant_group", disc, raising=False)
-        for skip_extension, inverses, signatures in (
-                (True, [19], 5), (False, [19, 20], 6)):
-            calls.clear()
+        monkeypatch.setattr(k3_module, "discriminant_group", counted_disc, raising=False)
+        plain = [1, 9, 9] + [9, 9] + [2, 9, 9] + [1, 1] + [9, 9]
+        for skip_extension, inverses in ((True, [19]), (False, [19, 2, 9, 9])):
+            runs.clear()
             inverted.clear()
             assert run_k3(DEFAULT_PRIMES, skip_extension).all_passed
             assert inverted == inverses
-            assert calls["discriminant_group"] == 0
-            assert 0 < calls["signature"] <= signatures
+            assert discs == []
+            assert runs == [(n, 0) for n in plain]
 
     def test_each_run_inverts_l_once_and_never_l_plus_tbar(self, monkeypatch):
-        # G_L (20 rows) is inverted once per run, by the lattice object of
-        # that run, and [L; Tbar] (22 rows) never: the extensions go through
-        # the projection that the embedding of L keeps. Two runs in a row
-        # each pay for their own inverse, so nothing outlives a run. No run
-        # builds a discriminant group.
+        # the summands [2, 9, 9] of G_L are inverted once per run, by the
+        # lattice object of that run, and neither G_L whole (20 rows) nor
+        # [L; Tbar] (22 rows) ever: the extensions go through the projection
+        # that the embedding of L keeps. The other inverse is the basis
+        # completion of N's radical (19 rows). Two runs in a row each pay
+        # for their own inverses, so nothing outlives a run. No run builds a
+        # discriminant group.
         shapes, discs = [], []
         integral_inverse = linalg.integral_inverse
 
@@ -757,9 +784,27 @@ class TestFullPipeline:
             discs.clear()
             report = run_k3(DEFAULT_PRIMES)
             assert report.all_passed and report.group_rank == 18
-            assert shapes.count(20) == 1
-            assert 22 not in shapes
+            assert shapes == [19, 2, 9, 9]
             assert discs == []
+
+    def test_plain_congruence_runs_see_at_most_nine_rows(self, monkeypatch):
+        # every Gram matrix of a full run splits into orthogonal summands of
+        # at most 9 rows, the ambient U^3 + E8(-1)^2 included, and each plain
+        # congruence run sees one summand
+        rows = []
+        core = lattice_module._congruence_bareiss
+
+        def counted(block, n):
+            if len(block[0]) == n:
+                rows.append(n)
+            return core(block, n)
+
+        monkeypatch.setattr(lattice_module, "_congruence_bareiss", counted)
+        k3_lattice.cache_clear()
+        report = run_k3(DEFAULT_PRIMES)
+        assert report.all_passed and report.group_rank == 18
+        assert max(rows) == 9
+        assert Counter(rows) == Counter({9: 8, 8: 2, 2: 4, 1: 3})
 
     def test_extension_stage_has_no_run_context(self):
         # run_k3 calls the public functions as every caller does; what they
@@ -831,22 +876,25 @@ class TestFullPipeline:
             assert sum(calls.values()) == grams
             assert set(calls.values()) == {1}
 
-    def test_failing_selection_runs_the_symmetric_core_seven_times(self, monkeypatch):
-        # plain runs for the signatures of N, Nbar, L and Tbar; one
-        # augmented run each for the witnesses of N, Nbar and Tbar
+    def test_failing_selection_runs_the_symmetric_core_per_summand(self, monkeypatch):
+        # plain runs for the signatures of N, Nbar, L and Tbar, one per
+        # summand; one augmented run each on the whole of N, Nbar and Tbar
+        # for their witnesses, whose pivot order the certificate records
         calls = []
         core = lattice_module._congruence_bareiss
 
         def counted(rows, n):
-            calls.append(len(rows[0]) - n)
+            calls.append((n, len(rows[0]) - n))
             return core(rows, n)
 
         monkeypatch.setattr(lattice_module, "_congruence_bareiss", counted)
         report = run_k3(SMALL_PRIME_SELECTION, skip_extension=True)
         failed = {c.name for c in report.checks if not c.passed}
         assert {"nbar_elliptic_rank_18", "tbar_positive_definite_rank_2"} <= failed
-        assert len(calls) == 7
-        assert calls.count(0) == 4
+        assert calls == [(1, 0), (9, 0), (9, 0), (19, 19),    # N
+                         (9, 0), (9, 0), (18, 18),            # Nbar
+                         (2, 0), (9, 0), (9, 0),              # L
+                         (1, 0), (1, 0), (2, 2)]              # Tbar
 
     def test_failed_torelli_check_skips_the_alpha_vectors(self, monkeypatch):
         # -I on Lambda is an isometry that fixes neither e0 nor T, so
@@ -867,3 +915,40 @@ class TestFullPipeline:
         report = run_k3(SMALL_PRIME_SELECTION)
         assert not report.all_passed
         assert report.group_rank is None
+
+
+# sha256 of the full run_k3 report of each selection, serialized by
+# report_to_json and dumps_certificate: four valid selections beyond
+# DEFAULT_PRIMES, then two whose N and Nbar fail definiteness with witnesses
+GOLDEN_REPORTS = (
+    (PrimeSelection(p=5, q=7, p_list=(41, 43, 47, 53, 59, 61, 67, 71),
+                    q_list=(73, 79, 83, 89, 97, 101, 103, 107)),
+     "3d64ec9870e8ae6dcc5f69abc08d4c93e2f409d561bebd8089d9ac5dfa56eaf4"),
+    (PrimeSelection(p=3, q=2, p_list=(101, 103, 107, 109, 113, 127, 131, 137),
+                    q_list=(139, 149, 151, 157, 163, 167, 173, 179)),
+     "c09f788aeaff18392b026dad43d4d48e8f8e2248c7af060169ddf93d5301778d"),
+    (PrimeSelection(p=2, q=3, p_list=(29, 191, 79, 71, 113, 181, 61, 197),
+                    q_list=(107, 251, 199, 239, 151, 211, 109, 83)),
+     "554a9303ab401b798e2b46206b5e39bf273b953a3932d3702daa60306ec3adcd"),
+    (PrimeSelection(p=2, q=3, p_list=(179, 47, 167, 59, 137, 71, 127, 109),
+                    q_list=(107, 97, 181, 61, 103, 89, 229, 211)),
+     "971fbd1e51e04b729c3f85361e530f4950bc55851d28619f18a4651d8ec086a6"),
+    (PrimeSelection(p=2, q=3, p_list=(7, 11, 13, 17, 19, 23, 29, 31),
+                    q_list=(37, 41, 43, 47, 53, 59, 61, 67)),
+     "5b7160ab8dcd07ceefb90679386e4058ccb313f98dc0aa62f8b7d288ec652633"),
+    (PrimeSelection(p=7, q=5, p_list=(271, 191, 331, 79, 19, 53, 17, 241),
+                    q_list=(397, 29, 137, 103, 229, 197, 199, 13)),
+     "c82798f2dac18a24f8f6cf33f2cb54ffe096af0078c6564aab4bf3bd12114648"),
+)
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("primes, digest", GOLDEN_REPORTS)
+    def test_report_digest(self, primes, digest):
+        report = run_k3(primes)
+        text = dumps_certificate(report_to_json(report))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        if not report.all_passed:
+            failed = {c.name: c.witness for c in report.checks if not c.passed}
+            assert failed["n_parabolic"] is not None
+            assert failed["nbar_elliptic_rank_18"] is not None

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -458,6 +459,100 @@ class TestIndependenceCheck:
                 passed += 1
                 assert sympy_rank(rows) == len(rows)
         assert passed > 30
+
+
+def block_diagonal_gram(rng):
+    """A Gram matrix that is block diagonal under a random permutation of the
+    coordinates, with its blocks: general ones, 1 x 1 zero ones and singular
+    ones of rank >= 2 (A^T D A with A of one row fewer than columns)."""
+    blocks = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(("general", "zero", "singular"))
+        if kind == "zero":
+            blocks.append([[0]])
+        elif kind == "general":
+            blocks.append(seeded_symmetric(rng, rng.randint(1, 4), "general"))
+        else:
+            k = rng.randint(3, 4)
+            a = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k - 1)]
+            d = [rng.choice((-2, -1, 1, 2)) for _ in range(k - 1)]
+            blocks.append([[sum(a[r][i] * d[r] * a[r][j] for r in range(k - 1))
+                            for j in range(k)] for i in range(k)])
+    n = sum(len(b) for b in blocks)
+    coords = rng.sample(range(n), n)
+    g = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        place = coords[offset:offset + len(b)]
+        for i, row in zip(place, b):
+            for j, x in zip(place, row):
+                g[i][j] = x
+        offset += len(b)
+    return g, blocks
+
+
+class TestOrthogonalSummands:
+    """Each lattice works per orthogonal summand; the whole matrix is the oracle."""
+
+    def corpus(self, seed):
+        rng = random.Random(seed)
+        yield GramLattice.from_rows([]), []
+        for _ in range(60):
+            g, blocks = block_diagonal_gram(rng)
+            yield GramLattice.from_rows(g), blocks
+
+    def test_summands_are_the_connected_blocks(self, suite_seed):
+        for lat, _ in self.corpus(suite_seed + 31):
+            parts = lat.summands
+            assert sorted(i for part in parts for i in part) == list(range(lat.rank))
+            assert [part[0] for part in parts] == sorted(part[0] for part in parts)
+            where = {i: k for k, part in enumerate(parts) for i in part}
+            for i in range(lat.rank):
+                for j in range(lat.rank):
+                    if where[i] != where[j]:
+                        assert lat.gram[i][j] == 0
+            for part in parts:  # connected: a walk from its first coordinate reaches all
+                reached, frontier = {part[0]}, [part[0]]
+                while frontier:
+                    i = frontier.pop()
+                    new = {j for j in part if lat.gram[i][j]} - reached
+                    reached |= new
+                    frontier += new
+                assert reached == set(part)
+
+    def test_signature_and_determinant_against_sympy(self, suite_seed):
+        seen = Counter()
+        for lat, blocks in self.corpus(suite_seed + 32):
+            assert tuple(signature(lat)) == descartes_signature(lat.gram)
+            assert lat.determinant() == (sympy_det(lat.gram) if lat.rank else 1)
+            seen["interleaved"] += len(blocks) > 1 and any(
+                part != tuple(range(part[0], part[0] + len(part))) for part in lat.summands)
+            seen["zero 1 x 1"] += [[0]] in blocks
+            seen["singular rank >= 2"] += any(len(b) > 1 and sympy_det(b) == 0 for b in blocks)
+        assert min(seen.values()) >= 5 and len(seen) == 3
+
+    def test_inverse_against_the_whole_matrix(self, suite_seed):
+        degenerate = 0
+        for lat, _ in self.corpus(suite_seed + 33):
+            try:
+                adj, det = linalg.integral_inverse(lat.gram)
+            except ValueError:
+                degenerate += 1
+                with pytest.raises(ValueError):
+                    lat._inverse
+                continue
+            kept, kept_det = lat._inverse
+            assert kept_det == det
+            assert kept == linalg._nonzero_entries(adj)
+        assert degenerate >= 10
+
+    def test_radical_against_the_whole_kernel(self, suite_seed):
+        ranks = Counter()
+        for lat, _ in self.corpus(suite_seed + 34):
+            rad = radical(lat)
+            assert rad.basis == linalg.hermite_normal_form(linalg.integer_kernel(lat.gram))
+            ranks[rad.rank] += 1
+        assert ranks[0] >= 5 and sum(n for r, n in ranks.items() if r >= 2) >= 5
 
 
 class TestRadical:
