@@ -171,10 +171,9 @@ def build_sublattices(primes: PrimeSelection) -> K3Sublattices:
     l = SublatticeEmbedding.from_rows(
         ambient, [list(_unit(_E0)), list(_unit(_F0))] + rows)
     t = orthogonal_complement(n)
-    # Tbar = L^perp = T meet f0^perp is spanned by the c T with (c T, f0) = 0,
-    # a primitive basis since T and the kernel of that 1 x 3 row are
-    coeffs = linalg.integer_kernel(
-        (tuple(ambient.pairing(b, _unit(_F0)) for b in t.basis),))
+    # Tbar = L^perp = T meet f0^perp is spanned by the c T with (c T, f0) = 0
+    # (the f0 column of T G), a primitive basis as T and that kernel are
+    coeffs = linalg.integer_kernel((tuple(dict(row).get(_F0, 0) for row in t._pairing_rows),))
     tbar = SublatticeEmbedding(
         ambient, linalg.hermite_normal_form(linalg.mat_mul(coeffs, t.basis)))
     return K3Sublattices(primes=primes, ambient=ambient, nbar=nbar, n=n, l=l,

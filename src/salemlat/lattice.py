@@ -11,11 +11,12 @@ matrix's HNF. A basis whose rows each have a private column, as echelon
 forms do, is independent without a Bareiss rank. What is derived from an
 object is kept by it and made once: a lattice keeps its orthogonal
 summands, their congruence runs and inverses, an embedding its Gram
-lattice and orthogonal projection. The summands are the connected
-components of the graph of nonzero Gram entries; signature, determinant,
-inverse, radical and short vectors work per summand, so the K3 lattices
-N = 1 + 9 + 9, Nbar = 9 + 9 and L = U + 9 + 9 run eliminations of at most
-9 rows.
+lattice, pairing rows and orthogonal projection. The summands are the
+connected components of the graph of nonzero Gram entries (linalg's
+component walk); signature, determinant, inverse, radical and short
+vectors work per summand, so the K3 lattices N = 1 + 9 + 9, Nbar = 9 + 9
+and L = U + 9 + 9 run eliminations of at most 9 rows. linalg's HNFs,
+kernels and ranks split a basis into blocks the same way.
 """
 
 from __future__ import annotations
@@ -93,21 +94,11 @@ class GramLattice:
 
         The summands are the connected components of the graph on the basis
         whose edges are the nonzero Gram entries, so G is block diagonal on
-        them; each is sorted, and they are ordered by their first coordinate.
+        them: linalg's components of G + I (whose diagonal joins row i to
+        column i), each sorted, in order of their first coordinate.
         """
-        seen: set[int] = set()
-        out = []
-        for start in range(self.rank):
-            if start not in seen:
-                seen.add(start)
-                coords = [start]
-                for i in coords:  # a breadth-first walk; coords grows as it is read
-                    for j, _ in self.entries[i]:
-                        if j not in seen:
-                            seen.add(j)
-                            coords.append(j)
-                out.append(tuple(sorted(coords)))
-        return tuple(out)
+        diagonal = [((i, 1),) + row for i, row in enumerate(self.entries)]
+        return tuple(tuple(cols) for _, cols in linalg._components(diagonal, self.rank)[0])
 
     def _block(self, coords) -> list[list[int]]:
         """The Gram matrix of the summand on coords, as fresh rows."""
@@ -385,8 +376,10 @@ def is_primitive(emb: SublatticeEmbedding) -> bool:
 
 
 def orthogonal_complement(emb: SublatticeEmbedding) -> SublatticeEmbedding:
-    """All ambient vectors pairing to zero with the embedding; primitive."""
-    pairing_rows = linalg.mat_mul(emb.basis, emb.ambient.gram)
+    """All ambient vectors pairing to zero with the embedding, the integer
+    kernel of the pairing rows B G that the embedding keeps; primitive."""
+    columns = range(emb.ambient.rank)
+    pairing_rows = [[d.get(j, 0) for j in columns] for d in map(dict, emb._pairing_rows)]
     kernel = linalg.integer_kernel(pairing_rows)
     return SublatticeEmbedding(emb.ambient, linalg.hermite_normal_form(kernel))
 

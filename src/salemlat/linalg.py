@@ -11,6 +11,8 @@ fraction_* fronts. Hermite normal forms answer span questions. Smith
 normal forms come from one core, which records both transforms or
 neither, as its callers need; saturating k independent rows (and so the
 integer kernel) costs one Smith run that records only a k x k transform.
+Hermite normal form, integer kernel and rational rank eliminate a matrix
+block by block, on the components of its support graph.
 Nothing here is tolerant of floating point, by design.
 """
 
@@ -58,6 +60,47 @@ def _sparse_transpose(a: SparseRows, ncols: int) -> SparseRows:
         for j, x in row:
             out[j].append((i, x))
     return tuple(map(tuple, out))
+
+
+def _components(a: SparseRows, ncols: int) -> tuple[list[tuple[list[int], list[int]]], list[int]]:
+    """The connected components of the bipartite graph of a's nonzero entries
+    (rows on one side, columns on the other) as sorted (rows, columns) in
+    order of their first row, and the untouched columns; zero rows lie in
+    none. Permuted by components, a is block diagonal: the coarsest block
+    triangular form (Pothen, Fan, ACM TOMS 16, 1990)."""
+    by_col = _sparse_transpose(a, ncols)
+    row_seen, col_seen = [False] * len(a), [False] * ncols
+    out = []
+    for start, entries in enumerate(a):
+        if entries and not row_seen[start]:
+            row_seen[start] = True
+            rows, cols = [start], []
+            for i in rows:  # a breadth-first walk; rows grows as it is read
+                for j, _ in a[i]:
+                    if not col_seen[j]:
+                        col_seen[j] = True
+                        cols.append(j)
+                        for r, _ in by_col[j]:
+                            if not row_seen[r]:
+                                row_seen[r] = True
+                                rows.append(r)
+            out.append((sorted(rows), sorted(cols)))
+    return out, [j for j, col in enumerate(by_col) if not col]
+
+
+def _blocks(a: IntMatrix) -> tuple[list[tuple[list[list[int]], list[int]]], list[int]]:
+    """The (submatrix, columns) of each component of a, and its untouched columns."""
+    comps, untouched = _components(_nonzero_entries(a), len(a[0]) if a else 0)
+    return [([[a[i][j] for j in cols] for i in rows], cols) for rows, cols in comps], untouched
+
+
+def _embed(rows, cols: list[int], ncols: int):
+    """Rows over the given columns, widened to ncols columns."""
+    for row in rows:
+        full = [0] * ncols
+        for j, x in zip(cols, row):
+            full[j] = x
+        yield tuple(full)
 
 
 def _sparse_mul(a: SparseRows, b: SparseRows, ncols: int, shape=_nonzero_row):
@@ -231,14 +274,12 @@ def fraction_solve(a, b) -> list[Fraction] | None:
 
 
 def rational_rank(a) -> int:
-    """Rank over Q; each row is divided by its content before elimination."""
-    if not a:
-        return 0
-    rows = []
-    for row in a:
-        c = gcd(*row)
-        rows.append([x // c for x in row] if c > 1 else list(row))
-    return len(_bareiss(rows, len(a[0]))[0])
+    """Rank over Q, summed over the blocks of a; rows lose their content first."""
+    rank = 0
+    for rows, cols in _blocks(a)[0]:
+        rows = [[x // c for x in row] if (c := gcd(*row)) > 1 else row for row in rows]
+        rank += len(_bareiss(rows, len(cols))[0])
+    return rank
 
 
 def adjugate(a: IntMatrix) -> IntMatrix:
@@ -363,20 +404,24 @@ def saturate(rows: IntMatrix) -> IntMatrix:
 def integer_kernel(a: IntMatrix) -> IntMatrix:
     """Basis (rows) of {x : a x = 0} over the integers. Always saturated.
 
-    One Bareiss pass gives the rational kernel: with d the last pivot, the
-    vector of a free column j has d at j and -rows[r][j] at the pivot
-    column of each pivot row r; saturate() makes it a Z-basis.
-    """
+    It is the unit vectors of the untouched columns of a and the kernels of
+    its blocks, each saturated on its own. With d the last pivot of one
+    Bareiss pass on a block, the vector of a free column j has d at j and
+    -rows[r][j] at the pivot column of each pivot row r; saturate() makes
+    them a Z-basis."""
+    blocks, untouched = _blocks(a)
     n = len(a[0]) if a else 0
-    rows = [list(row) for row in a]
-    pivots, d, _ = _bareiss(rows, n)
-    free = sorted(set(range(n)).difference(c for _, c in pivots))
-    kernel = [[0] * n for _ in free]
-    for vec, j in zip(kernel, free):
-        vec[j] = d
-        for r, c in pivots:
-            vec[c] = -rows[r][j]
-    return saturate(kernel)
+    kernel = [tuple(int(i == j) for i in range(n)) for j in untouched]
+    for rows, cols in blocks:
+        pivots, d, _ = _bareiss(rows, len(cols))
+        free = sorted(set(range(len(cols))).difference(c for _, c in pivots))
+        vecs = [[0] * len(cols) for _ in free]
+        for vec, j in zip(vecs, free):
+            vec[j] = d
+            for r, c in pivots:
+                vec[c] = -rows[r][j]
+        kernel += _embed(saturate(vecs), cols, n)
+    return tuple(kernel)
 
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
@@ -384,17 +429,21 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
 
     Pivots are positive, entries above a pivot are reduced to [0, pivot).
     The result is a canonical basis of the row space, so two integer
-    matrices span the same sublattice iff their HNFs are equal.
+    matrices span the same sublattice iff their HNFs are equal. It is the
+    blocks' HNF rows by pivot column (the larger echelon row first), as the
+    blocks' columns are disjoint.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rows = [list(r) for r in a]
+    comps, _ = _components(_nonzero_entries(a), len(a[0]) if a else 0)
+    hnf = [row for rows, cols in comps for row in _hermite([list(a[i]) for i in rows], cols)]
+    return tuple(sorted(hnf, reverse=True))
+
+
+def _hermite(rows: list[list[int]], cols: list[int]) -> IntMatrix:
+    """The HNF of rows that vanish off the sorted columns cols, reduced there in place."""
     pivot_rows: list[list[int]] = []
-    col = 0
-    while col < n and rows:
+    for col in cols:
         sel = [r for r in rows if r[col] != 0]
         if not sel:
-            col += 1
             continue
         while True:
             sel.sort(key=lambda r: abs(r[col]))
@@ -402,7 +451,7 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
             done = True
             for r in sel[1:]:
                 q = r[col] // piv[col]
-                for j in range(n):
+                for j in cols:
                     r[j] -= q * piv[j]
                 if r[col] != 0:
                     done = False
@@ -410,16 +459,15 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
             if done or len(sel) == 1:
                 break
         if piv[col] < 0:
-            for j in range(n):
+            for j in cols:
                 piv[j] = -piv[j]
         for r in pivot_rows:
             q = r[col] // piv[col]
             if q:
-                for j in range(n):
+                for j in cols:
                     r[j] -= q * piv[j]
         pivot_rows.append(piv)
         rows = [r for r in rows if r is not piv and any(r)]
-        col += 1
     return freeze(pivot_rows)
 
 

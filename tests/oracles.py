@@ -392,6 +392,23 @@ def sympy_row_lattice_basis(matrix):
     return [[int(c) for c in h.col(j)] for j in range(h.cols)]
 
 
+def sympy_hermite_normal_form(matrix):
+    """The row-style Hermite normal form of matrix (positive pivots, zero
+    rows dropped, entries above a pivot in [0, pivot)) from sympy.
+
+    sympy's column form of an independent basis, with the columns reversed,
+    puts each pivot last and reduces the entries of its column in the rows
+    after it; reversing the columns and the rows back gives the row style.
+    """
+    from sympy.matrices.normalforms import hermite_normal_form as hnf
+
+    basis = sympy_row_lattice_basis(matrix)
+    if not basis:
+        return ()
+    h = hnf(sympy.Matrix([row[::-1] for row in basis]).T).T
+    return tuple(tuple(int(c) for c in h.row(i))[::-1] for i in reversed(range(h.rows)))
+
+
 def sympy_in_row_lattice(rows, basis) -> bool:
     """Whether every row is an integer combination of the basis rows."""
     if not basis:

@@ -144,15 +144,61 @@ class TestKernelsAgainstSympy:
         assert SturmContext(P([5])).squarefree
 
     def test_factorize_and_divisors(self, suite_seed):
-        # 1..20000, 300 seeded |n| < 10^24 of 1 to 24 digits, and a
-        # product of two primes near 10^11, beyond any trial division
-        rng = random.Random(suite_seed + 13)
-        big = [rng.randrange(1, 10**rng.randint(1, 24)) * rng.choice([-1, 1])
-               for _ in range(300)]
-        p = sympy.nextprime(10**11)
-        for n in [*range(1, 20001), *big, -p * sympy.nextprime(p)]:
+        # 1..20000 against sympy; then 300 seeded |n| < 10^24 drawn as
+        # products of known primes, so that their factorizations come with
+        # them, among them products of two primes of 10^11 to 10^12, beyond
+        # any trial division; sympy cross-checks 20 of those draws
+        for n in range(1, 20001):
             assert _factorize(n) == sympy_factorint(n), n
             assert _divisors_signed(n) == sympy_signed_divisors(n), n
+        rng = random.Random(suite_seed + 13)
+        draws = known_factorizations(rng, 300)
+        assert sum(len(f) == 2 and min(f) > 10**11 for _, f in draws) >= 3
+        for n, factors in draws:
+            assert 0 < abs(n) < 10**24
+            assert _factorize(n) == factors, n
+            assert _divisors_signed(n) == signed_divisors(factors), n
+        for n, factors in rng.sample(draws, 20):
+            assert sympy_factorint(n) == factors, n
+            assert sympy_signed_divisors(n) == signed_divisors(factors), n
+
+
+def known_factorizations(rng, count):
+    """count seeded (n, {prime: exponent of n}) with |n| < 10^24 and either
+    sign. The first three n are products of two distinct primes of 10^11 to
+    10^12, the fourth -p q for the two primes after 10^11; every other n
+    multiplies up to six primes of 1 to 9 digits (a drawn prime repeats with
+    chance 1/4), each kept only while n stays below a bound of 1 to 24
+    digits. The primes come from sympy.nextprime, which is exact below 2^64.
+    """
+    p = sympy.nextprime(10**11)
+    out = [(-p * sympy.nextprime(p), {p: 1, sympy.nextprime(p): 1})]
+    while len(out) < 4:
+        p, q = (sympy.nextprime(rng.randrange(10**11, 10**12 - 10**4)) for _ in range(2))
+        if p != q:
+            out.insert(0, (p * q, {p: 1, q: 1}))
+    while len(out) < count:
+        bound = 10 ** rng.randint(1, 24)
+        n, factors = 1, {}
+        for _ in range(rng.randint(1, 6)):
+            if factors and rng.random() < 0.25:
+                p = rng.choice(sorted(factors))
+            else:
+                p = sympy.nextprime(rng.randrange(10 ** rng.randint(0, 9)))
+            if n * p < bound:
+                n *= p
+                factors[p] = factors.get(p, 0) + 1
+        out.append((n * rng.choice([-1, 1]), factors))
+    return [(n, {int(p): e for p, e in sorted(f.items())}) for n, f in out]
+
+
+def signed_divisors(factors):
+    """The divisors of the n with these prime exponents, with both signs,
+    ordered by absolute value, d before -d."""
+    divisors = [1]
+    for p, e in factors.items():
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return [s for d in sorted(divisors) for s in (d, -d)]
 
 
 def polys_with_real_roots(rng):

@@ -814,11 +814,12 @@ class TestFullPipeline:
         assert not {"_RunContext", "_block_inverse", "_projection"} & set(vars(k3_module))
 
     def test_structural_stage_runs_small_smith_forms(self, monkeypatch):
-        # Smith runs: the kernels behind T (3 x 22) and Tbar (2 x 3) and the
-        # basis completion of N's radical (1 x 19); |L*/L| is det G_L, so no
-        # 20 x 20 run. Primitivity and the index of L + Tbar read HNFs, and
-        # every basis the stage builds has private columns, so the only
-        # rational rank is that of N + T
+        # the one Smith run is the basis completion of N's radical (1 x 19):
+        # the kernels behind T and Tbar split into blocks whose kernels are
+        # single rows, which lose their content without a Smith run, and
+        # |L*/L| is det G_L. Primitivity and the index of L + Tbar read
+        # HNFs, and every basis the stage builds has private columns, so the
+        # only rational rank is that of the 22 rows of N + T
         shapes, ranks = [], []
         smith, rational_rank = linalg._smith, linalg.rational_rank
 
@@ -833,9 +834,35 @@ class TestFullPipeline:
         monkeypatch.setattr(linalg, "_smith", counted_smith)
         monkeypatch.setattr(linalg, "rational_rank", counted_rank)
         assert run_k3(DEFAULT_PRIMES, skip_extension=True).all_passed
-        assert len(shapes) <= 3
-        assert set(shapes) <= {(3, 22), (2, 3), (1, 19)}
-        assert len(ranks) <= 1
+        assert shapes == [(1, 19)]
+        assert ranks == [22]
+
+    def test_structural_eliminations_see_at_most_ten_columns(self, monkeypatch):
+        # HNF, integer kernel and rank run per block of the support graph:
+        # N's pairing rows split as f0 | 9 x 10 | 9 x 10, the transposed
+        # bases of N and L as 1 | 10 x 9 | 10 x 9, and the stacks L + Tbar
+        # and N + T into 10 x 10 blocks. The one wider elimination is the
+        # 19 x 19 unimodular inverse of _radical_split, on [V | I]. Widths
+        # are (rows, pivot columns, columns reduced)
+        widths = []
+        bareiss, hermite = linalg._bareiss, linalg._hermite
+
+        def counted_bareiss(rows, ncols):
+            widths.append((len(rows), ncols, len(rows[0])))
+            return bareiss(rows, ncols)
+
+        def counted_hermite(rows, cols):
+            # the rows vanish off cols, and only cols are reduced
+            widths.append((len(rows), len(cols), len(cols)))
+            return hermite(rows, cols)
+
+        monkeypatch.setattr(linalg, "_bareiss", counted_bareiss)
+        monkeypatch.setattr(linalg, "_hermite", counted_hermite)
+        assert run_k3(DEFAULT_PRIMES, skip_extension=True).all_passed
+        assert widths.count((19, 19, 38)) == 1
+        widths.remove((19, 19, 38))
+        assert max(ncols for _, ncols, _ in widths) == 10
+        assert max(width for _, _, width in widths) == 10
 
     def test_isometries_are_verified_without_their_determinants(self, monkeypatch):
         # every phi and every extension satisfies M^T G M = G on a

@@ -9,6 +9,7 @@ from oracles import (
     sympy_adjugate,
     sympy_charpoly,
     sympy_det,
+    sympy_hermite_normal_form,
     sympy_in_row_lattice,
     sympy_inverse,
     sympy_invariant_factors,
@@ -195,6 +196,69 @@ class TestCharPoly:
             coeffs = linalg.charpoly_coeffs(a)
             det = linalg.det_bareiss(a)
             assert coeffs[0] == (-1) ** n * det
+
+
+def block_diagonal_matrix(rng):
+    """A random block diagonal integer matrix with its rows and columns
+    shuffled, beside zero rows and columns that no row touches. Some blocks
+    repeat a sum of two rows, or scale a row, so ranks drop and rows carry
+    content; a block's own zeros may split it further."""
+    blocks = []
+    for _ in range(rng.randint(0, 4)):
+        block = [list(row) for row in random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -9, 9)]
+        if len(block) > 2 and rng.random() < 0.4:
+            block[-1] = [x + y for x, y in zip(block[0], block[1])]
+        if rng.random() < 0.3:
+            block[0] = [6 * x for x in block[0]]
+        blocks.append(block)
+    n = sum(len(b[0]) for b in blocks) + rng.randint(0, 3)
+    rows = [[0] * n for _ in range(rng.randint(0, 2))]
+    offset = 0
+    for block in blocks:
+        rows += [[0] * offset + row + [0] * (n - offset - len(row)) for row in block]
+        offset += len(block[0])
+    cols = rng.sample(range(n), n)
+    rng.shuffle(rows)
+    return tuple(tuple(row[j] for j in cols) for row in rows)
+
+
+class TestBlockSplit:
+    """The three fronts run their cores per block of the matrix's support
+    graph; every answer must be that of the whole matrix."""
+
+    def inputs(self, suite_seed):
+        rng = random.Random(suite_seed + 21)
+        out = [block_diagonal_matrix(rng) for _ in range(80)]
+        return [(a, tuple(rng.sample(a, len(a)))) for a in out if a and a[0]]
+
+    def test_inputs_split(self, suite_seed):
+        # many inputs have several blocks, zero rows or untouched columns
+        inputs = [a for a, _ in self.inputs(suite_seed)]
+        split = [linalg._components(linalg._nonzero_entries(a), len(a[0])) for a in inputs]
+        assert sum(len(blocks) > 1 for blocks, _ in split) > 20
+        assert sum(bool(untouched) for _, untouched in split) > 20
+        assert sum(not all(map(any, a)) for a in inputs) > 20
+
+    def test_hermite_normal_form(self, suite_seed):
+        for a, shuffled in self.inputs(suite_seed):
+            h = linalg.hermite_normal_form(a)
+            assert h == sympy_hermite_normal_form(a), a
+            assert linalg.hermite_normal_form(shuffled) == h, a
+
+    def test_rational_rank(self, suite_seed):
+        for a, _ in self.inputs(suite_seed):
+            assert linalg.rational_rank(a) == sympy_rank(a), a
+
+    def test_integer_kernel(self, suite_seed):
+        for a, shuffled in self.inputs(suite_seed):
+            n = len(a[0])
+            kernel = linalg.integer_kernel(a)
+            assert len(kernel) == n - sympy_rank(a), a
+            assert not any(any(linalg.mat_vec(a, row)) for row in kernel), a
+            if kernel:
+                assert set(linalg.snf_diagonal(kernel)) == {1}, a
+            assert (linalg.hermite_normal_form(linalg.integer_kernel(shuffled))
+                    == linalg.hermite_normal_form(kernel)), a
 
 
 class TestKernelAndInverse:

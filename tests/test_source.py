@@ -316,3 +316,24 @@ def test_only_constant_tables_are_cached():
                       "intpoly._cyclotomic_indices_up_to_degree"}
     # every reference is one of those decorators: no lru_cache(f) call form
     assert references == len(cached)
+
+
+def test_block_split_runs_the_private_cores():
+    # HNF, integer kernel and rank split a matrix by the one component walk
+    # of linalg, as the orthogonal summands of a Gram matrix do, and run a
+    # private core on each block; no front or helper calls a public front,
+    # so a traced front counts one call per caller call
+    linalg_src = SOURCE / "linalg.py"
+    fronts = {"hermite_normal_form": "_hermite", "integer_kernel": "_bareiss",
+              "rational_rank": "_bareiss"}
+    assert "_components" in _names(_function(linalg_src, "_blocks"))
+    assert "_components" in _names(_function(SOURCE / "lattice.py", "GramLattice.summands"))
+    for front, core in fronts.items():
+        called = _names(_function(linalg_src, front))
+        assert core in called and called & {"_components", "_blocks"}, front
+        assert not set(fronts) & called, front
+    for helper in ("_components", "_blocks", "_embed", "_hermite", "_bareiss", "saturate"):
+        assert not set(fronts) & _names(_function(linalg_src, helper)), helper
+    # summands keeps no search of its own
+    summands = _function(SOURCE / "lattice.py", "GramLattice.summands")
+    assert not [n for n in ast.walk(summands) if isinstance(n, (ast.For, ast.While))]
