@@ -378,9 +378,7 @@ def is_primitive(emb: SublatticeEmbedding) -> bool:
 def orthogonal_complement(emb: SublatticeEmbedding) -> SublatticeEmbedding:
     """All ambient vectors pairing to zero with the embedding, the integer
     kernel of the pairing rows B G that the embedding keeps; primitive."""
-    columns = range(emb.ambient.rank)
-    pairing_rows = [[d.get(j, 0) for j in columns] for d in map(dict, emb._pairing_rows)]
-    kernel = linalg.integer_kernel(pairing_rows)
+    kernel = linalg._integer_kernel(emb._pairing_rows, emb.ambient.rank)
     return SublatticeEmbedding(emb.ambient, linalg.hermite_normal_form(kernel))
 
 
@@ -420,11 +418,8 @@ def radical(lattice: GramLattice) -> SublatticeEmbedding:
     kernel = []
     for coords, run in zip(lattice.summands, lattice._congruence):
         if run[-1][0] == 0:
-            for vec in linalg.integer_kernel(lattice._block(coords)):
-                row = [0] * lattice.rank
-                for i, x in zip(coords, vec):
-                    row[i] = x
-                kernel.append(row)
+            kernel += linalg._embed(linalg.integer_kernel(lattice._block(coords)), coords,
+                                    lattice.rank)
     return SublatticeEmbedding(lattice, linalg.hermite_normal_form(kernel))
 
 

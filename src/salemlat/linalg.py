@@ -88,10 +88,11 @@ def _components(a: SparseRows, ncols: int) -> tuple[list[tuple[list[int], list[i
     return out, [j for j, col in enumerate(by_col) if not col]
 
 
-def _blocks(a: IntMatrix) -> tuple[list[tuple[list[list[int]], list[int]]], list[int]]:
-    """The (submatrix, columns) of each component of a, and its untouched columns."""
-    comps, untouched = _components(_nonzero_entries(a), len(a[0]) if a else 0)
-    return [([[a[i][j] for j in cols] for i in rows], cols) for rows, cols in comps], untouched
+def _blocks(a: SparseRows, ncols: int) -> tuple[list[tuple[list[list[int]], list[int]]], list[int]]:
+    """The dense (submatrix, columns) of each component of a; its untouched columns."""
+    comps, untouched = _components(a, ncols)
+    return [([[d.get(j, 0) for j in cols] for d in map(dict, map(a.__getitem__, rows))], cols)
+            for rows, cols in comps], untouched
 
 
 def _embed(rows, cols: list[int], ncols: int):
@@ -276,7 +277,7 @@ def fraction_solve(a, b) -> list[Fraction] | None:
 def rational_rank(a) -> int:
     """Rank over Q, summed over the blocks of a; rows lose their content first."""
     rank = 0
-    for rows, cols in _blocks(a)[0]:
+    for rows, cols in _blocks(_nonzero_entries(a), len(a[0]) if a else 0)[0]:
         rows = [[x // c for x in row] if (c := gcd(*row)) > 1 else row for row in rows]
         rank += len(_bareiss(rows, len(cols))[0])
     return rank
@@ -409,8 +410,12 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     Bareiss pass on a block, the vector of a free column j has d at j and
     -rows[r][j] at the pivot column of each pivot row r; saturate() makes
     them a Z-basis."""
-    blocks, untouched = _blocks(a)
-    n = len(a[0]) if a else 0
+    return _integer_kernel(_nonzero_entries(a), len(a[0]) if a else 0)
+
+
+def _integer_kernel(a: SparseRows, n: int) -> IntMatrix:
+    """integer_kernel of the n-column matrix a, given by its nonzero entries."""
+    blocks, untouched = _blocks(a, n)
     kernel = [tuple(int(i == j) for i in range(n)) for j in untouched]
     for rows, cols in blocks:
         pivots, d, _ = _bareiss(rows, len(cols))

@@ -147,13 +147,16 @@ class TestKernelsAgainstSympy:
         # 1..20000 against sympy; then 300 seeded |n| < 10^24 drawn as
         # products of known primes, so that their factorizations come with
         # them, among them products of two primes of 10^11 to 10^12, beyond
-        # any trial division; sympy cross-checks 20 of those draws
+        # any trial division, and primes of 13 to 19 digits, where the fixed
+        # Miller-Rabin bases must accept them; sympy cross-checks 20 draws
         for n in range(1, 20001):
             assert _factorize(n) == sympy_factorint(n), n
             assert _divisors_signed(n) == sympy_signed_divisors(n), n
         rng = random.Random(suite_seed + 13)
         draws = known_factorizations(rng, 300)
         assert sum(len(f) == 2 and min(f) > 10**11 for _, f in draws) >= 3
+        assert sum(len(f) == 1 and max(f) > 10**12 for _, f in draws) >= 20
+        assert sum(len(f) > 1 and max(f) > 10**12 for _, f in draws) >= 20
         for n, factors in draws:
             assert 0 < abs(n) < 10**24
             assert _factorize(n) == factors, n
@@ -166,10 +169,12 @@ class TestKernelsAgainstSympy:
 def known_factorizations(rng, count):
     """count seeded (n, {prime: exponent of n}) with |n| < 10^24 and either
     sign. The first three n are products of two distinct primes of 10^11 to
-    10^12, the fourth -p q for the two primes after 10^11; every other n
-    multiplies up to six primes of 1 to 9 digits (a drawn prime repeats with
-    chance 1/4), each kept only while n stays below a bound of 1 to 24
-    digits. The primes come from sympy.nextprime, which is exact below 2^64.
+    10^12, the fourth -p q for the two primes after 10^11; the next 40 are a
+    prime of 13 to 19 digits, every other one times one to four primes
+    below 100 while n stays below 10^24; every other n multiplies up to six
+    primes of 1 to 9 digits (a drawn prime repeats with chance 1/4), each
+    kept only while n stays below a bound of 1 to 24 digits. The primes
+    come from sympy.nextprime and prevprime, which are exact below 2^64.
     """
     p = sympy.nextprime(10**11)
     out = [(-p * sympy.nextprime(p), {p: 1, sympy.nextprime(p): 1})]
@@ -177,6 +182,16 @@ def known_factorizations(rng, count):
         p, q = (sympy.nextprime(rng.randrange(10**11, 10**12 - 10**4)) for _ in range(2))
         if p != q:
             out.insert(0, (p * q, {p: 1, q: 1}))
+    while len(out) < 44:
+        digits = rng.randint(13, 19)
+        p = sympy.nextprime(rng.randrange(10 ** (digits - 1), 10**digits - 10**4))
+        n, factors = p, {p: 1}
+        for _ in range(rng.randint(1, 4) if len(out) % 2 else 0):
+            q = sympy.prevprime(rng.randint(3, 100))
+            if n * q < 10**24:
+                n *= q
+                factors[q] = factors.get(q, 0) + 1
+        out.append((n * rng.choice([-1, 1]), factors))
     while len(out) < count:
         bound = 10 ** rng.randint(1, 24)
         n, factors = 1, {}

@@ -322,18 +322,25 @@ def test_block_split_runs_the_private_cores():
     # HNF, integer kernel and rank split a matrix by the one component walk
     # of linalg, as the orthogonal summands of a Gram matrix do, and run a
     # private core on each block; no front or helper calls a public front,
-    # so a traced front counts one call per caller call
+    # so a traced front counts one call per caller call;
+    # integer_kernel splits in _integer_kernel, its core on nonzero entries,
+    # through which orthogonal_complement reads the kept pairing rows
     linalg_src = SOURCE / "linalg.py"
-    fronts = {"hermite_normal_form": "_hermite", "integer_kernel": "_bareiss",
+    fronts = {"hermite_normal_form", "integer_kernel", "rational_rank"}
+    splits = {"hermite_normal_form": "_hermite", "_integer_kernel": "_bareiss",
               "rational_rank": "_bareiss"}
     assert "_components" in _names(_function(linalg_src, "_blocks"))
     assert "_components" in _names(_function(SOURCE / "lattice.py", "GramLattice.summands"))
-    for front, core in fronts.items():
-        called = _names(_function(linalg_src, front))
-        assert core in called and called & {"_components", "_blocks"}, front
-        assert not set(fronts) & called, front
-    for helper in ("_components", "_blocks", "_embed", "_hermite", "_bareiss", "saturate"):
-        assert not set(fronts) & _names(_function(linalg_src, helper)), helper
+    assert "_integer_kernel" in _names(_function(linalg_src, "integer_kernel"))
+    assert "_integer_kernel" in _names(_function(SOURCE / "lattice.py", "orthogonal_complement"))
+    for split, core in splits.items():
+        called = _names(_function(linalg_src, split))
+        assert core in called and called & {"_components", "_blocks"}, split
+    for name in fronts | {"_integer_kernel", "_components", "_blocks", "_embed", "_hermite",
+                          "_bareiss", "saturate"}:
+        assert not fronts & _names(_function(linalg_src, name)), name
+    # radical widens its summand kernels with the one _embed
+    assert "_embed" in _names(_function(SOURCE / "lattice.py", "radical"))
     # summands keeps no search of its own
     summands = _function(SOURCE / "lattice.py", "GramLattice.summands")
     assert not [n for n in ast.walk(summands) if isinstance(n, (ast.For, ast.While))]
