@@ -528,7 +528,7 @@ def _divisors_signed(n: int) -> list[int]:
 
 def _factorize(n: int) -> dict[int, int]:
     """{prime: exponent} of |n| for n != 0: each cofactor is kept once
-    _is_probable_prime accepts it, else split by Pollard rho."""
+    _is_probable_prime accepts it, else split by a small prime or Pollard rho."""
     out: dict[int, int] = {}
     stack = [abs(n)]
     while stack:
@@ -536,21 +536,22 @@ def _factorize(n: int) -> dict[int, int]:
         if _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
         elif m > 1:
-            d = _pollard_rho(m)
+            d = next((p for p in _SMALL_PRIMES if m % p == 0), 0) or _pollard_rho(m)
             stack += [d, m // d]
     return out
 
 
-# psi_12: the least strong pseudoprime to every prime base 2..37, so the
-# Miller-Rabin test below is a proof of primality for every n under it
-# (Sorenson and Webster, Math. Comp. 86, 2017)
+# psi_12: the least strong pseudoprime to every base in _SMALL_PRIMES, so
+# the Miller-Rabin test below, which also trial-divides by them, is a proof
+# of primality for every n under it (Sorenson and Webster, Math. Comp. 86, 2017)
 MILLER_RABIN_BOUND = 318665857834031151167461
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     if n < 41 * 41:
@@ -560,7 +561,7 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -577,15 +578,13 @@ _RHO_BATCH = 100
 
 
 def _pollard_rho(n: int) -> int:
-    """A proper factor of a composite n by Brent's cycle search on y^2 + c.
+    """A proper factor of an odd composite n by Brent's cycle search on y^2 + c.
 
     Each step is one squaring; y runs r steps past the saved x, r doubling,
     and the x - y of a batch of _RHO_BATCH steps are multiplied mod n under
     one gcd. A batch whose gcd is n is walked again from its start, one gcd
     per step (Brent, BIT 20, 1980).
     """
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         y, r, q, d = 2, 1, 1, 1

@@ -12,8 +12,9 @@ Lambda fixing T pointwise, and certifies that they generate a free
 abelian group of rank 18 through an explicit coordinate homomorphism.
 What the extension stage derives from L, the inverse of its Gram matrix
 and the orthogonal projection onto L, is kept by the lattice and the
-embedding objects, made once per object, so run_k3 calls build_phi,
-extension_order and extend_to_lambda exactly as any other caller does.
+embedding objects, made once per object, so run_k3 calls build_phi and
+extend_to_lambda exactly as any other caller does; each generator is
+trivial on L*/L (see extension_order), so no order search runs.
 
 The generators sharing e1 (resp. e2) pair nontrivially, so definiteness
 of Nbar genuinely depends on the prime selection; it is verified per run
@@ -316,11 +317,14 @@ def extension_order(phi: LatticeIsometry, l_lat: GramLattice) -> int:
     phi^k is trivial on L*/L iff (phi^k - I) G^{-1} is an integer matrix,
     that is iff (phi^k - I) adj(G) vanishes modulo det G; adj(G) and det G
     are the inverse the lattice keeps. The search is capped at |L*/L|
-    times the exponent of the group; going past |L*/L| already contradicts
-    the expected bound and is reported. The cap comes off the same inverse:
-    |L*/L| = |det G|, and the entries of adj(G) are the (n-1)-minors of G,
-    whose gcd is the product of all invariant factors but the last, so the
-    exponent is |det G| / gcd(adj G).
+    times the exponent of the group, read off the same inverse: |L*/L| =
+    |det G|, and the entries of adj(G) are the (n-1)-minors of G, whose gcd
+    is the product of all invariant factors but the last, so the exponent
+    is |det G| / gcd(adj G).
+
+    Each build_phi generator has order 1, so run_k3 needs no search: it is
+    the Eichler transvection E(e0, u) with u in L, and for x in L*,
+    (phi - I) x = (x.e0) u - (x.u) e0 - u^2/2 (x.e0) e0 lies in L, as L is even.
     """
     if phi.lattice != l_lat:
         raise ValueError("isometry does not act on the given lattice")
@@ -648,19 +652,17 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
             return replace(report, checks=tuple(checks))
     checks.append(CheckResult("phi_isometries_on_l", True,
                               detail="all 18 verified"))
-    orders = [extension_order(phi, l_lat) for phi in phis]
-    big_phis = []
-    extensions_ok = True
-    for phi, k in zip(phis, orders):
+    big_phis, failure = [], ""  # each phi is trivial on L*/L (see extension_order)
+    for i, phi in enumerate(phis, 1):
         try:
-            big_phis.append(extend_to_lambda(phi.power(k), subs.l, subs.tbar))
-        except NonIntegralExtensionError:
-            extensions_ok = False
+            big_phis.append(extend_to_lambda(phi, subs.l, subs.tbar))
+        except NonIntegralExtensionError as exc:
+            failure = f"phi_{i}: {exc}"
             break
-    checks.append(CheckResult("extensions_integral", extensions_ok))
+    checks.append(CheckResult("extensions_integral", not failure, detail=failure))
 
     alpha_vectors = rank = None
-    if extensions_ok:
+    if not failure:
         t_lat = subs.t.induced_gram()
         sigma = period_point(tbar_lat, t_lat)
         t_split = subs.t_split
@@ -692,7 +694,7 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
     return replace(
         report,
         checks=tuple(checks),
-        extension_orders=tuple(orders),
+        extension_orders=None if failure else (1,) * len(phis),
         alpha_vectors=alpha_vectors,
         group_rank=rank if all_ok else None,
     )

@@ -424,18 +424,16 @@ def radical(lattice: GramLattice) -> SublatticeEmbedding:
 
 
 def _radical_split(lattice: GramLattice):
-    """Completion (v, u_1, ..., u_{r-1}) of the rank-1 radical to a Z-basis."""
+    """Completion (v, u_1, ..., u_{r-1}) of the rank-1 radical to a Z-basis:
+    the first column c of the Smith transform of the row v has v.c = +-1, so
+    Z^r = Zv + ker c, and the u_i are the integer kernel of c (for v = e_j,
+    c = e_j and the u_i are the other unit vectors in order)."""
     rad = radical(lattice)
     if rad.rank != 1:
         raise RadicalRankError(f"radical has rank {rad.rank}, expected 1")
     v = rad.basis[0]
     _, _, vm = linalg.smith_normal_form((v,))
-    v_inv = linalg.unimodular_inverse(vm)
-    first = v_inv[0]
-    if first != v and tuple(-x for x in first) != v:
-        raise ArithmeticError("basis completion lost the radical generator")
-    rows = [v] + [tuple(r) for r in v_inv[1:]]
-    return v, tuple(rows)
+    return v, (v, *linalg.integer_kernel((tuple(row[0] for row in vm),)))
 
 
 def _radical_quotient(lattice: GramLattice):

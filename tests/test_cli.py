@@ -86,6 +86,26 @@ class TestExitCodes:
         assert checks["phis_fix_e0"]["pass"] is False
         assert checks["alpha_rank_18"]["pass"] is False
 
+    def test_failed_extension_is_one(self, capsys, monkeypatch):
+        # a non-integral extension of generator 5 is a failed check, not an
+        # error that escapes run_k3
+        extend = k3_module.extend_to_lambda
+
+        def failing_at_five(phi, l_emb, tbar_emb):
+            if phi.matrix == k3_module.build_phi(5, phi.lattice).matrix:
+                raise k3_module.NonIntegralExtensionError("not integral")
+            return extend(phi, l_emb, tbar_emb)
+
+        monkeypatch.setattr(k3_module, "extend_to_lambda", failing_at_five)
+        code, out, err = run(capsys, "k3-run")
+        assert code == 1
+        assert err == ""
+        payload = json.loads(out)
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert checks["extensions_integral"]["pass"] is False
+        assert checks["extensions_integral"]["detail"].startswith("phi_5: ")
+        assert "extension_orders" not in payload["result"]
+
     @pytest.mark.parametrize("flag", [("--precision", "0"), ("--precision=-1/10",)])
     def test_non_positive_precision_is_two(self, flag):
         # in a child process with a timeout, so that a bisection that never

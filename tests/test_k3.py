@@ -612,9 +612,8 @@ class TestFullPipeline:
         assert full_report.group_rank == 18
 
     def test_extension_orders_within_bound(self, full_report):
-        assert full_report.extension_orders is not None
-        for k in full_report.extension_orders:
-            assert 1 <= k <= full_report.disc_order
+        # every generator is trivial on L*/L, so each order is 1
+        assert full_report.extension_orders == (1,) * 18
 
     def test_disc_order_equals_sum_index(self, full_report):
         assert full_report.sum_index_l_tbar == full_report.disc_order
@@ -712,14 +711,14 @@ class TestFullPipeline:
         assert report.group_rank is None
 
     def test_shared_inverses_are_computed_once(self, monkeypatch):
-        # Inverses: the unimodular one in _radical_split (19 rows) and, with
-        # the extension stage, one per summand of G_L = U + 9 + 9, which L
-        # keeps for every generator; per-generator work would show up as 18
-        # or more calls. No discriminant group: the report reads |L*/L| off
-        # det G_L. Congruence runs, one per summand: N = 1 + 9 + 9,
-        # Nbar = 9 + 9, L = 2 + 9 + 9, Tbar = 1 + 1 (diagonal here) and the
-        # definite quotient of N, 9 + 9, in vectors_of_norm (represents reuses
-        # the run of N); period_point reuses the run of Tbar.
+        # Inverses: none without the extension stage (N's radical is
+        # completed by an integer kernel) and, with it, one per summand of
+        # G_L = U + 9 + 9, which L keeps for every generator; per-generator
+        # work would show up as 18 or more calls. No discriminant group: the
+        # report reads |L*/L| off det G_L. Congruence runs, one per summand:
+        # N = 1 + 9 + 9, Nbar = 9 + 9, L = 2 + 9 + 9, Tbar = 1 + 1 (diagonal
+        # here) and the definite quotient of N, 9 + 9, in vectors_of_norm
+        # (represents reuses the run of N); period_point reuses the run of Tbar.
         runs = []
         inverted = []
 
@@ -749,7 +748,7 @@ class TestFullPipeline:
         # k3 binds no such name; a re-import would be counted too
         monkeypatch.setattr(k3_module, "discriminant_group", counted_disc, raising=False)
         plain = [1, 9, 9] + [9, 9] + [2, 9, 9] + [1, 1] + [9, 9]
-        for skip_extension, inverses in ((True, [19]), (False, [19, 2, 9, 9])):
+        for skip_extension, inverses in ((True, []), (False, [2, 9, 9])):
             runs.clear()
             inverted.clear()
             assert run_k3(DEFAULT_PRIMES, skip_extension).all_passed
@@ -761,10 +760,10 @@ class TestFullPipeline:
         # the summands [2, 9, 9] of G_L are inverted once per run, by the
         # lattice object of that run, and neither G_L whole (20 rows) nor
         # [L; Tbar] (22 rows) ever: the extensions go through the projection
-        # that the embedding of L keeps. The other inverse is the basis
-        # completion of N's radical (19 rows). Two runs in a row each pay
-        # for their own inverses, so nothing outlives a run. No run builds a
-        # discriminant group.
+        # that the embedding of L keeps. There is no other inverse: the
+        # basis completion of N's radical is an integer kernel. Two runs in
+        # a row each pay for their own inverses, so nothing outlives a run.
+        # No run builds a discriminant group.
         shapes, discs = [], []
         integral_inverse = linalg.integral_inverse
 
@@ -784,7 +783,7 @@ class TestFullPipeline:
             discs.clear()
             report = run_k3(DEFAULT_PRIMES)
             assert report.all_passed and report.group_rank == 18
-            assert shapes == [19, 2, 9, 9]
+            assert shapes == [2, 9, 9]
             assert discs == []
 
     def test_plain_congruence_runs_see_at_most_nine_rows(self, monkeypatch):
@@ -841,9 +840,9 @@ class TestFullPipeline:
         # HNF, integer kernel and rank run per block of the support graph:
         # N's pairing rows split as f0 | 9 x 10 | 9 x 10, the transposed
         # bases of N and L as 1 | 10 x 9 | 10 x 9, and the stacks L + Tbar
-        # and N + T into 10 x 10 blocks. The one wider elimination is the
-        # 19 x 19 unimodular inverse of _radical_split, on [V | I]. Widths
-        # are (rows, pivot columns, columns reduced)
+        # and N + T into 10 x 10 blocks, and the kernel that completes N's
+        # radical e0 to a basis is one 1 x 1 block. No elimination is wider.
+        # Widths are (rows, pivot columns, columns reduced)
         widths = []
         bareiss, hermite = linalg._bareiss, linalg._hermite
 
@@ -859,8 +858,6 @@ class TestFullPipeline:
         monkeypatch.setattr(linalg, "_bareiss", counted_bareiss)
         monkeypatch.setattr(linalg, "_hermite", counted_hermite)
         assert run_k3(DEFAULT_PRIMES, skip_extension=True).all_passed
-        assert widths.count((19, 19, 38)) == 1
-        widths.remove((19, 19, 38))
         assert max(ncols for _, ncols, _ in widths) == 10
         assert max(width for _, _, width in widths) == 10
 
@@ -979,3 +976,49 @@ class TestGoldenReports:
             failed = {c.name: c.witness for c in report.checks if not c.passed}
             assert failed["n_parabolic"] is not None
             assert failed["nbar_elliptic_rank_18"] is not None
+
+
+class TestSearchFreeExtension:
+    def test_run_k3_makes_no_order_search(self, monkeypatch):
+        # run_k3 extends each generator as it is; neither the order search
+        # nor a power of a generator is reached, and every report is the same
+        def refuse(*args, **kwargs):
+            raise AssertionError("order search reached")
+
+        monkeypatch.setattr(k3_module, "extension_order", refuse)
+        monkeypatch.setattr(LatticeIsometry, "power", refuse)
+        report = run_k3(DEFAULT_PRIMES)
+        assert report.all_passed and report.group_rank == 18
+        assert report.extension_orders == (1,) * 18
+        for primes, digest in GOLDEN_REPORTS:
+            text = dumps_certificate(report_to_json(run_k3(primes)))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_generators_are_trivial_on_the_discriminant_group(self, suite_seed):
+        # each phi_i is the Eichler transvection E(e0, u_i) with u_i in L,
+        # so its extension order is 1 on every selection that passes
+        passed = 0
+        for primes in (DEFAULT_PRIMES, *scan_selections(suite_seed + 59, 12)):
+            if not run_k3(primes, skip_extension=True).all_passed:
+                continue
+            passed += 1
+            l_lat = build_sublattices(primes).l.induced_gram()
+            assert [extension_order(build_phi(i, l_lat), l_lat)
+                    for i in range(1, 19)] == [1] * 18
+        assert passed >= 6
+
+    def test_failed_extension_is_a_failed_check(self, monkeypatch):
+        # a generator whose extension is not integral fails the check, named
+        # as phi_isometries_on_l names a generator, and nothing escapes
+        def failing_at_five(phi, l_emb, tbar_emb):
+            if phi.matrix == build_phi(5, phi.lattice).matrix:
+                raise NonIntegralExtensionError("not integral")
+            return extend_to_lambda(phi, l_emb, tbar_emb)
+
+        monkeypatch.setattr(k3_module, "extend_to_lambda", failing_at_five)
+        report = run_k3(DEFAULT_PRIMES)
+        check = report.checks[-1]
+        assert check.name == "extensions_integral" and not check.passed
+        assert check.detail.startswith("phi_5: ")
+        assert report.extension_orders is None
+        assert report.group_rank is None and report.alpha_vectors is None

@@ -6,6 +6,7 @@ from math import prod
 import pytest
 
 from salemlat import linalg
+from salemlat.isometry import verify_isometry
 from salemlat.k3 import DEFAULT_PRIMES, build_sublattices, k3_lattice
 from salemlat.lattice import (
     DegenerateLatticeError,
@@ -17,6 +18,7 @@ from salemlat.lattice import (
     UnsupportedSignatureError,
     _congruence_bareiss,
     _has_private_columns,
+    _radical_split,
     _signature_and_witnesses,
     classify,
     definiteness_witness,
@@ -35,6 +37,7 @@ from salemlat.lattice import (
     signature,
     vectors_of_norm,
 )
+from salemlat.parabolic import parabolic_coordinates
 
 from oracles import (
     dense_mat_mul,
@@ -45,6 +48,7 @@ from oracles import (
     signature_with_basis,
     sympy_adjugate,
     sympy_det,
+    sympy_inverse,
     sympy_invariant_factors,
     sympy_rank,
     sympy_solve,
@@ -569,6 +573,70 @@ class TestRadical:
     def test_quotient_needs_rank_one(self):
         with pytest.raises(RadicalRankError):
             quotient_by_radical(U)
+
+
+def seeded_parabolic(rng, k):
+    """(U^T (0 + D) U, U, U^-1, D) for a random unimodular U and a negative
+    definite D of rank k: the radical is spanned by the first column of U^-1."""
+    d = seeded_definite(rng, k, -1)
+    g0 = direct_sum(GramLattice.from_rows([[0]]), d).gram
+    u = random_unimodular(rng, k + 1)
+    gram = dense_mat_mul(linalg.transpose(u), dense_mat_mul(g0, u))
+    u_inv = linalg.freeze([[int(x) for x in row] for row in sympy_inverse(u)])
+    return GramLattice.from_rows(gram), u, u_inv, d
+
+
+class TestRadicalCompletion:
+    """The basis completion of a rank-1 radical against U^T (0 + D) U."""
+
+    def test_seeded_parabolic_lattices(self, suite_seed):
+        rng = random.Random(suite_seed + 61)
+        non_unit = 0
+        for _ in range(30):
+            k = rng.randint(1, 4)
+            lat, _, u_inv, d = seeded_parabolic(rng, k)
+            column = tuple(row[0] for row in u_inv)
+            v, rows = _radical_split(lat)
+            assert v in (column, tuple(-x for x in column))
+            assert rows[0] == v and len(rows) == k + 1
+            assert sympy_det(rows) in (1, -1)
+            non_unit += sorted(map(abs, v)) != [0] * k + [1]
+            quot = quotient_by_radical(lat)
+            assert tuple(signature(quot)) == (0, 0, k)
+            assert abs(quot.determinant()) == abs(sympy_det(d.gram))
+            # the quotient is D in another basis, so D is the oracle
+            for n in range(-20, 0):
+                found, witness = represents(lat, n)
+                assert found == represents(quot, n)[0] == represents(d, n)[0]
+                assert witness is None or lat.norm(witness) == n
+            assert represents(lat, 0) == (True, v)
+        assert non_unit >= 15
+
+    def test_coordinates_are_additive(self, suite_seed):
+        # g_a = U^-1 (I + e0 a^T) U fixes the radical and acts trivially on
+        # the quotient, and g_a g_b = g_(a+b) for a, b with a_0 = 0
+        rng = random.Random(suite_seed + 67)
+        for _ in range(12):
+            k = rng.randint(1, 5)
+            lat, u, u_inv, _ = seeded_parabolic(rng, k)
+
+            def g(a):
+                shift = [[int(i == j) + (i == 0) * a[j] for j in range(k + 1)]
+                         for i in range(k + 1)]
+                return verify_isometry(dense_mat_mul(u_inv, dense_mat_mul(shift, u)), lat)
+
+            a, b = ([0] + [rng.randint(-3, 3) for _ in range(k)] for _ in range(2))
+            ca, cb = (parabolic_coordinates(g(x), lat) for x in (a, b))
+            cab = parabolic_coordinates(g(a).compose(g(b)), lat)
+            assert ca.sign == cb.sign == cab.sign == 1
+            assert cab.vector == tuple(x + y for x, y in zip(ca.vector, cb.vector))
+            assert (ca.vector == (0,) * k) == (a == [0] * (k + 1))
+
+    def test_unit_radical_gets_the_identity_rows(self):
+        lat = direct_sum(GramLattice.from_rows([[0]]), E8)
+        assert _radical_split(lat) == ((1,) + (0,) * 8, linalg.identity(9))
+        n_lat = build_sublattices(DEFAULT_PRIMES).n.induced_gram()
+        assert _radical_split(n_lat) == ((1,) + (0,) * 18, linalg.identity(19))
 
 
 class TestVectorsOfNorm:

@@ -344,3 +344,28 @@ def test_block_split_runs_the_private_cores():
     # summands keeps no search of its own
     summands = _function(SOURCE / "lattice.py", "GramLattice.summands")
     assert not [n for n in ast.walk(summands) if isinstance(n, (ast.For, ast.While))]
+
+
+def test_k3_pipeline_makes_no_search_and_no_wide_inverse():
+    # each build_phi generator is trivial on L*/L, so run_k3 extends it as
+    # it is, with no order search and no power; N's radical is completed to
+    # a basis by an integer kernel, not by a unimodular inverse
+    run = _function(SOURCE / "k3.py", "run_k3")
+    assert not {"extension_order", "power"} & _names(run)
+    split = _names(_function(SOURCE / "lattice.py", "_radical_split"))
+    assert "unimodular_inverse" not in split
+    assert "integer_kernel" in split
+
+
+def test_one_small_prime_table():
+    # the primes to 37 are written once; _factorize splits them off itself,
+    # so rho never sees an even number
+    intpoly_src = SOURCE / "intpoly.py"
+    tree = ast.parse(intpoly_src.read_text())
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    tables = [n for n in ast.walk(tree) if isinstance(n, ast.Tuple)
+              and [getattr(e, "value", None) for e in n.elts] == primes]
+    assert len(tables) == 1
+    assert "_SMALL_PRIMES" in _names(_function(intpoly_src, "_is_probable_prime"))
+    assert "_SMALL_PRIMES" in _names(_function(intpoly_src, "_factorize"))
+    assert "% 2" not in ast.unparse(_function(intpoly_src, "_pollard_rho"))
