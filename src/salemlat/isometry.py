@@ -8,9 +8,10 @@ genuinely mixed spectrum reported with its irreducible factorization.
 Entropy bisects for the spectral radius on Sturm counts of the trace
 polynomial, whose roots are lambda + 1/lambda.
 
-Each isometry keeps a sparse view of M - I. Verification reads it, and so
-do the K3 readers of g(v) - v, which for a unipotent M touch a few dozen
-entries instead of the whole matrix.
+Each isometry keeps a sparse view of M - I. One verification core builds
+and checks an isometry from that view alone; verify_isometry is its dense
+front. The K3 generators enter the core as their few dozen entries of
+M - I, and the K3 readers of g(v) - v read the same view.
 """
 
 from __future__ import annotations
@@ -103,10 +104,14 @@ class LatticeIsometry:
             row[i] -= 1
         return _nonzero_entries(rows)
 
+    @cached_property
+    def _moved_t(self) -> SparseRows:
+        """(M - I)^T by nonzero entries, computed once."""
+        return _sparse_transpose(self.moved, self.rank)
+
     def displacements(self, vectors) -> tuple[IntVector, ...]:
         """g(v) - v for each v, from the one sparse product V (M - I)^T."""
-        moved_t = _sparse_transpose(self.moved, self.rank)
-        return _sparse_mul(_nonzero_entries(vectors), moved_t, self.rank, tuple)
+        return _sparse_mul(_nonzero_entries(vectors), self._moved_t, self.rank, tuple)
 
     def compose(self, other: "LatticeIsometry") -> "LatticeIsometry":
         if self.lattice != other.lattice:
@@ -127,7 +132,17 @@ class LatticeIsometry:
 
 
 def verify_isometry(matrix, lattice: GramLattice) -> LatticeIsometry:
-    """Check M^T G M = G entry by entry and det M = +-1.
+    """Check M^T G M = G entry by entry and det M = +-1; see _verify_moved."""
+    m = linalg.freeze(matrix)
+    n = lattice.rank
+    if len(m) != n or any(len(row) != n for row in m):
+        raise ValueError(f"matrix must be {n} x {n}")
+    return _verify_moved(lattice, LatticeIsometry(lattice, m).moved)
+
+
+def _verify_moved(lattice: GramLattice, moved: SparseRows) -> LatticeIsometry:
+    """The isometry M of the lattice, from the rows of M - I by nonzero entries
+    (columns ascending), after checking M^T G M = G and det M = +-1.
 
     With D = G (M - I) and G symmetric, M^T G M - G = M^T D + D^T, the one
     sparse product [M^T | I] [D; D^T], where the rows of M^T are those of
@@ -138,23 +153,24 @@ def verify_isometry(matrix, lattice: GramLattice) -> LatticeIsometry:
     (also kept per lattice) the identity gives det(M)^2 = 1, so only a
     degenerate G needs the determinant of M.
     """
-    m = linalg.freeze(matrix)
     n = lattice.rank
-    if len(m) != n or any(len(row) != n for row in m):
-        raise ValueError(f"matrix must be {n} x {n}")
-    g = LatticeIsometry(lattice, m)
-    d = _sparse_mul(lattice.entries, g.moved, n)
+    matrix = [[0] * n for _ in range(n)]
     rows = [[(i, 1), (n + i, 1)] for i in range(n)]  # [M^T | I] by nonzero entries
-    for i, row in enumerate(g.moved):
+    for i, row in enumerate(moved):
+        matrix[i][i] = 1
         for j, x in row:
+            matrix[i][j] += x
             rows[j].append((i, x))
+    g = LatticeIsometry(lattice, tuple(map(tuple, matrix)))
+    g.__dict__["moved"] = moved  # the cached view, so nothing rescans the matrix
+    d = _sparse_mul(lattice.entries, moved, n)
     stacked = d + _sparse_transpose(d, n)
     differs = _sparse_mul(rows, stacked, n, any)
     if True in differs:
         i = differs.index(True)
         raise GramViolationError(i, _sparse_mul(rows[i:i + 1], stacked, n)[0][0][0])
     if lattice.determinant() == 0:
-        det = linalg.det_bareiss(m)
+        det = linalg.det_bareiss(g.matrix)
         if det not in (1, -1):
             raise DeterminantError(f"determinant {det} is not a unit")
     return g

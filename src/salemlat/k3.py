@@ -38,7 +38,7 @@ from .isometry import (
     DeterminantError,
     GramViolationError,
     LatticeIsometry,
-    verify_isometry,
+    _verify_moved,
 )
 from .lattice import (
     GramLattice,
@@ -277,26 +277,16 @@ def build_phi(i: int, l_lat: GramLattice) -> LatticeIsometry:
     if not 1 <= i <= s:
         raise ValueError(f"index {i} out of range 1..{s}")
     m = -l_det
-    c = [0] * s
-    for k, x in l_adj[i + 1]:
-        c[k - 2] = x
+    c = dict(l_adj[i + 1])  # c_ik at column k + 1, the coordinate of w_k
     # Q c = -det(Q) e_i since Q adj(Q) = det(Q) I, so (sum c w)^2 = -m c_i
-    norm_c = -m * c[i - 1]
+    norm_c = -m * c.get(i + 1, 0)
     if norm_c % 2:
         raise ArithmeticError("even lattice guarantees an integral gamma")
     gamma = -norm_c // 2
-    r = s + 2
-    cols = []
-    cols.append([1] + [0] * (r - 1))                       # e0
-    cols.append([gamma, 1] + c)                            # f0
-    for j in range(s):                                     # w_{j+1}
-        col = [0] * r
-        col[2 + j] = 1
-        if j == i - 1:
-            col[0] = m
-        cols.append(col)
-    matrix = linalg.transpose(linalg.freeze(cols))
-    return verify_isometry(matrix, l_lat)
+    # M - I by rows: the f0 column (gamma, 0, c) and m at (e0, w_i)
+    moved = [((1, gamma), (i + 1, m)) if gamma else ((i + 1, m),), ()]
+    moved += [((1, c[k]),) if k in c else () for k in range(2, s + 2)]
+    return _verify_moved(l_lat, tuple(moved))
 
 
 def _commute(a: LatticeIsometry, b: LatticeIsometry) -> bool:
@@ -377,11 +367,8 @@ def extend_to_lambda(phi_power: LatticeIsometry,
         raise NonIntegralExtensionError(
             "block map does not preserve the ambient lattice; "
             "the power does not act trivially on the discriminant group")
-    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i, row in enumerate(scaled):
-        for j, x in row:
-            matrix[i][j] += x // det
-    return verify_isometry(matrix, ambient)
+    return _verify_moved(ambient, tuple(tuple((j, x // det) for j, x in row)
+                                        for row in scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +533,20 @@ class TorelliCertificate:
 def torelli_certificate(phi: LatticeIsometry, sigma: PeriodPoint,
                         t_emb: SublatticeEmbedding,
                         e0: IntVector) -> TorelliCertificate:
-    # components of sigma in ambient coordinates transform under phi; a
-    # nonzero integer multiple of a component is fixed iff the component is
+    return _torelli_read(phi, _torelli_vectors(sigma, t_emb, e0), t_emb.rank)
+
+
+def _torelli_vectors(sigma: PeriodPoint, t_emb: SublatticeEmbedding, e0: IntVector):
+    """T's basis, sigma's integral components in ambient coordinates, e0; a
+    nonzero integer multiple of a component is fixed iff the component is."""
     basis_t = linalg.transpose(t_emb.basis)
     components = [linalg.mat_vec(basis_t, row) for row in _integral_components(sigma)]
-    k = t_emb.rank
-    fixed = [not any(d) for d in phi.displacements((*t_emb.basis, *components, e0))]
+    return (*t_emb.basis, *components, e0)
+
+
+def _torelli_read(phi: LatticeIsometry, vectors, k: int) -> TorelliCertificate:
+    """The certificate of phi on _torelli_vectors of a T of rank k."""
+    fixed = [not any(d) for d in phi.displacements(vectors)]
     return TorelliCertificate(
         fixes_t_pointwise=all(fixed[:k]),
         fixes_period=all(fixed[k:-1]),
@@ -666,8 +661,8 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
         t_lat = subs.t.induced_gram()
         sigma = period_point(tbar_lat, t_lat)
         t_split = subs.t_split
-        certs = [torelli_certificate(phi, sigma, t_split, subs.e0)
-                 for phi in big_phis]
+        vectors = _torelli_vectors(sigma, t_split, subs.e0)  # once per run
+        certs = [_torelli_read(phi, vectors, t_split.rank) for phi in big_phis]
         fix_e0 = all(c.fixes_e0 for c in certs)
         fix_t = all(c.fixes_t_pointwise and c.fixes_period for c in certs)
         checks.append(CheckResult("phis_fix_e0", fix_e0))

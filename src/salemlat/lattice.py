@@ -132,6 +132,25 @@ class GramLattice:
                 rows[i] = tuple((coords[j], scale * x) for j, x in enumerate(row) if x)
         return tuple(rows), det
 
+    @cached_property
+    def _radical_split(self):
+        """Completion (v, u_1, ..., u_{r-1}) of the rank-1 radical to a Z-basis,
+        made once: the first column c of the Smith transform of the row v has
+        v.c = +-1, so Z^r = Zv + ker c, and the u_i are the integer kernel of c
+        (for v = e_j, c = e_j and the u_i are the other unit vectors in order)."""
+        rad = radical(self)
+        if rad.rank != 1:
+            raise RadicalRankError(f"radical has rank {rad.rank}, expected 1")
+        v = rad.basis[0]
+        _, _, vm = linalg.smith_normal_form((v,))
+        return v, (v, *linalg.integer_kernel((tuple(row[0] for row in vm),)))
+
+    @cached_property
+    def _radical_quotient(self) -> "GramLattice":
+        """The form of L / Zv for a rank-1 radical Zv, made once: that induced
+        on the section the u_i span, kept without the section, which refers to L."""
+        return SublatticeEmbedding(self, self._radical_split[1][1:]).induced_gram()
+
     def __repr__(self) -> str:
         return f"GramLattice(rank={self.rank})"
 
@@ -423,30 +442,9 @@ def radical(lattice: GramLattice) -> SublatticeEmbedding:
     return SublatticeEmbedding(lattice, linalg.hermite_normal_form(kernel))
 
 
-def _radical_split(lattice: GramLattice):
-    """Completion (v, u_1, ..., u_{r-1}) of the rank-1 radical to a Z-basis:
-    the first column c of the Smith transform of the row v has v.c = +-1, so
-    Z^r = Zv + ker c, and the u_i are the integer kernel of c (for v = e_j,
-    c = e_j and the u_i are the other unit vectors in order)."""
-    rad = radical(lattice)
-    if rad.rank != 1:
-        raise RadicalRankError(f"radical has rank {rad.rank}, expected 1")
-    v = rad.basis[0]
-    _, _, vm = linalg.smith_normal_form((v,))
-    return v, (v, *linalg.integer_kernel((tuple(row[0] for row in vm),)))
-
-
-def _radical_quotient(lattice: GramLattice):
-    """(v, section, quotient) for a rank-1 radical Zv: the rows completing v
-    to a Z-basis span the section, whose induced form is that of L / Zv."""
-    v, rows = _radical_split(lattice)
-    section = SublatticeEmbedding(lattice, rows[1:])
-    return v, section, section.induced_gram()
-
-
 def quotient_by_radical(lattice: GramLattice) -> GramLattice:
     """Induced form on L / radical for a parabolic (rank-1 radical) lattice."""
-    return _radical_quotient(lattice)[2]
+    return lattice._radical_quotient
 
 
 def vectors_of_norm(lattice: GramLattice, target: int) -> list[IntVector]:
@@ -529,12 +527,12 @@ def represents(lattice: GramLattice, target: int):
         vecs = vectors_of_norm(lattice, target)
         return (True, vecs[0]) if vecs else (False, None)
     if cls == LatticeClass.PARABOLIC:
-        v, section, quotient = _radical_quotient(lattice)
+        v, rows = lattice._radical_split
         if target == 0:
             return True, v
-        vecs = vectors_of_norm(quotient, target)
+        vecs = vectors_of_norm(lattice._radical_quotient, target)
         if not vecs:
             return False, None
-        return True, linalg.mat_vec(linalg.transpose(section.basis), vecs[0])
+        return True, linalg.mat_vec(linalg.transpose(rows[1:]), vecs[0])
     raise UnsupportedSignatureError(
         f"represents() supports definite or parabolic lattices, not {cls.value}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .isometry import LatticeIsometry
-from .lattice import GramLattice, LatticeClass, _radical_split, classify
+from .lattice import GramLattice, LatticeClass, classify
 from .linalg import IntVector
 
 
@@ -39,15 +39,21 @@ def parabolic_coordinates(g: LatticeIsometry, lattice: GramLattice) -> Unipotent
     """
     if g.lattice != lattice:
         raise ValueError("isometry does not act on the given lattice")
+    return _coordinates(g, *_completion(lattice))
+
+
+def _completion(lattice: GramLattice):
+    """The basis (v, u_1, ..., u_{r-1}) as columns, and its inverse."""
     if classify(lattice) != LatticeClass.PARABOLIC:
         raise ValueError("lattice is not parabolic")
-    _, rows = _radical_split(lattice)
-    basis = linalg.freeze(rows)
-    basis_t = linalg.transpose(basis)
-    conj = linalg.mat_mul(
-        linalg.unimodular_inverse(basis_t),
-        linalg.mat_mul(g.matrix, basis_t))
-    r = lattice.rank
+    basis_t = linalg.transpose(linalg.freeze(lattice._radical_split[1]))
+    return basis_t, linalg.unimodular_inverse(basis_t)
+
+
+def _coordinates(g: LatticeIsometry, basis_t, inverse) -> UnipotentCoordinates:
+    """parabolic_coordinates of g, given its lattice's _completion."""
+    conj = linalg.mat_mul(inverse, linalg.mat_mul(g.matrix, basis_t))
+    r = len(basis_t)
     sign = conj[0][0]
     if sign not in (1, -1) or any(conj[i][0] != 0 for i in range(1, r)):
         raise QuotientActionError("radical generator is not mapped to +-v")
@@ -75,7 +81,10 @@ def abelian_rank_of_image(vectors: list[IntVector]) -> int:
 def parabolic_group_rank(generators: list[LatticeIsometry],
                          lattice: GramLattice) -> int:
     """Rank of the coordinate image; always at most rank(lattice) - 1."""
-    coords = [parabolic_coordinates(g, lattice) for g in generators]
+    if any(g.lattice != lattice for g in generators):
+        raise ValueError("isometry does not act on the given lattice")
+    completion = _completion(lattice) if generators else None
+    coords = [_coordinates(g, *completion) for g in generators]
     for c in coords:
         if c.sign != 1:
             raise QuotientActionError(

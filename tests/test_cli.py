@@ -8,6 +8,7 @@ import pytest
 
 from salemlat import k3 as k3_module
 from salemlat.cli import EXIT_INTERNAL, main
+from salemlat.isometry import verify_isometry
 from salemlat.serialize import lattice_to_json
 from salemlat.lattice import GramLattice, diagonal_lattice, e8_minus_one
 
@@ -75,7 +76,7 @@ class TestExitCodes:
         # are then not read, so no shape error can pose as a usage error
         def minus_identity(phi_power, l_emb, tbar_emb):
             n = l_emb.ambient.rank
-            return k3_module.verify_isometry(
+            return verify_isometry(
                 [[-(i == j) for j in range(n)] for i in range(n)], l_emb.ambient)
 
         monkeypatch.setattr(k3_module, "extend_to_lambda", minus_identity)

@@ -10,6 +10,7 @@ from math import prod
 import pytest
 import sympy
 
+from salemlat import isometry as isometry_module
 from salemlat import k3 as k3_module
 from salemlat import lattice as lattice_module
 from salemlat import linalg
@@ -17,8 +18,10 @@ from salemlat.intpoly import MILLER_RABIN_BOUND, _is_probable_prime
 from salemlat.isometry import (
     GramViolationError,
     LatticeIsometry,
+    _verify_moved,
     identity_isometry,
     reflection_in_vector,
+    restrict_to_embedding,
     verify_isometry,
 )
 from salemlat.k3 import (
@@ -56,6 +59,7 @@ from salemlat.lattice import (
     orthogonal_complement,
     signature,
 )
+from salemlat.parabolic import parabolic_coordinates, parabolic_group_rank
 from salemlat.serialize import dumps_certificate, report_to_json
 
 from oracles import (
@@ -1022,3 +1026,121 @@ class TestSearchFreeExtension:
         assert check.detail.startswith("phi_5: ")
         assert report.extension_orders is None
         assert report.group_rank is None and report.alpha_vectors is None
+
+
+def _dense_witness(lat, matrix):
+    """The first (i, j), row by row, where a dense M^T G M differs from G."""
+    product = dense_mat_mul(dense_mat_mul(linalg.transpose(matrix), lat.gram), matrix)
+    return next(((i, j) for i in range(lat.rank) for j in range(lat.rank)
+                 if product[i][j] != lat.gram[i][j]), None)
+
+
+class TestSparseExtensionStage:
+    """build_phi and extend_to_lambda emit M - I into the verification core,
+    which derives the dense M; verify_isometry is its dense front."""
+
+    @staticmethod
+    def assert_matches_dense_front(g, lat):
+        dense = verify_isometry(g.matrix, lat)
+        assert dense.matrix == g.matrix and dense.moved == g.moved
+        minus_i = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(g.matrix)]
+        # no zero entries, columns ascending, rows and pairs as tuples
+        assert g.moved == linalg._nonzero_entries(minus_i)
+        assert all(x for row in g.moved for _, x in row)
+        assert all([j for j, _ in row] == sorted({j for j, _ in row}) for row in g.moved)
+
+    def test_sparse_builders_match_the_dense_front(self, suite_seed):
+        passed = 0
+        for primes in (DEFAULT_PRIMES, *scan_selections(suite_seed + 71, 14)):
+            if not run_k3(primes, skip_extension=True).all_passed:
+                continue
+            passed += 1
+            subs = build_sublattices(primes)
+            l_lat = subs.l.induced_gram()
+            for i in range(1, 19):
+                phi = build_phi(i, l_lat)
+                self.assert_matches_dense_front(phi, l_lat)
+                self.assert_matches_dense_front(
+                    extend_to_lambda(phi, subs.l, subs.tbar), subs.ambient)
+        assert passed >= 7
+
+    def test_perturbed_rows_keep_the_dense_witness(self, subs, suite_seed):
+        # one entry of M - I changed, or one entry added, fails in the core
+        # with the witness the dense front reports for the same matrix
+        rng = random.Random(suite_seed + 73)
+        l_lat = subs.l.induced_gram()
+        cases = 0
+        for i in range(1, 19):
+            phi = build_phi(i, l_lat)
+            for g, lat in ((phi, l_lat), (extend_to_lambda(phi, subs.l, subs.tbar), subs.ambient)):
+                n = lat.rank
+                rows = [dict(row) for row in g.moved]
+                k = rng.choice([r for r in range(n) if rows[r]])
+                changed = [dict(row) for row in rows]
+                j = rng.choice(sorted(changed[k]))
+                changed[k][j] += rng.choice((-1, 1)) * (1 if changed[k][j] not in (1, -1) else 2)
+                added = [dict(row) for row in rows]
+                k = rng.randrange(n)
+                added[k][rng.choice([c for c in range(n) if c not in added[k]])] = rng.choice((-1, 1))
+                for perturbed in (changed, added):
+                    moved = tuple(tuple(sorted(row.items())) for row in perturbed)
+                    matrix = [[int(r == c) + row.get(c, 0) for c in range(n)]
+                              for r, row in enumerate(perturbed)]
+                    expected = _dense_witness(lat, matrix)
+                    assert expected is not None
+                    with pytest.raises(GramViolationError) as sparse:
+                        _verify_moved(lat, moved)
+                    with pytest.raises(GramViolationError) as dense:
+                        verify_isometry(matrix, lat)
+                    assert sparse.value.witness == dense.value.witness == expected
+                    cases += 1
+        assert cases == 72
+
+    def test_run_k3_never_calls_the_dense_front(self, monkeypatch):
+        # the extension stage verifies every generator through the sparse
+        # core, and the Torelli vectors (sigma's integral components among
+        # them) are made once per run, not once per generator
+        def refused(*args):
+            raise AssertionError("the dense front was called")
+
+        monkeypatch.setattr(isometry_module, "verify_isometry", refused)
+        monkeypatch.setattr(k3_module, "verify_isometry", refused, raising=False)
+        components = []
+        integral_components = k3_module._integral_components
+
+        def counted(sigma):
+            components.append(sigma)
+            return integral_components(sigma)
+
+        monkeypatch.setattr(k3_module, "_integral_components", counted)
+        for primes, digest in ((DEFAULT_PRIMES, None), *GOLDEN_REPORTS):
+            components.clear()
+            report = run_k3(primes)
+            if digest is not None:
+                text = dumps_certificate(report_to_json(report))
+                assert hashlib.sha256(text.encode()).hexdigest() == digest
+            assert len(components) == (2 if report.all_passed else 0)
+        assert run_k3(DEFAULT_PRIMES).group_rank == 18
+
+
+class TestParabolicRankOnN:
+    def test_one_inverse_for_eighteen_generators(self, extended, subs, full_report,
+                                                 monkeypatch):
+        # the generators restricted to N = Z e0 + Nbar move each w_i by m_i e0,
+        # so their coordinates are the alpha vectors; the basis completion of
+        # N is inverted once for all of them
+        n_lat = subs.n.induced_gram()
+        gens = [restrict_to_embedding(g, subs.n) for g in extended]
+        coords = [parabolic_coordinates(g, n_lat) for g in gens]
+        assert [c.vector for c in coords] == list(full_report.alpha_vectors)
+        assert all(c.sign == 1 for c in coords)
+        inverted = []
+        inverse = linalg.unimodular_inverse
+
+        def counted(a):
+            inverted.append(len(a))
+            return inverse(a)
+
+        monkeypatch.setattr(linalg, "unimodular_inverse", counted)
+        assert parabolic_group_rank(gens, n_lat) == full_report.group_rank == 18
+        assert inverted == [19]

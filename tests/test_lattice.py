@@ -18,7 +18,6 @@ from salemlat.lattice import (
     UnsupportedSignatureError,
     _congruence_bareiss,
     _has_private_columns,
-    _radical_split,
     _signature_and_witnesses,
     classify,
     definiteness_witness,
@@ -596,7 +595,7 @@ class TestRadicalCompletion:
             k = rng.randint(1, 4)
             lat, _, u_inv, d = seeded_parabolic(rng, k)
             column = tuple(row[0] for row in u_inv)
-            v, rows = _radical_split(lat)
+            v, rows = lat._radical_split
             assert v in (column, tuple(-x for x in column))
             assert rows[0] == v and len(rows) == k + 1
             assert sympy_det(rows) in (1, -1)
@@ -634,9 +633,28 @@ class TestRadicalCompletion:
 
     def test_unit_radical_gets_the_identity_rows(self):
         lat = direct_sum(GramLattice.from_rows([[0]]), E8)
-        assert _radical_split(lat) == ((1,) + (0,) * 8, linalg.identity(9))
+        assert lat._radical_split == ((1,) + (0,) * 8, linalg.identity(9))
         n_lat = build_sublattices(DEFAULT_PRIMES).n.induced_gram()
-        assert _radical_split(n_lat) == ((1,) + (0,) * 18, linalg.identity(19))
+        assert n_lat._radical_split == ((1,) + (0,) * 18, linalg.identity(19))
+
+    def test_represents_keeps_the_radical_split(self, suite_seed, monkeypatch):
+        # the radical, its Smith run, the kernel and the section's Gram
+        # lattice are made once per lattice, not once per represents call
+        rng = random.Random(suite_seed + 71)
+        lat, _, _, _ = seeded_parabolic(rng, 4)
+        # each fresh copy of the lattice makes its own split
+        fresh = [represents(GramLattice(lat.gram), n) for n in range(-20, 0)]
+        runs = []
+        smith = linalg.smith_normal_form
+
+        def counted(a):
+            runs.append(a)
+            return smith(a)
+
+        monkeypatch.setattr(linalg, "smith_normal_form", counted)
+        assert [represents(lat, n) for n in range(-20, 0)] == fresh
+        assert quotient_by_radical(lat) == quotient_by_radical(GramLattice(lat.gram))
+        assert len(runs) == 2  # lat once, the fresh copy of the last line once
 
 
 class TestVectorsOfNorm:

@@ -352,7 +352,7 @@ def test_k3_pipeline_makes_no_search_and_no_wide_inverse():
     # a basis by an integer kernel, not by a unimodular inverse
     run = _function(SOURCE / "k3.py", "run_k3")
     assert not {"extension_order", "power"} & _names(run)
-    split = _names(_function(SOURCE / "lattice.py", "_radical_split"))
+    split = _names(_function(SOURCE / "lattice.py", "GramLattice._radical_split"))
     assert "unimodular_inverse" not in split
     assert "integer_kernel" in split
 
