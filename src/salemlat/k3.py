@@ -9,7 +9,8 @@ inside Lambda = U^3 + E8(-1)^2, verifies every structural claim exactly
 (rank, trichotomy class, primitivity, absence of norm -2 vectors,
 definiteness of the blocks), constructs eighteen commuting isometries of
 Lambda fixing T pointwise, and certifies that they generate a free
-abelian group of rank 18 through an explicit coordinate homomorphism.
+abelian group of rank 18 through an explicit coordinate homomorphism,
+parabolic's unipotent coordinates on N = Z e0 + Nbar.
 What the extension stage derives from L, the inverse of its Gram matrix
 and the orthogonal projection onto L, is kept by the lattice and the
 embedding objects, made once per object, so run_k3 calls build_phi and
@@ -38,6 +39,7 @@ from .isometry import (
     DeterminantError,
     GramViolationError,
     LatticeIsometry,
+    _commute,
     _verify_moved,
 )
 from .lattice import (
@@ -55,7 +57,7 @@ from .lattice import (
     signature,
 )
 from .linalg import IntMatrix, IntVector, _sparse_mul
-from .parabolic import abelian_rank_of_image
+from .parabolic import _radical_coefficients, abelian_rank_of_image
 
 
 class NonIntegralExtensionError(ValueError):
@@ -287,18 +289,6 @@ def build_phi(i: int, l_lat: GramLattice) -> LatticeIsometry:
     moved = [((1, gamma), (i + 1, m)) if gamma else ((i + 1, m),), ()]
     moved += [((1, c[k]),) if k in c else () for k in range(2, s + 2)]
     return _verify_moved(l_lat, tuple(moved))
-
-
-def _commute(a: LatticeIsometry, b: LatticeIsometry) -> bool:
-    """Whether ab = ba, read off the sparse views of a - I and b - I.
-
-    ab - ba = (a - I)(b - I) - (b - I)(a - I). For the extended generators
-    a - I has about 21 nonzero entries out of 484, so comparing the two
-    sparse products of differences, entry lists in column order, is exact
-    and far cheaper than ab against ba.
-    """
-    n = a.rank
-    return _sparse_mul(a.moved, b.moved, n) == _sparse_mul(b.moved, a.moved, n)
 
 
 def extension_order(phi: LatticeIsometry, l_lat: GramLattice) -> int:
@@ -560,25 +550,23 @@ def _torelli_read(phi: LatticeIsometry, vectors, k: int) -> TorelliCertificate:
 
 
 def alpha_map(g: LatticeIsometry, subs: K3Sublattices) -> tuple[int, ...]:
-    """(m_1, ..., m_18) with g(w_i) = w_i + m_i e0.
+    """(m_1, ..., m_18) with g(w_i) = w_i + m_i e0, after checking that g
+    fixes e0 and Tbar pointwise and moves each w_i by a multiple of e0.
 
-    Verifies the structural facts first: g fixes e0, fixes Tbar pointwise,
-    and moves each w_i by a multiple of e0.
+    (e0, w_1, ..., w_18) completes N's radical e0 to a basis of N, so these
+    are parabolic's unipotent coordinates on N, read by the same reader.
     """
     if g.lattice != subs.ambient:
         raise ShapeViolationError("isometry does not act on the ambient lattice")
-    e0_diff, *diffs = g.displacements((subs.e0, *subs.tbar.basis, *subs.w_rows))
-    if any(e0_diff):
+    rows = (subs.e0, *subs.w_rows)
+    coeffs = _radical_coefficients(g, rows)
+    if not coeffs or coeffs[0]:
         raise ShapeViolationError("isometry does not fix e0")
-    k = subs.tbar.rank
-    if any(any(diff) for diff in diffs[:k]):
+    if any(map(any, g.displacements(subs.tbar.basis))):
         raise ShapeViolationError("isometry does not fix Tbar pointwise")
-    out = []
-    for diff in diffs[k:]:
-        if any(diff[:_E0]) or any(diff[_E0 + 1:]):
-            raise ShapeViolationError("w image does not differ by a multiple of e0")
-        out.append(diff[_E0])
-    return tuple(out)
+    if len(coeffs) < len(rows):
+        raise ShapeViolationError("w image does not differ by a multiple of e0")
+    return coeffs[1:]
 
 
 def group_rank_via_alpha(generators: list[LatticeIsometry],

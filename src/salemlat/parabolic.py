@@ -5,6 +5,8 @@ acts as the identity on L/Zv is determined by the integer vector
 (a_1, ..., a_{r-1}) with g(u_i) = u_i + a_i v; the assignment is an
 injective group homomorphism into Z^{r-1}, so ranks of such subgroups
 reduce to ranks of image vectors, equal over Z and Q as Z^k is torsion-free.
+Each a_i is read off g(u_i) - u_i along the completion (v, u_1, ...) that the
+lattice keeps, with no basis inverse; k3.alpha_map is the same reader on N.
 """
 
 from __future__ import annotations
@@ -39,32 +41,39 @@ def parabolic_coordinates(g: LatticeIsometry, lattice: GramLattice) -> Unipotent
     """
     if g.lattice != lattice:
         raise ValueError("isometry does not act on the given lattice")
-    return _coordinates(g, *_completion(lattice))
+    return _coordinates(g, lattice)
 
 
-def _completion(lattice: GramLattice):
-    """The basis (v, u_1, ..., u_{r-1}) as columns, and its inverse."""
+def _radical_coefficients(g: LatticeIsometry, rows) -> tuple[int, ...]:
+    """The a with g(x) - x = a v for each row x of rows = (v, u_1, ...), in g's
+    coordinates, up to the first row where g(x) - x is not a multiple of v,
+    whose index is the length of the result; every g(x) - x comes from one
+    product of the rows with the (M - I)^T that g keeps, by nonzero entries."""
+    sparse = linalg._nonzero_entries(rows)
+    v = sparse[0]
+    out = []
+    for moved in linalg._sparse_mul(sparse, g._moved_t, g.rank):
+        a = moved[0][1] // v[0][1] if moved else 0
+        if moved and moved != tuple((j, a * x) for j, x in v):
+            break
+        out.append(a)
+    return tuple(out)
+
+
+def _coordinates(g: LatticeIsometry, lattice: GramLattice) -> UnipotentCoordinates:
+    """parabolic_coordinates of g, read along the completion (v, u_1, ...) of
+    the radical that the lattice keeps: g(v) - v = a_0 v with sign 1 + a_0 =
+    +-1, and g(u_i) - u_i = a_i v."""
     if classify(lattice) != LatticeClass.PARABOLIC:
         raise ValueError("lattice is not parabolic")
-    basis_t = linalg.transpose(linalg.freeze(lattice._radical_split[1]))
-    return basis_t, linalg.unimodular_inverse(basis_t)
-
-
-def _coordinates(g: LatticeIsometry, basis_t, inverse) -> UnipotentCoordinates:
-    """parabolic_coordinates of g, given its lattice's _completion."""
-    conj = linalg.mat_mul(inverse, linalg.mat_mul(g.matrix, basis_t))
-    r = len(basis_t)
-    sign = conj[0][0]
-    if sign not in (1, -1) or any(conj[i][0] != 0 for i in range(1, r)):
+    rows = lattice._radical_split[1]
+    coeffs = _radical_coefficients(g, rows)
+    if not coeffs or coeffs[0] not in (0, -2):
         raise QuotientActionError("radical generator is not mapped to +-v")
-    coords = []
-    for j in range(1, r):
-        for i in range(1, r):
-            if conj[i][j] != (1 if i == j else 0):
-                raise QuotientActionError(
-                    f"action on the quotient is not the identity at ({i}, {j})")
-        coords.append(conj[0][j])
-    return UnipotentCoordinates(sign=sign, vector=tuple(coords))
+    if len(coeffs) < len(rows):
+        raise QuotientActionError(
+            f"action on the quotient is not the identity at u_{len(coeffs)}")
+    return UnipotentCoordinates(sign=1 + coeffs[0], vector=coeffs[1:])
 
 
 def abelian_rank_of_image(vectors: list[IntVector]) -> int:
@@ -83,8 +92,7 @@ def parabolic_group_rank(generators: list[LatticeIsometry],
     """Rank of the coordinate image; always at most rank(lattice) - 1."""
     if any(g.lattice != lattice for g in generators):
         raise ValueError("isometry does not act on the given lattice")
-    completion = _completion(lattice) if generators else None
-    coords = [_coordinates(g, *completion) for g in generators]
+    coords = [_coordinates(g, lattice) for g in generators]
     for c in coords:
         if c.sign != 1:
             raise QuotientActionError(

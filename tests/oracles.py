@@ -7,7 +7,8 @@ descent on a rational LDL^T, signatures and their witnesses from a
 congruence reduction in fractions.Fraction, polynomial division and signs
 from long division and Horner evaluation in fractions.Fraction, monic
 interpolation from Lagrange's formula in fractions.Fraction, matrix
-products from a dense sum over every entry, and matrix products, normal
+products from a dense sum over every entry, unipotent coordinates from a
+dense conjugation by the inverse basis, and matrix products, normal
 forms, exact elimination, polynomial division, gcds, Sturm sequences,
 real-root counts and signatures are cross-checked against sympy. Root
 enclosures come from the earlier Fraction bisections, with signs by
@@ -28,6 +29,7 @@ import mpmath
 import sympy
 
 from salemlat.intpoly import IntPolynomial
+from salemlat.parabolic import QuotientActionError, UnipotentCoordinates
 from salemlat.rational import RationalInterval
 from salemlat.salem import SalemCertificate, classify_salem
 
@@ -444,6 +446,23 @@ def sympy_inverse(matrix):
         return None
     inv = m.inv()
     return tuple(tuple(_fraction(c) for c in inv.row(i)) for i in range(inv.rows))
+
+
+def dense_unipotent_coordinates(matrix, rows) -> UnipotentCoordinates:
+    """The coordinates of M on the basis completion rows = (v, u_1, ...)
+    from the dense conjugate B^-T M B^T, B^-T by sympy: g(v) must be +-v
+    and the action on the quotient by v trivial, else QuotientActionError."""
+    basis_t = tuple(zip(*rows))
+    conj = dense_mat_mul(sympy_inverse(basis_t), dense_mat_mul(matrix, basis_t))
+    r = len(basis_t)
+    sign = conj[0][0]
+    if sign not in (1, -1) or any(conj[i][0] != 0 for i in range(1, r)):
+        raise QuotientActionError("radical generator is not mapped to +-v")
+    for j in range(1, r):
+        for i in range(1, r):
+            if conj[i][j] != (1 if i == j else 0):
+                raise QuotientActionError(f"quotient action at ({i}, {j})")
+    return UnipotentCoordinates(sign=int(sign), vector=tuple(int(conj[0][j]) for j in range(1, r)))
 
 
 def sympy_solve(matrix, rhs) -> list[Fraction] | None:

@@ -537,6 +537,26 @@ class TestExpressInPowers:
         with pytest.raises(NonCommutingError):
             express_in_powers(swap, flip)
 
+    def test_commutation_reads_no_dense_product(self, suite_seed, monkeypatch):
+        # express_in_powers decides ab = ba by _commute on the sparse views
+        # of a - I and b - I, which agrees with the dense products and makes
+        # no mat_mul call: a non-commuting pair raises before any product
+        isometries = ps._corpus(ps.HYPERBOLIC_LATTICES[1:4], 24, suite_seed + 43)
+        pairs = [(a, b) for a in isometries for b in isometries if a.lattice == b.lattice]
+        pairs += [(g, g.power(2)) for g in isometries]
+        dense = [dense_mat_mul(a.matrix, b.matrix) == dense_mat_mul(b.matrix, a.matrix)
+                 for a, b in pairs]
+        assert True in dense and False in dense
+        products = []
+        mat_mul = linalg.mat_mul
+        monkeypatch.setattr(linalg, "mat_mul",
+                            lambda a, b: products.append(1) or mat_mul(a, b))
+        assert [isometry_module._commute(a, b) for a, b in pairs] == dense
+        f, g = pairs[dense.index(False)]
+        with pytest.raises(NonCommutingError):
+            express_in_powers(f, g)
+        assert products == []
+
     def test_reducible_rejected(self):
         g = identity_isometry(U)
         with pytest.raises(ReducibleCharPolyError):

@@ -608,6 +608,22 @@ class TestTorelliAndAlpha:
         with pytest.raises(ShapeViolationError):
             alpha_map(neg, subs)
 
+    def test_alpha_shape_violations_in_order(self, subs):
+        # the maps x -> x + (phi . x) y, no isometries, break one condition
+        # each, and the first broken one is reported: e0 -> 2 e0, a moved
+        # Tbar, and a w_i moved by f0
+        f0 = _unit(1)
+        kernel = linalg.integer_kernel((subs.e0, *subs.tbar.basis))
+        phi = next(row for row in kernel if linalg.mat_vec(subs.w_rows, row) != (0,) * 18)
+        cases = (((subs.e0, subs.e0), "fix e0"),
+                 ((f0, subs.tbar.basis[0]), "fix Tbar"),
+                 ((f0, phi), "multiple of e0"))
+        for (y, phi), message in cases:
+            moved = [[y[i] * x for x in phi] for i in range(22)]
+            g = LatticeIsometry(subs.ambient, linalg.mat_add(linalg.identity(22), moved))
+            with pytest.raises(ShapeViolationError, match=message):
+                alpha_map(g, subs)
+
 
 class TestFullPipeline:
     def test_all_checks_pass(self, full_report):
@@ -1124,16 +1140,13 @@ class TestSparseExtensionStage:
 
 
 class TestParabolicRankOnN:
-    def test_one_inverse_for_eighteen_generators(self, extended, subs, full_report,
-                                                 monkeypatch):
+    def test_no_inverse_for_eighteen_generators(self, extended, subs, full_report,
+                                                monkeypatch):
         # the generators restricted to N = Z e0 + Nbar move each w_i by m_i e0,
-        # so their coordinates are the alpha vectors; the basis completion of
-        # N is inverted once for all of them
+        # so their coordinates are the alpha vectors; each is read off g - I
+        # along the basis completion of N, which is never inverted
         n_lat = subs.n.induced_gram()
         gens = [restrict_to_embedding(g, subs.n) for g in extended]
-        coords = [parabolic_coordinates(g, n_lat) for g in gens]
-        assert [c.vector for c in coords] == list(full_report.alpha_vectors)
-        assert all(c.sign == 1 for c in coords)
         inverted = []
         inverse = linalg.unimodular_inverse
 
@@ -1142,5 +1155,8 @@ class TestParabolicRankOnN:
             return inverse(a)
 
         monkeypatch.setattr(linalg, "unimodular_inverse", counted)
+        coords = [parabolic_coordinates(g, n_lat) for g in gens]
+        assert [c.vector for c in coords] == list(full_report.alpha_vectors)
+        assert all(c.sign == 1 for c in coords)
         assert parabolic_group_rank(gens, n_lat) == full_report.group_rank == 18
-        assert inverted == [19]
+        assert inverted == []

@@ -5,8 +5,9 @@ from math import prod
 
 import pytest
 
+from salemlat import lattice as lattice_module
 from salemlat import linalg
-from salemlat.isometry import verify_isometry
+from salemlat.isometry import LatticeIsometry, verify_isometry
 from salemlat.k3 import DEFAULT_PRIMES, build_sublattices, k3_lattice
 from salemlat.lattice import (
     DegenerateLatticeError,
@@ -36,10 +37,11 @@ from salemlat.lattice import (
     signature,
     vectors_of_norm,
 )
-from salemlat.parabolic import parabolic_coordinates
+from salemlat.parabolic import QuotientActionError, parabolic_coordinates
 
 from oracles import (
     dense_mat_mul,
+    dense_unipotent_coordinates,
     descartes_signature,
     fraction_definiteness_witness,
     fraction_vectors_of_norm,
@@ -574,12 +576,13 @@ class TestRadical:
             quotient_by_radical(U)
 
 
-def seeded_parabolic(rng, k):
-    """(U^T (0 + D) U, U, U^-1, D) for a random unimodular U and a negative
-    definite D of rank k: the radical is spanned by the first column of U^-1."""
+def seeded_parabolic(rng, k, copies=1):
+    """(U^T (0 + D + ... + D) U, U, U^-1, D) for a random unimodular U and
+    copies of a negative definite D of rank k: the radical is spanned by the
+    first column of U^-1."""
     d = seeded_definite(rng, k, -1)
-    g0 = direct_sum(GramLattice.from_rows([[0]]), d).gram
-    u = random_unimodular(rng, k + 1)
+    g0 = direct_sum(GramLattice.from_rows([[0]]), *[d] * copies).gram
+    u = random_unimodular(rng, k * copies + 1)
     gram = dense_mat_mul(linalg.transpose(u), dense_mat_mul(g0, u))
     u_inv = linalg.freeze([[int(x) for x in row] for row in sympy_inverse(u)])
     return GramLattice.from_rows(gram), u, u_inv, d
@@ -631,6 +634,41 @@ class TestRadicalCompletion:
             assert cab.vector == tuple(x + y for x, y in zip(ca.vector, cb.vector))
             assert (ca.vector == (0,) * k) == (a == [0] * (k + 1))
 
+    def test_coordinates_against_the_dense_conjugation(self, suite_seed):
+        # g = U^-1 h U for maps h of 0 + D + D that send e0 to s e0 and each
+        # other e_i to p(e_i) + a_i e0, p fixing or swapping the two copies
+        # of D: an isometry, with coordinates (a_1, ...) and sign s when p
+        # is the identity; the swap breaks the quotient action, and so do
+        # the non-isometries e0 -> 2 e0 and e0 -> 2 e0 + e1. The reader on the
+        # kept completion gives the dense conjugation's coordinates or error
+        rng = random.Random(suite_seed + 73)
+        outcomes = Counter()
+
+        def coordinates(read, *args):
+            try:
+                return read(*args)
+            except QuotientActionError:
+                return QuotientActionError
+
+        for _ in range(24):
+            k = rng.randint(1, 3)
+            lat, u, u_inv, _ = seeded_parabolic(rng, k, 2)
+            r = 2 * k + 1
+            for s, swap in ((1, False), (-1, False), (1, True), (-1, True), (2, False)):
+                h = [[int(i == j) for j in range(r)] for i in range(r)]
+                if swap:
+                    h[1:] = h[k + 1:] + h[1:k + 1]
+                h[0] = [s] + [rng.randint(-3, 3) for _ in range(r - 1)]
+                if s == 2:
+                    h[1][0] = rng.randint(0, 1)  # e0 -> 2 e0 or 2 e0 + e1
+                m = linalg.freeze(dense_mat_mul(u_inv, dense_mat_mul(h, u)))
+                g = verify_isometry(m, lat) if s != 2 else LatticeIsometry(lat, m)
+                expected = coordinates(dense_unipotent_coordinates, m, lat._radical_split[1])
+                assert coordinates(parabolic_coordinates, g, lat) == expected
+                outcomes[expected if expected is QuotientActionError else expected.sign] += 1
+        assert outcomes[1] == outcomes[-1] == 24
+        assert outcomes[QuotientActionError] == 3 * 24
+
     def test_unit_radical_gets_the_identity_rows(self):
         lat = direct_sum(GramLattice.from_rows([[0]]), E8)
         assert lat._radical_split == ((1,) + (0,) * 8, linalg.identity(9))
@@ -658,6 +696,33 @@ class TestRadicalCompletion:
 
 
 class TestVectorsOfNorm:
+    def test_repeated_calls_read_the_kept_congruence_run(self, suite_seed, monkeypatch):
+        # represents on a parabolic lattice and vectors_of_norm on a definite
+        # one read the congruence runs the lattices keep: 20 calls make one
+        # run per summand (of the lattice and of its quotient by the radical)
+        rng = random.Random(suite_seed + 79)
+        parabolic = seeded_parabolic(rng, 2, 2)[0]
+        definite = direct_sum(seeded_definite(rng, 3, -1), seeded_definite(rng, 3, -1))
+        targets = range(-20, 0)
+        # each fresh copy makes its own runs for its one call
+        fresh = [represents(GramLattice(parabolic.gram), n) for n in targets]
+        vectors = [vectors_of_norm(GramLattice(definite.gram), n) for n in targets]
+        assert any(found for found, _ in fresh) and any(vectors)
+        runs = []
+        core = lattice_module._congruence_bareiss
+
+        def counted(rows, n):
+            runs.append(n)
+            return core(rows, n)
+
+        monkeypatch.setattr(lattice_module, "_congruence_bareiss", counted)
+        assert [represents(parabolic, n) for n in targets] == fresh
+        quotient = quotient_by_radical(parabolic)
+        assert sorted(runs) == sorted(map(len, parabolic.summands + quotient.summands))
+        runs.clear()
+        assert [vectors_of_norm(definite, n) for n in targets] == vectors
+        assert sorted(runs) == sorted(map(len, definite.summands))
+
     def test_e8_roots(self):
         pairs = vectors_of_norm(E8, -2)
         assert len(pairs) == 120

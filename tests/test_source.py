@@ -369,3 +369,22 @@ def test_one_small_prime_table():
     assert "_SMALL_PRIMES" in _names(_function(intpoly_src, "_is_probable_prime"))
     assert "_SMALL_PRIMES" in _names(_function(intpoly_src, "_factorize"))
     assert "% 2" not in ast.unparse(_function(intpoly_src, "_pollard_rho"))
+
+
+def test_one_unipotent_coordinate_reader():
+    # parabolic_coordinates, parabolic_group_rank and alpha_map read g(x) - x
+    # along the basis completion through the one reader, with no inverse
+    # and no dense product; express_in_powers commutes by _commute; short
+    # vectors read the congruence run the lattice keeps; no module reads
+    # the environment
+    parabolic_src = SOURCE / "parabolic.py"
+    assert not {"unimodular_inverse", "mat_mul"} & _names(ast.parse(parabolic_src.read_text()))
+    assert "_radical_coefficients" in _names(_function(parabolic_src, "_coordinates"))
+    assert "_radical_coefficients" in _names(_function(SOURCE / "k3.py", "alpha_map"))
+    for name in ("parabolic_coordinates", "parabolic_group_rank"):
+        assert "_coordinates" in _names(_function(parabolic_src, name))
+    assert "_commute" in _names(_function(SOURCE / "isometry.py", "express_in_powers"))
+    vectors = _names(_function(SOURCE / "lattice.py", "vectors_of_norm"))
+    assert "_congruence_bareiss" not in vectors and "_congruence" in vectors
+    for path in sorted(SOURCE.glob("*.py")):
+        assert not {"os", "environ", "getenv"} & _names(ast.parse(path.read_text())), path.name
