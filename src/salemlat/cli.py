@@ -26,7 +26,7 @@ from .lattice import (
     vectors_of_norm,
 )
 from .parabolic import abelian_rank_of_image
-from .rational import parse_rational
+from .rational import json_fields, parse_rational
 from .salem import SalemCertificate, classify_salem, enumerate_salem
 
 SCHEMA = "salem-lattice/1"
@@ -115,7 +115,7 @@ def _cmd_lattice_vectors(args) -> tuple[dict, list[dict]]:
 
 def _cmd_isom_classify(args) -> tuple[dict, list[dict]]:
     lat = serialize.lattice_from_json(_load_json(args.lattice))
-    matrix = serialize.matrix_from_json(_load_json(args.matrix)["matrix"])
+    matrix = serialize.matrix_from_json(*json_fields(_load_json(args.matrix), "matrix"))
     try:
         g = verify_isometry(matrix, lat)
     except GramViolationError as exc:
@@ -150,9 +150,8 @@ def _cmd_k3_run(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_rank(args) -> tuple[dict, list[dict]]:
-    data = _load_json(args.vectors)
-    vectors = [tuple(int(x) for x in row) for row in data["vectors"]]
-    result = {"rank": abelian_rank_of_image(vectors)}
+    vectors = serialize.matrix_from_json(*json_fields(_load_json(args.vectors), "vectors"))
+    result = {"rank": abelian_rank_of_image(list(vectors))}
     return result, []
 
 

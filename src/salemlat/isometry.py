@@ -11,7 +11,7 @@ polynomial, whose roots are lambda + 1/lambda.
 Each isometry keeps a sparse view of M - I. One verification core builds
 and checks an isometry from that view alone; verify_isometry is its dense
 front. The K3 generators enter the core as their few dozen entries of
-M - I, and the K3 readers of g(v) - v read the same view.
+M - I, and the one K3 reader of g(v) - v reads the same view.
 """
 
 from __future__ import annotations
@@ -99,10 +99,6 @@ class LatticeIsometry:
     def _moved_t(self) -> SparseRows:
         """(M - I)^T by nonzero entries, computed once."""
         return _sparse_transpose(self.moved, self.rank)
-
-    def displacements(self, vectors) -> tuple[IntVector, ...]:
-        """g(v) - v for each v, from the one sparse product V (M - I)^T."""
-        return _sparse_mul(_nonzero_entries(vectors), self._moved_t, self.rank, tuple)
 
     def compose(self, other: "LatticeIsometry") -> "LatticeIsometry":
         if self.lattice != other.lattice:

@@ -6,7 +6,7 @@ acts as the identity on L/Zv is determined by the integer vector
 injective group homomorphism into Z^{r-1}, so ranks of such subgroups
 reduce to ranks of image vectors, equal over Z and Q as Z^k is torsion-free.
 Each a_i is read off g(u_i) - u_i along the completion (v, u_1, ...) that the
-lattice keeps, with no basis inverse; k3.alpha_map is the same reader on N.
+lattice keeps, with no basis inverse; k3 reads its generators on N with it.
 """
 
 from __future__ import annotations
@@ -44,17 +44,14 @@ def parabolic_coordinates(g: LatticeIsometry, lattice: GramLattice) -> Unipotent
     return _coordinates(g, lattice)
 
 
-def _radical_coefficients(g: LatticeIsometry, rows) -> tuple[int, ...]:
-    """The a with g(x) - x = a v for each row x of rows = (v, u_1, ...), in g's
-    coordinates, up to the first row where g(x) - x is not a multiple of v,
-    whose index is the length of the result; every g(x) - x comes from one
-    product of the rows with the (M - I)^T that g keeps, by nonzero entries."""
-    sparse = linalg._nonzero_entries(rows)
-    v = sparse[0]
+def _radical_coefficients(moved, v) -> tuple[int, ...]:
+    """The a with g(x) - x = a v for each displacement row g(x) - x of the rows
+    (v, u_1, ...), all by nonzero entries, up to the first that is not a
+    multiple of v, whose index is the length of the result."""
     out = []
-    for moved in linalg._sparse_mul(sparse, g._moved_t, g.rank):
-        a = moved[0][1] // v[0][1] if moved else 0
-        if moved and moved != tuple((j, a * x) for j, x in v):
+    for d in moved:
+        a = d[0][1] // v[0][1] if d else 0
+        if d and d != tuple((j, a * x) for j, x in v):
             break
         out.append(a)
     return tuple(out)
@@ -63,11 +60,11 @@ def _radical_coefficients(g: LatticeIsometry, rows) -> tuple[int, ...]:
 def _coordinates(g: LatticeIsometry, lattice: GramLattice) -> UnipotentCoordinates:
     """parabolic_coordinates of g, read along the completion (v, u_1, ...) of
     the radical that the lattice keeps: g(v) - v = a_0 v with sign 1 + a_0 =
-    +-1, and g(u_i) - u_i = a_i v."""
+    +-1, and g(u_i) - u_i = a_i v, all from one product with (M - I)^T."""
     if classify(lattice) != LatticeClass.PARABOLIC:
         raise ValueError("lattice is not parabolic")
-    rows = lattice._radical_split[1]
-    coeffs = _radical_coefficients(g, rows)
+    rows = linalg._nonzero_entries(lattice._radical_split[1])
+    coeffs = _radical_coefficients(linalg._sparse_mul(rows, g._moved_t, g.rank), rows[0])
     if not coeffs or coeffs[0] not in (0, -2):
         raise QuotientActionError("radical generator is not mapped to +-v")
     if len(coeffs) < len(rows):

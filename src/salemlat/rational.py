@@ -1,5 +1,5 @@
 """Exact rational plumbing: certified intervals, an integer logarithm and
-rational parsing.
+strict parsing of rational, integer and JSON inputs.
 
 Root enclosures and entropy bounds funnel through these helpers so that
 no floating point ever decides a comparison.
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from reprlib import repr as short_repr
 
 
 @dataclass(frozen=True)
@@ -102,5 +103,29 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational from {text!r}") from exc
+
+
+def parse_int(value) -> int:
+    """A JSON integer, or a string of decimal digits with an optional minus
+    sign, exactly; ValueError for a bool, a float or any other value."""
+    digits = value.removeprefix("-") if isinstance(value, str) else ""
+    if type(value) is not int and not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer, got {short_repr(value)}")
+    return int(value)
+
+
+def parse_ints(value) -> tuple[int, ...]:
+    """A JSON list of integers, each read by parse_int."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of integers, got {short_repr(value)}")
+    return tuple(map(parse_int, value))
+
+
+def json_fields(data, *keys) -> tuple:
+    """The values of keys in the JSON object data; ValueError when data is
+    not an object or lacks one of them."""
+    if not isinstance(data, dict) or not all(k in data for k in keys):
+        raise ValueError(f"expected a JSON object with the keys {', '.join(keys)}")
+    return tuple(data[k] for k in keys)

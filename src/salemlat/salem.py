@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from math import comb, floor, lcm
+from math import comb, lcm
 
 from .intpoly import (
     DegreeBoundError,
@@ -198,17 +198,17 @@ def enumerate_salem(degree: int, trace_min: int, trace_max: int,
     _require_positive(precision)
     n = degree
     half = n // 2
-    big = max(Fraction(2), Fraction(trace_max + (n - 2)))
+    big = max(2, trace_max + (n - 2))
 
     def sym_bound(j: int) -> int:
         # subsets of the root multiset avoiding {alpha, 1/alpha},
         # containing exactly one of them, or containing both
-        val = Fraction(comb(n - 2, j))
+        val = comb(n - 2, j)
         if j >= 1:
             val += (big + 1) * comb(n - 2, j - 1)
         if j >= 2:
             val += comb(n - 2, j - 2)
-        return floor(val) + 1
+        return val + 1
 
     ranges: list[range] = []
     for k in range(1, half + 1):

@@ -14,7 +14,7 @@ from .intpoly import IntPolynomial
 from .isometry import FiniteOrder, MixedSpectrum, SalemType
 from .k3 import CheckResult, K3ConstructionReport, PrimeSelection
 from .lattice import DiscriminantGroup, GramLattice
-from .rational import RationalInterval, format_rational
+from .rational import RationalInterval, format_rational, json_fields, parse_int, parse_ints
 from .salem import SalemCertificate, SalemRejection
 
 
@@ -46,7 +46,10 @@ def matrix_to_json(m) -> list[list[str]]:
 
 
 def matrix_from_json(data) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in data)
+    """A JSON list of rows, each a list of integers read by parse_int."""
+    if not isinstance(data, list):
+        raise ValueError(f"expected a list of rows, got {type(data).__name__}")
+    return tuple(map(parse_ints, data))
 
 
 def lattice_to_json(lat: GramLattice) -> dict:
@@ -58,8 +61,9 @@ def lattice_to_json(lat: GramLattice) -> dict:
 
 
 def lattice_from_json(data) -> GramLattice:
-    lat = GramLattice(matrix_from_json(data["gram"]))
-    if lat.rank != int(data["rank"]):
+    gram, rank = json_fields(data, "gram", "rank")
+    lat = GramLattice(matrix_from_json(gram))
+    if lat.rank != parse_int(rank):
         raise ValueError("rank field disagrees with the gram matrix")
     return lat
 

@@ -7,7 +7,7 @@ descent on a rational LDL^T, signatures and their witnesses from a
 congruence reduction in fractions.Fraction, polynomial division and signs
 from long division and Horner evaluation in fractions.Fraction, monic
 interpolation from Lagrange's formula in fractions.Fraction, matrix
-products from a dense sum over every entry, unipotent coordinates from a
+products and displacements g(v) - v from a dense sum over every entry, unipotent coordinates from a
 dense conjugation by the inverse basis, and matrix products, normal
 forms, exact elimination, polynomial division, gcds, Sturm sequences,
 real-root counts and signatures are cross-checked against sympy. Root
@@ -377,6 +377,12 @@ def dense_mat_mul(a, b):
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
+
+
+def dense_displacements(matrix, vectors):
+    """g(v) - v for each v, with g(v) = M v as a dense sum over every entry."""
+    return tuple(tuple(sum(m * x for m, x in zip(row, v)) - v[i]
+                       for i, row in enumerate(matrix)) for v in vectors)
 
 
 def sympy_mat_mul(a, b):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,11 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from salemlat import k3 as k3_module
-from salemlat.cli import EXIT_INTERNAL, main
+from salemlat.cli import EXIT_INTERNAL, _cmd_rank, main
 from salemlat.isometry import verify_isometry
-from salemlat.serialize import lattice_to_json
+from salemlat.k3 import PrimeSelection
+from salemlat.rational import parse_int
+from salemlat.serialize import lattice_from_json, lattice_to_json, matrix_from_json
 from salemlat.lattice import GramLattice, diagonal_lattice, e8_minus_one
 
 
@@ -86,6 +91,29 @@ class TestExitCodes:
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert checks["phis_fix_e0"]["pass"] is False
         assert checks["alpha_rank_18"]["pass"] is False
+
+    def test_w_moved_off_e0_is_one(self, capsys, monkeypatch):
+        # an extension that moves some w_i off Z e0 fails alpha_rank_18;
+        # it is a failed check, not a usage error
+        from salemlat import linalg
+
+        subs = k3_module.build_sublattices(k3_module.DEFAULT_PRIMES)
+        kernel = linalg.integer_kernel((subs.e0, *subs.tbar.basis))
+        phi = next(row for row in kernel if linalg.mat_vec(subs.w_rows, row) != (0,) * 18)
+        moved = [[(i == 1) * x for x in phi] for i in range(22)]
+        g = k3_module.LatticeIsometry(
+            subs.ambient, linalg.mat_add(linalg.identity(22), moved))
+        monkeypatch.setattr(k3_module, "extend_to_lambda", lambda *args: g)
+        code, out, err = run(capsys, "k3-run")
+        assert code == 1
+        assert err == ""
+        payload = json.loads(out)
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert checks["alpha_rank_18"]["pass"] is False
+        assert checks["alpha_rank_18"]["detail"] == (
+            "phi_1: w image does not differ by a multiple of e0")
+        assert "alpha_vectors" not in payload["result"]
+        assert "group_rank" not in payload["result"]
 
     def test_failed_extension_is_one(self, capsys, monkeypatch):
         # a non-integral extension of generator 5 is a failed check, not an
@@ -215,6 +243,95 @@ class TestSubcommands:
         bad = [c for c in payload["checks"]
                if c["name"] == "nbar_elliptic_rank_18"][0]
         assert "witness" in bad
+
+
+PRIMES_JSON = {"p": 2, "q": 3,
+               "p_list": [29, 31, 37, 41, 43, 47, 53, 59],
+               "q_list": [61, 67, 71, 73, 79, 83, 89, 97]}
+
+# (argv, contents of the file named "{in}"): each input is malformed, and
+# none may run as a rounded or truncated value or leave as a traceback
+MALFORMED = [
+    (("lattice-info", "--lattice", "{in}"), {"rank": 2, "gram": [[2.7, 1], [1, 2]]}),
+    (("lattice-info", "--lattice", "{in}"), {"rank": "2", "gram": [["2", None], ["1", "2"]]}),
+    (("lattice-info", "--lattice", "{in}"), [[2]]),
+    (("lattice-info", "--lattice", "{in}"), {"rank": True, "gram": [[2]]}),
+    (("lattice-info", "--lattice", "{in}"), {"gram": [[2]]}),
+    (("k3-run", "--skip-extension", "--config", "{in}"), {**PRIMES_JSON, "p": 2.9}),
+    (("k3-run", "--skip-extension", "--config", "{in}"), {**PRIMES_JSON, "p_list": 29}),
+    (("k3-run", "--skip-extension", "--config", "{in}"), {**PRIMES_JSON, "q_list": [61, None]}),
+    (("k3-run", "--skip-extension", "--config", "{in}"), [2, 3]),
+    (("rank", "--vectors", "{in}"), {"vectors": 5}),
+    (("rank", "--vectors", "{in}"), [[1, 2]]),
+    (("rank", "--vectors", "{in}"), {"vectors": [[1, None]]}),
+    (("rank", "--vectors", "{in}"), {"vectors": [[True, 0]]}),
+    (("rank", "--vectors", "{in}"), {"vectors": [["1.5", "0"]]}),
+    (("isom-classify", "--lattice", "{lattice}", "--matrix", "{in}"), [["1"]]),
+    (("salem-test", "--poly", "1,-3,1", "--precision", "1/0"), None),
+]
+
+
+class TestStrictInputs:
+    @pytest.mark.parametrize("argv, contents", MALFORMED)
+    def test_malformed_input_is_two(self, capsys, tmp_path, argv, contents):
+        files = {"{in}": write_json(tmp_path / "in.json", contents),
+                 "{lattice}": write_json(tmp_path / "lat.json", {"rank": 1, "gram": [[2]]})}
+        code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_integer_reader(self):
+        for value, expected in ((7, 7), ("-12", -12), ("0", 0), (10**40, 10**40)):
+            assert parse_int(value) == expected
+        for value in (True, 2.0, 2.7, "2.7", "", "-", "+5", " 5", "1_0", "\u0663", None, [1]):
+            with pytest.raises(ValueError, match="expected an integer"):
+                parse_int(value)
+
+    json_scalars = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
+                    | st.floats(allow_nan=False) | st.text(max_size=3)
+                    | st.integers(-300, 300).map(str))
+    json_values = st.recursive(
+        json_scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                     max_size=4),
+        max_leaves=12)
+    int_rows = st.lists(st.lists(json_scalars, max_size=3), max_size=3)
+
+    @staticmethod
+    def parses_or_value_error(reader, value):
+        try:
+            return reader(value)
+        except ValueError:
+            return None
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(json_values | int_rows)
+    def test_matrix_reader(self, value):
+        rows = self.parses_or_value_error(matrix_from_json, value)
+        if rows is not None:  # exact integers, no bool among them
+            assert [[int(x) for x in row] for row in value] == [list(row) for row in rows]
+            assert all(type(x) is int for row in rows for x in row)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(json_values | st.fixed_dictionaries({"gram": int_rows, "rank": json_scalars}))
+    def test_lattice_reader(self, value):
+        self.parses_or_value_error(lattice_from_json, value)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(json_values | st.fixed_dictionaries({
+        "p": json_scalars, "q": json_scalars,
+        "p_list": st.lists(json_scalars, max_size=9), "q_list": st.lists(json_scalars, max_size=9)}))
+    def test_prime_selection_reader(self, value):
+        self.parses_or_value_error(PrimeSelection.from_dict, value)
+
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=json_values | st.fixed_dictionaries({"vectors": int_rows}))
+    def test_rank_reader(self, tmp_path, value):
+        path = write_json(tmp_path / "vectors.json", value)
+        self.parses_or_value_error(_cmd_rank, argparse.Namespace(vectors=path))
 
 
 class TestDeterminism:

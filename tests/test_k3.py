@@ -5,7 +5,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 import sympy
@@ -63,6 +63,7 @@ from salemlat.parabolic import parabolic_coordinates, parabolic_group_rank
 from salemlat.serialize import dumps_certificate, report_to_json
 
 from oracles import (
+    dense_displacements,
     dense_mat_mul,
     sympy_det,
     sympy_invariant_factors,
@@ -459,19 +460,67 @@ def extended(full_report, subs):
             for i, k in zip(range(1, 19), full_report.extension_orders)]
 
 
+def _rank_one_map(subs, y, phi):
+    """x -> x + (phi . x) y on the ambient lattice, no isometry in general."""
+    return LatticeIsometry(subs.ambient, linalg.mat_add(
+        linalg.identity(22), [[y[i] * x for x in phi] for i in range(22)]))
+
+
+def _shape_violations(subs):
+    """The maps x -> x + (phi . x) y that each break one condition of
+    alpha_map, with its message: e0 -> 2 e0, a moved Tbar, and a w_i moved by
+    f0 (which fixes e0, T and the period)."""
+    f0 = _unit(1)
+    kernel = linalg.integer_kernel((subs.e0, *subs.tbar.basis))
+    phi = next(row for row in kernel if linalg.mat_vec(subs.w_rows, row) != (0,) * 18)
+    cases = (((subs.e0, subs.e0), "fix e0"),
+             ((f0, subs.tbar.basis[0]), "fix Tbar"),
+             ((f0, phi), "multiple of e0"))
+    return [(_rank_one_map(subs, y, phi), message) for (y, phi), message in cases]
+
+
 class TestSparseView:
-    def test_moved_and_displacement_against_dense(self, extended, subs):
-        gram = subs.ambient.gram
+    def test_moved_and_displacement_against_dense(self, extended, subs, monkeypatch):
+        # the one reading of a generator against dense displacements: the
+        # product rows, the Torelli fields and the alpha vector
+        t_split = subs.t_split
+        sigma = period_point(subs.tbar.induced_gram(), subs.t.induced_gram())
+        parts = [[x.parts[part] for x in sigma.coordinates] for part in range(4)]
+        components = [[int(x * lcm(*(y.denominator for y in row))) for x in row]
+                      for row in parts if any(row)]
+        period = dense_mat_mul(components, t_split.basis)
+        vectors = (subs.e0, *subs.w_rows, *t_split.basis, *period)
+        rows = k3_module._reading_rows(subs.e0, subs.w_rows, t_split, sigma)
+        assert rows == linalg._nonzero_entries(vectors)
+        products = []
+        product = k3_module._sparse_mul
+        monkeypatch.setattr(k3_module, "_sparse_mul",
+                            lambda *args: products.append(product(*args)) or products[-1])
         for g in extended:
             minus_i = [[x - (i == j) for j, x in enumerate(row)]
                        for i, row in enumerate(g.matrix)]
             assert g.moved == linalg._nonzero_entries(minus_i)
             assert sum(len(row) for row in g.moved) <= 25
-            vectors = (*subs.w_rows, *subs.tbar.basis, subs.e0, gram[3])
-            assert g.displacements(vectors) == tuple(
-                tuple(a - b for a, b in zip(linalg.mat_vec(g.matrix, v), v))
-                for v in vectors)
-            assert g.displacements(()) == ()
+        # beside the three violations, maps that move one basis row of T and
+        # fix the others and every w_i, so only some of the period rows move
+        one_row = []
+        for j, t in enumerate(t_split.basis):
+            others = [row for i, row in enumerate(t_split.basis) if i != j]
+            kernel = linalg.integer_kernel((*subs.w_rows, *others))
+            phi = next(row for row in kernel if sum(a * b for a, b in zip(row, t)))
+            one_row.append(_rank_one_map(subs, _unit(1), phi))
+        for g in [*extended, *(g for g, _ in _shape_violations(subs)), *one_row]:
+            disp = dense_displacements(g.matrix, vectors)
+            cert, alpha = k3_module._read(g, rows, 19, t_split.rank)
+            assert products == [linalg._nonzero_entries(disp)]
+            products.clear()
+            assert cert.fixes_e0 == (not any(disp[0]))
+            assert cert.fixes_t_pointwise == (not any(map(any, disp[19:22])))
+            assert cert.fixes_period == (not any(map(any, disp[22:])))
+            assert cert == torelli_certificate(g, sigma, t_split, subs.e0)
+            products.clear()
+            multiples = [None if any(d[1:]) else d[0] for d in disp[:19]]
+            assert alpha == (None if None in multiples else tuple(multiples[1:]))
 
     def test_verify_witness_on_perturbed_generators(self, extended, subs, suite_seed):
         # M^T G M - G read as D^T + M^T D with D = G (M - I) keeps the
@@ -609,18 +658,8 @@ class TestTorelliAndAlpha:
             alpha_map(neg, subs)
 
     def test_alpha_shape_violations_in_order(self, subs):
-        # the maps x -> x + (phi . x) y, no isometries, break one condition
-        # each, and the first broken one is reported: e0 -> 2 e0, a moved
-        # Tbar, and a w_i moved by f0
-        f0 = _unit(1)
-        kernel = linalg.integer_kernel((subs.e0, *subs.tbar.basis))
-        phi = next(row for row in kernel if linalg.mat_vec(subs.w_rows, row) != (0,) * 18)
-        cases = (((subs.e0, subs.e0), "fix e0"),
-                 ((f0, subs.tbar.basis[0]), "fix Tbar"),
-                 ((f0, phi), "multiple of e0"))
-        for (y, phi), message in cases:
-            moved = [[y[i] * x for x in phi] for i in range(22)]
-            g = LatticeIsometry(subs.ambient, linalg.mat_add(linalg.identity(22), moved))
+        # the first broken condition is reported
+        for g, message in _shape_violations(subs):
             with pytest.raises(ShapeViolationError, match=message):
                 alpha_map(g, subs)
 
@@ -955,6 +994,19 @@ class TestFullPipeline:
         assert checks["alpha_rank_18"].detail.startswith("skipped: ")
         assert report.alpha_vectors is None and report.group_rank is None
 
+    def test_generator_moving_w_off_e0_fails_alpha_rank(self, subs, monkeypatch):
+        # x -> x + (phi . x) f0 fixes e0, T and the period but moves a w_i
+        # off Z e0: a failed check, not a ShapeViolationError out of run_k3
+        g = _shape_violations(subs)[2][0]
+        monkeypatch.setattr(k3_module, "extend_to_lambda", lambda *args: g)
+        report = run_k3(DEFAULT_PRIMES)
+        checks = {c.name: c for c in report.checks}
+        assert checks["phis_fix_e0"].passed and checks["phis_fix_t_pointwise"].passed
+        assert not checks["alpha_rank_18"].passed
+        assert checks["alpha_rank_18"].detail == (
+            "phi_1: w image does not differ by a multiple of e0")
+        assert report.alpha_vectors is None and report.group_rank is None
+
     def test_failed_selection_reports_and_omits_rank(self):
         report = run_k3(SMALL_PRIME_SELECTION)
         assert not report.all_passed
@@ -1114,7 +1166,7 @@ class TestSparseExtensionStage:
 
     def test_run_k3_never_calls_the_dense_front(self, monkeypatch):
         # the extension stage verifies every generator through the sparse
-        # core, and the Torelli vectors (sigma's integral components among
+        # core, and the reading rows (sigma's integral components among
         # them) are made once per run, not once per generator
         def refused(*args):
             raise AssertionError("the dense front was called")
@@ -1137,6 +1189,35 @@ class TestSparseExtensionStage:
                 assert hashlib.sha256(text.encode()).hexdigest() == digest
             assert len(components) == (2 if report.all_passed else 0)
         assert run_k3(DEFAULT_PRIMES).group_rank == 18
+
+    def test_each_generator_is_read_by_one_product(self, monkeypatch):
+        # the reading rows are converted once per run and each of the 18
+        # generators is read by one product with them; sigma's integral
+        # components are still made twice, for the rows and the minimal
+        # sublattice
+        made, products, components = [], [], []
+        reading_rows, product = k3_module._reading_rows, k3_module._sparse_mul
+        integral_components = k3_module._integral_components
+
+        def counted_rows(*args):
+            made.append(reading_rows(*args))
+            return made[-1]
+
+        def counted_product(a, *args):
+            products.extend(a is rows for rows in made)
+            return product(a, *args)
+
+        def counted_components(sigma):
+            components.append(sigma)
+            return integral_components(sigma)
+
+        monkeypatch.setattr(k3_module, "_reading_rows", counted_rows)
+        monkeypatch.setattr(k3_module, "_sparse_mul", counted_product)
+        monkeypatch.setattr(k3_module, "_integral_components", counted_components)
+        assert run_k3(DEFAULT_PRIMES).group_rank == 18
+        assert len(made) == 1
+        assert products.count(True) == 18
+        assert len(components) == 2
 
 
 class TestParabolicRankOnN:

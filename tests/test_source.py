@@ -372,17 +372,28 @@ def test_one_small_prime_table():
 
 
 def test_one_unipotent_coordinate_reader():
-    # parabolic_coordinates, parabolic_group_rank and alpha_map read g(x) - x
-    # along the basis completion through the one reader, with no inverse
-    # and no dense product; express_in_powers commutes by _commute; short
+    # parabolic_coordinates and parabolic_group_rank read g(x) - x along the
+    # basis completion through the one coefficient reader, with no inverse
+    # and no dense product; alpha_map, torelli_certificate and run_k3 read
+    # each K3 generator through the one k3 reader, which takes the Torelli
+    # facts and the coefficients from the same product, and the readers it
+    # replaced are gone; express_in_powers commutes by _commute; short
     # vectors read the congruence run the lattice keeps; no module reads
     # the environment
-    parabolic_src = SOURCE / "parabolic.py"
+    parabolic_src, k3_src = SOURCE / "parabolic.py", SOURCE / "k3.py"
     assert not {"unimodular_inverse", "mat_mul"} & _names(ast.parse(parabolic_src.read_text()))
     assert "_radical_coefficients" in _names(_function(parabolic_src, "_coordinates"))
-    assert "_radical_coefficients" in _names(_function(SOURCE / "k3.py", "alpha_map"))
     for name in ("parabolic_coordinates", "parabolic_group_rank"):
         assert "_coordinates" in _names(_function(parabolic_src, name))
+    for name in ("alpha_map", "torelli_certificate", "run_k3"):
+        assert "_read" in _names(_function(k3_src, name)), name
+    reader = _names(_function(k3_src, "_read"))
+    assert {"_radical_coefficients", "_sparse_mul", "TorelliCertificate"} <= reader
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        gone = {"displacements", "_torelli_read", "_torelli_vectors"}
+        assert not gone & (_names(tree) | defs), path.name
     assert "_commute" in _names(_function(SOURCE / "isometry.py", "express_in_powers"))
     vectors = _names(_function(SOURCE / "lattice.py", "vectors_of_norm"))
     assert "_congruence_bareiss" not in vectors and "_congruence" in vectors
