@@ -39,6 +39,7 @@ from .k3 import (
     alpha_map,
     build_phi,
     build_sublattices,
+    eichler_extension,
     extend_to_lambda,
     extension_order,
     group_rank_via_alpha,

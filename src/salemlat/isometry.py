@@ -16,8 +16,6 @@ M - I, and the one K3 reader of g(v) - v reads the same view.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +33,7 @@ from .intpoly import (
     strip_cyclotomic_factors,
     trace_polynomial,
 )
-from .lattice import GramLattice, SublatticeEmbedding
+from .lattice import GramLattice
 from .linalg import (
     IntMatrix,
     IntVector,
@@ -351,45 +349,11 @@ def express_in_powers(f: LatticeIsometry, g: LatticeIsometry) -> tuple[Fraction,
     return tuple(sol)
 
 
-def evaluate_in_powers(f: LatticeIsometry, coeffs) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix phi(f) over Q for a rational coefficient vector."""
-    n = f.rank
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    power = linalg.identity(n)
-    for c in coeffs:
-        for i in range(n):
-            for j in range(n):
-                acc[i][j] += Fraction(c) * power[i][j]
-        power = linalg.mat_mul(f.matrix, power)
-    return tuple(tuple(row) for row in acc)
-
-
 def fixes_isotropic_ray(g: LatticeIsometry, v: IntVector) -> bool:
     """Exact g(v) = v for an isotropic v."""
     if g.lattice.norm(v) != 0:
         raise ValueError("vector is not isotropic")
     return g.apply(tuple(v)) == tuple(v)
-
-
-def restrict_to_embedding(g: LatticeIsometry, emb: SublatticeEmbedding) -> LatticeIsometry:
-    """Restriction of g to an invariant sublattice, in the embedding basis."""
-    if emb.ambient != g.lattice:
-        raise ValueError("embedding ambient differs from the isometry lattice")
-    images = [g.apply(row) for row in emb.basis]
-    cols = []
-    bt = linalg.transpose(emb.basis)
-    for img in images:
-        sol = linalg.fraction_solve(bt, img)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise ValueError("sublattice is not invariant under the isometry")
-        cols.append([x.numerator for x in sol])
-    matrix = linalg.transpose(linalg.freeze(cols))
-    return verify_isometry(matrix, emb.induced_gram())
-
-
-# ---------------------------------------------------------------------------
-# reflection generators for the randomized property suites
-# ---------------------------------------------------------------------------
 
 
 def reflection_in_vector(lattice: GramLattice, w: IntVector) -> LatticeIsometry:
@@ -403,54 +367,3 @@ def reflection_in_vector(lattice: GramLattice, w: IntVector) -> LatticeIsometry:
     matrix = [[(1 if i == j else 0) - sign * w[i] * gw[j] for j in range(n)]
               for i in range(n)]
     return verify_isometry(matrix, lattice)
-
-
-ROOT_COEFFICIENT_BOUND = 2
-ROOT_MAX_SUPPORT = 3
-MAX_REFLECTIONS = 6
-
-
-def root_vectors(lattice: GramLattice) -> list[IntVector]:
-    """Norm +-2 vectors supported on few coordinates, one per sign pair.
-
-    Full box enumeration is exponential in the rank; vectors of small
-    support and entries already generate a rich reflection pool on the
-    block lattices used for the property suites.
-    """
-    n = lattice.rank
-    out = []
-    seen = set()
-    box = [c for c in range(-ROOT_COEFFICIENT_BOUND, ROOT_COEFFICIENT_BOUND + 1) if c != 0]
-    for size in range(1, min(ROOT_MAX_SUPPORT, n) + 1):
-        for support in itertools.combinations(range(n), size):
-            for vals in itertools.product(box, repeat=size):
-                v = [0] * n
-                for idx, c in zip(support, vals):
-                    v[idx] = c
-                first = next(c for c in v if c != 0)
-                if first < 0:
-                    continue
-                tv = tuple(v)
-                if tv in seen:
-                    continue
-                seen.add(tv)
-                if lattice.norm(tv) in (2, -2):
-                    out.append(tv)
-    return out
-
-
-def random_isometries(lattice: GramLattice, count: int, seed: int) -> list[LatticeIsometry]:
-    """Deterministic corpus of isometries: products of norm +-2 reflections."""
-    rng = random.Random(seed)
-    pool = root_vectors(lattice)
-    if not pool:
-        raise ValueError("lattice has no norm +-2 vectors in the sampling box")
-    out = []
-    for _ in range(count):
-        k = rng.randint(1, MAX_REFLECTIONS)
-        g = identity_isometry(lattice)
-        for _ in range(k):
-            w = pool[rng.randrange(len(pool))]
-            g = g.compose(reflection_in_vector(lattice, w))
-        out.append(g)
-    return out

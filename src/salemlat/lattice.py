@@ -352,10 +352,14 @@ class SublatticeEmbedding:
         return len(self.basis)
 
     @cached_property
+    def _rows(self) -> linalg.SparseRows:
+        """The basis B by its nonzero entries."""
+        return linalg._nonzero_entries(self.basis)
+
+    @cached_property
     def _pairing_rows(self) -> linalg.SparseRows:
         """B G by its nonzero entries, B the basis and G the ambient Gram matrix."""
-        return linalg._sparse_mul(linalg._nonzero_entries(self.basis), self.ambient.entries,
-                                  self.ambient.rank)
+        return linalg._sparse_mul(self._rows, self.ambient.entries, self.ambient.rank)
 
     @cached_property
     def _lift(self) -> linalg.SparseRows:

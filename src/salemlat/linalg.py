@@ -145,10 +145,6 @@ def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def mat_scale(a, k):
     return tuple(tuple(k * x for x in row) for row in a)
 

@@ -52,14 +52,6 @@ def matrix_from_json(data) -> tuple[tuple[int, ...], ...]:
     return tuple(map(parse_ints, data))
 
 
-def lattice_to_json(lat: GramLattice) -> dict:
-    return {
-        "rank": lat.rank,
-        "gram": matrix_to_json(lat.gram),
-        "even": lat.even,
-    }
-
-
 def lattice_from_json(data) -> GramLattice:
     gram, rank = json_fields(data, "gram", "rank")
     lat = GramLattice(matrix_from_json(gram))

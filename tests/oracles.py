@@ -17,21 +17,36 @@ exception is the unfiltered Salem enumeration loop: it runs the package's
 classify_salem on every candidate of the coefficient box, to check the
 sign filter in front of it. Coxeter elements of E_n are checked against
 the closed form of their characteristic polynomial, divided out by sympy.
+
+The last section holds helpers that only the tests call and that build on
+the package: the reflection corpus of the property suites, restriction to
+an invariant sublattice, evaluation of a polynomial in an isometry, a
+negated matrix and a lattice as JSON.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb, floor, isqrt, lcm
 
 import mpmath
 import sympy
 
+from salemlat import linalg
 from salemlat.intpoly import IntPolynomial
+from salemlat.isometry import (
+    LatticeIsometry,
+    identity_isometry,
+    reflection_in_vector,
+    verify_isometry,
+)
+from salemlat.lattice import GramLattice, SublatticeEmbedding
 from salemlat.parabolic import QuotientActionError, UnipotentCoordinates
 from salemlat.rational import RationalInterval
 from salemlat.salem import SalemCertificate, classify_salem
+from salemlat.serialize import matrix_to_json
 
 ORACLE_DPS = 60
 CIRCLE_TOL = mpmath.mpf(10) ** -12
@@ -601,3 +616,100 @@ def unfiltered_enumerate_salem(degree: int, trace_min: int, trace_max: int,
             found.append(result)
     found.sort(key=lambda c: c.polynomial.coeffs)
     return found
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests call
+# ---------------------------------------------------------------------------
+
+
+def evaluate_in_powers(f: LatticeIsometry, coeffs) -> tuple[tuple[Fraction, ...], ...]:
+    """Matrix phi(f) over Q for a rational coefficient vector."""
+    n = f.rank
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    power = linalg.identity(n)
+    for c in coeffs:
+        for i in range(n):
+            for j in range(n):
+                acc[i][j] += Fraction(c) * power[i][j]
+        power = linalg.mat_mul(f.matrix, power)
+    return tuple(tuple(row) for row in acc)
+
+
+def restrict_to_embedding(g: LatticeIsometry, emb: SublatticeEmbedding) -> LatticeIsometry:
+    """Restriction of g to an invariant sublattice, in the embedding basis."""
+    if emb.ambient != g.lattice:
+        raise ValueError("embedding ambient differs from the isometry lattice")
+    images = [g.apply(row) for row in emb.basis]
+    cols = []
+    bt = linalg.transpose(emb.basis)
+    for img in images:
+        sol = linalg.fraction_solve(bt, img)
+        if sol is None or any(x.denominator != 1 for x in sol):
+            raise ValueError("sublattice is not invariant under the isometry")
+        cols.append([x.numerator for x in sol])
+    matrix = linalg.transpose(linalg.freeze(cols))
+    return verify_isometry(matrix, emb.induced_gram())
+
+
+ROOT_COEFFICIENT_BOUND = 2
+ROOT_MAX_SUPPORT = 3
+MAX_REFLECTIONS = 6
+
+
+def root_vectors(lattice: GramLattice) -> list[tuple[int, ...]]:
+    """Norm +-2 vectors supported on few coordinates, one per sign pair.
+
+    Full box enumeration is exponential in the rank; vectors of small
+    support and entries already generate a rich reflection pool on the
+    block lattices used for the property suites.
+    """
+    n = lattice.rank
+    out = []
+    seen = set()
+    box = [c for c in range(-ROOT_COEFFICIENT_BOUND, ROOT_COEFFICIENT_BOUND + 1) if c != 0]
+    for size in range(1, min(ROOT_MAX_SUPPORT, n) + 1):
+        for support in itertools.combinations(range(n), size):
+            for vals in itertools.product(box, repeat=size):
+                v = [0] * n
+                for idx, c in zip(support, vals):
+                    v[idx] = c
+                first = next(c for c in v if c != 0)
+                if first < 0:
+                    continue
+                tv = tuple(v)
+                if tv in seen:
+                    continue
+                seen.add(tv)
+                if lattice.norm(tv) in (2, -2):
+                    out.append(tv)
+    return out
+
+
+def random_isometries(lattice: GramLattice, count: int, seed: int) -> list[LatticeIsometry]:
+    """Deterministic corpus of isometries: products of norm +-2 reflections."""
+    rng = random.Random(seed)
+    pool = root_vectors(lattice)
+    if not pool:
+        raise ValueError("lattice has no norm +-2 vectors in the sampling box")
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, MAX_REFLECTIONS)
+        g = identity_isometry(lattice)
+        for _ in range(k):
+            w = pool[rng.randrange(len(pool))]
+            g = g.compose(reflection_in_vector(lattice, w))
+        out.append(g)
+    return out
+
+
+def mat_neg(a):
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+def lattice_to_json(lat: GramLattice) -> dict:
+    return {
+        "rank": lat.rank,
+        "gram": matrix_to_json(lat.gram),
+        "even": lat.even,
+    }

@@ -17,11 +17,9 @@ from salemlat.isometry import (
     char_poly,
     classify_isometry,
     entropy,
-    evaluate_in_powers,
     express_in_powers,
     is_primary_charpoly,
     order,
-    random_isometries,
 )
 from salemlat.lattice import (
     GramLattice,
@@ -31,6 +29,8 @@ from salemlat.lattice import (
     hyperbolic_plane,
     signature,
 )
+
+from oracles import evaluate_in_powers, random_isometries
 
 U = hyperbolic_plane()
 A2_POS = GramLattice.from_rows([[2, 1], [1, 2]])

@@ -12,10 +12,9 @@ from fractions import Fraction
 import pytest
 
 import property_suites as ps
-from oracles import numeric_salem_oracle
+from oracles import numeric_salem_oracle, restrict_to_embedding
 from salemlat import linalg
 from salemlat.intpoly import IntPolynomial, poly_from_string
-from salemlat.isometry import restrict_to_embedding
 from salemlat.k3 import (
     DEFAULT_PRIMES,
     build_phi,

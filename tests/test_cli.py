@@ -14,8 +14,10 @@ from salemlat.cli import EXIT_INTERNAL, _cmd_rank, main
 from salemlat.isometry import verify_isometry
 from salemlat.k3 import PrimeSelection
 from salemlat.rational import parse_int
-from salemlat.serialize import lattice_from_json, lattice_to_json, matrix_from_json
+from salemlat.serialize import lattice_from_json, matrix_from_json
 from salemlat.lattice import GramLattice, diagonal_lattice, e8_minus_one
+
+from oracles import lattice_to_json
 
 
 def run(capsys, *argv):
@@ -84,7 +86,7 @@ class TestExitCodes:
             return verify_isometry(
                 [[-(i == j) for j in range(n)] for i in range(n)], l_emb.ambient)
 
-        monkeypatch.setattr(k3_module, "extend_to_lambda", minus_identity)
+        monkeypatch.setattr(k3_module, "eichler_extension", minus_identity)
         code, out, err = run(capsys, "k3-run")
         assert code == 1
         assert err == ""
@@ -103,7 +105,7 @@ class TestExitCodes:
         moved = [[(i == 1) * x for x in phi] for i in range(22)]
         g = k3_module.LatticeIsometry(
             subs.ambient, linalg.mat_add(linalg.identity(22), moved))
-        monkeypatch.setattr(k3_module, "extend_to_lambda", lambda *args: g)
+        monkeypatch.setattr(k3_module, "eichler_extension", lambda *args: g)
         code, out, err = run(capsys, "k3-run")
         assert code == 1
         assert err == ""
@@ -118,14 +120,14 @@ class TestExitCodes:
     def test_failed_extension_is_one(self, capsys, monkeypatch):
         # a non-integral extension of generator 5 is a failed check, not an
         # error that escapes run_k3
-        extend = k3_module.extend_to_lambda
+        extend = k3_module.eichler_extension
 
         def failing_at_five(phi, l_emb, tbar_emb):
             if phi.matrix == k3_module.build_phi(5, phi.lattice).matrix:
                 raise k3_module.NonIntegralExtensionError("not integral")
             return extend(phi, l_emb, tbar_emb)
 
-        monkeypatch.setattr(k3_module, "extend_to_lambda", failing_at_five)
+        monkeypatch.setattr(k3_module, "eichler_extension", failing_at_five)
         code, out, err = run(capsys, "k3-run")
         assert code == 1
         assert err == ""

@@ -4,6 +4,7 @@ import inspect
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm, prod
 
@@ -18,10 +19,10 @@ from salemlat.intpoly import MILLER_RABIN_BOUND, _is_probable_prime
 from salemlat.isometry import (
     GramViolationError,
     LatticeIsometry,
+    _commute,
     _verify_moved,
     identity_isometry,
     reflection_in_vector,
-    restrict_to_embedding,
     verify_isometry,
 )
 from salemlat.k3 import (
@@ -33,11 +34,11 @@ from salemlat.k3 import (
     PrimeSelection,
     QuarticAlgebraElement,
     ShapeViolationError,
-    _commute,
     _unit,
     alpha_map,
     build_phi,
     build_sublattices,
+    eichler_extension,
     extend_to_lambda,
     extension_order,
     group_rank_via_alpha,
@@ -65,6 +66,8 @@ from salemlat.serialize import dumps_certificate, report_to_json
 from oracles import (
     dense_displacements,
     dense_mat_mul,
+    mat_neg,
+    restrict_to_embedding,
     sympy_det,
     sympy_invariant_factors,
     sympy_mat_mul,
@@ -202,6 +205,15 @@ class TestSublattices:
             subs = build_sublattices(primes)
             assert subs.tbar == orthogonal_complement(subs.l)
 
+    def test_n_with_a_root_fails_with_a_norm_minus_two_witness(self, subs):
+        # N = Z e0 + E8(-1) is parabolic, but E8(-1) holds roots of norm -2
+        n = SublatticeEmbedding.from_rows(subs.ambient, [_unit(0), *(_unit(6 + j) for j in range(8))])
+        checks = {c.name: c for c in k3_module._structural_checks(replace(subs, n=n))}
+        assert checks["n_parabolic"].passed
+        check = checks["n_does_not_represent_minus_two"]
+        assert not check.passed
+        assert n.induced_gram().norm(check.witness) == -2
+
     def test_adversarial_large_p_fails(self):
         checks = {c.name: c for c in verify_construction(ADVERSARIAL)}
         bad = checks["nbar_elliptic_rank_18"]
@@ -219,7 +231,7 @@ class TestBlockCriterion:
         # E8 Cartan matrix, the e1 block's Gram matrix is
         # [[-2p, -p 1^T], [-p 1, -D C D]], negative definite exactly when
         # its Schur complement is: sum_jk (C^-1)_jk / (p_j p_k) < 2 / p
-        c_inv = linalg.fraction_inverse(linalg.mat_neg(e8_minus_one().gram))
+        c_inv = linalg.fraction_inverse(mat_neg(e8_minus_one().gram))
 
         def criterion(p, scaling):
             return sum(c_inv[j][k] / (scaling[j] * scaling[k])
@@ -285,7 +297,7 @@ class TestExtension:
 
     def test_nontrivial_disc_action_fails(self, subs):
         l_lat = subs.l.induced_gram()
-        neg = verify_isometry(linalg.mat_neg(linalg.identity(20)), l_lat)
+        neg = verify_isometry(mat_neg(linalg.identity(20)), l_lat)
         assert extension_order(neg, l_lat) > 1
         with pytest.raises(NonIntegralExtensionError):
             extend_to_lambda(neg, subs.l, subs.tbar)
@@ -296,8 +308,6 @@ class TestExtension:
         k = extension_order(phi, l_lat)
         big = extend_to_lambda(phi.power(k), subs.l, subs.tbar)
         # restriction to the rows of L reproduces phi^k
-        from salemlat.isometry import restrict_to_embedding
-
         assert restrict_to_embedding(big, subs.l).matrix == phi.power(k).matrix
         for row in subs.tbar.basis:
             assert big.apply(row) == tuple(row)
@@ -314,6 +324,83 @@ class TestExtension:
         with pytest.raises(ValueError, match="full rank"):
             extend_to_lambda(identity_isometry(l_lat), subs.l,
                              SublatticeEmbedding.from_rows(subs.ambient, bent[:1]))
+
+
+class TestEichlerExtension:
+    def test_identity_extends_to_identity(self, subs):
+        l_lat = subs.l.induced_gram()
+        assert eichler_extension(identity_isometry(l_lat), subs.l, subs.tbar).is_identity()
+
+    def test_nontrivial_disc_action_fails(self, subs):
+        # -I on L moves f0 by -2 f0, and e0.(-2 f0) != 0: no transvection
+        neg = verify_isometry(mat_neg(linalg.identity(20)), subs.l.induced_gram())
+        with pytest.raises(NonIntegralExtensionError):
+            eichler_extension(neg, subs.l, subs.tbar)
+
+    def test_restricts_to_phi_and_fixes_tbar(self, subs):
+        l_lat = subs.l.induced_gram()
+        for i in (1, 10, 18):
+            phi = build_phi(i, l_lat)
+            big = eichler_extension(phi, subs.l, subs.tbar)
+            assert restrict_to_embedding(big, subs.l).matrix == phi.matrix
+            for row in subs.tbar.basis:
+                assert big.apply(row) == tuple(row)
+
+    def test_products_of_generators_extend_to_products(self, subs):
+        # E(e0, u) E(e0, v) = E(e0, u + v), so a product of two generators is
+        # a transvection too, read off its own f0 column
+        l_lat = subs.l.induced_gram()
+        a, b = build_phi(2, l_lat), build_phi(11, l_lat)
+        both = eichler_extension(a.compose(b), subs.l, subs.tbar)
+        assert both.matrix == linalg.mat_mul(eichler_extension(a, subs.l, subs.tbar).matrix,
+                                             eichler_extension(b, subs.l, subs.tbar).matrix)
+
+    def test_a_moved_tbar_row_fails_the_agreement(self, subs):
+        # Tbar's second row bent by f0, which every generator moves: the
+        # transvection does not fix it, so the agreement check refuses
+        l_lat = subs.l.induced_gram()
+        bent = (subs.tbar.basis[0],
+                tuple(x + (j == 1) for j, x in enumerate(subs.tbar.basis[1])))
+        bad = SublatticeEmbedding.from_rows(subs.ambient, bent)
+        with pytest.raises(NonIntegralExtensionError):
+            eichler_extension(build_phi(1, l_lat), subs.l, bad)
+        assert eichler_extension(identity_isometry(l_lat), subs.l, bad).is_identity()
+
+    def test_a_map_agreeing_only_off_f0_fails(self, subs):
+        # phi_1 with one more entry in its w_1 row: still read as phi_1's
+        # transvection from the f0 column, which then disagrees on w_1
+        l_lat = subs.l.induced_gram()
+        phi = build_phi(1, l_lat)
+        moved = list(phi.moved)
+        moved[0] = tuple(sorted((*moved[0], (3, 1))))
+        bent = LatticeIsometry(l_lat, linalg.mat_add(
+            linalg.identity(20), [[dict(row).get(j, 0) for j in range(20)] for row in moved]))
+        with pytest.raises(NonIntegralExtensionError):
+            eichler_extension(bent, subs.l, subs.tbar)
+
+    def test_closed_form_against_the_dense_formula(self, suite_seed):
+        # E(e0, u) - I from x -> (x.e0) u - (x.u) e0 - u^2/2 (x.e0) e0 on the
+        # basis, for random u with e0.u = 0 (an e0 part included); None when
+        # e0.e0 != 0, when e0.u != 0 and when u^2 is odd
+        lam, e0 = k3_lattice(), _unit(0)
+        rng = random.Random(suite_seed + 83)
+        for _ in range(12):
+            u = (rng.randint(-3, 3), 0, *(rng.randint(-3, 3) for _ in range(20)))
+            half = lam.norm(u) // 2
+            columns = [[lam.pairing(x, e0) * a - lam.pairing(x, u) * b
+                        - half * lam.pairing(x, e0) * b for a, b in zip(u, e0)]
+                       for x in map(_unit, range(22))]
+            expected = linalg._nonzero_entries(linalg.transpose(columns))
+            assert k3_module._transvection(lam, ((0, 1),), linalg._nonzero_row(u)) == expected
+        assert k3_module._transvection(lam, ((6, 1),), ((7, 1),)) is None
+        assert k3_module._transvection(lam, ((0, 1),), ((1, 1),)) is None
+        odd = GramLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        assert k3_module._transvection(odd, ((0, 1),), ((2, 1),)) is None
+
+    def test_embeddings_must_share_the_ambient(self, subs):
+        other = SublatticeEmbedding.from_rows(TOY_L, [[0, 0, 1]])
+        with pytest.raises(ValueError, match="ambient"):
+            eichler_extension(identity_isometry(subs.l.induced_gram()), subs.l, other)
 
 
 class TestInverseOfL:
@@ -389,7 +476,7 @@ class TestExtensionAgainstFractions:
 
     def test_fraction_formula_is_not_integral_where_extension_fails(self, subs):
         l_lat = subs.l.induced_gram()
-        neg = verify_isometry(linalg.mat_neg(linalg.identity(20)), l_lat)
+        neg = verify_isometry(mat_neg(linalg.identity(20)), l_lat)
         oracle = fraction_extension(neg, subs.l, subs.tbar)
         assert any(x.denominator != 1 for row in oracle for x in row)
         with pytest.raises(NonIntegralExtensionError):
@@ -429,6 +516,45 @@ class TestSparseCommute:
             assert not _commute(g, reflection) and not _commute(reflection, g)
 
 
+class TestCommutationFromTheForm:
+    def test_products_of_differences_are_symmetric(self, extended, subs):
+        # A_i A_j = -(u_i.u_j) e0 p^T with A = M - I, p = G e0 and u_i the
+        # f0 column of A_i off e0: the identity phis_commute rests on,
+        # against dense products
+        gram = subs.ambient.gram
+        diffs = [[[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(g.matrix)]
+                 for g in extended]
+        us = [[0] + [row[1] for row in a[1:]] for a in diffs]
+        pairings = set()
+        # pairs within the e1-block, the e2-block and across them (u_i.u_j = 0)
+        for i, j in ((0, 2), (3, 7), (5, 5), (10, 15), (17, 8)):
+            pairing = sum(x * g * y for x, row in zip(us[i], gram) for g, y in zip(row, us[j]))
+            expected = tuple(tuple(-pairing * (r == 0) * gram[0][c] for c in range(22))
+                             for r in range(22))
+            assert dense_mat_mul(diffs[i], diffs[j]) == expected == dense_mat_mul(diffs[j], diffs[i])
+            pairings.add(pairing)
+        assert len(pairings - {0}) == 4
+
+    def test_the_form_check_names_the_first_other_generator(self, extended):
+        # the reflection in v_11 fixes e0 but is no transvection E(e0, u),
+        # and it does not commute with phi_1
+        assert k3_module._commutation_failure(extended) == ""
+        reflection = reflection_in_vector(k3_lattice(), _unit(6))
+        assert not _commute(extended[0], reflection)
+        for k in (0, 4, 17):
+            gens = extended[:k] + [reflection] + extended[k + 1:]
+            assert k3_module._commutation_failure(gens).startswith(f"phi_{k + 1}: ")
+
+    def test_a_scaled_transvection_is_refused(self, extended):
+        # M - I doubled keeps u's support but is not the closed form of the
+        # column it is read from
+        g = extended[2]
+        doubled = LatticeIsometry(g.lattice, linalg.mat_add(
+            g.matrix, [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(g.matrix)]))
+        detail = k3_module._commutation_failure([*extended[:5], doubled])
+        assert detail.startswith("phi_6: ")
+
+
 class TestProductKernel:
     def test_extended_generators_against_dense_and_sympy(self, full_report, subs):
         # the products of the extension stage: 22 x 22 isometries with
@@ -454,9 +580,9 @@ class TestProductKernel:
 
 @pytest.fixture(scope="module")
 def extended(full_report, subs):
-    """The eighteen extended generators of DEFAULT_PRIMES."""
+    """The eighteen extended generators of DEFAULT_PRIMES, as run_k3 builds them."""
     l_lat = subs.l.induced_gram()
-    return [extend_to_lambda(build_phi(i, l_lat).power(k), subs.l, subs.tbar)
+    return [eichler_extension(build_phi(i, l_lat).power(k), subs.l, subs.tbar)
             for i, k in zip(range(1, 19), full_report.extension_orders)]
 
 
@@ -482,15 +608,17 @@ def _shape_violations(subs):
 class TestSparseView:
     def test_moved_and_displacement_against_dense(self, extended, subs, monkeypatch):
         # the one reading of a generator against dense displacements: the
-        # product rows, the Torelli fields and the alpha vector
+        # product rows, the Torelli fields and the alpha vector. sigma's
+        # components lie in T's rational span, so the reading has no period
+        # rows: fixes_period is fixes_t_pointwise, and a moved period moves T
         t_split = subs.t_split
         sigma = period_point(subs.tbar.induced_gram(), subs.t.induced_gram())
         parts = [[x.parts[part] for x in sigma.coordinates] for part in range(4)]
         components = [[int(x * lcm(*(y.denominator for y in row))) for x in row]
                       for row in parts if any(row)]
         period = dense_mat_mul(components, t_split.basis)
-        vectors = (subs.e0, *subs.w_rows, *t_split.basis, *period)
-        rows = k3_module._reading_rows(subs.e0, subs.w_rows, t_split, sigma)
+        vectors = (subs.e0, *subs.w_rows, *t_split.basis)
+        rows = k3_module._reading_rows(subs.e0, subs.w_rows, t_split)
         assert rows == linalg._nonzero_entries(vectors)
         products = []
         product = k3_module._sparse_mul
@@ -502,25 +630,29 @@ class TestSparseView:
             assert g.moved == linalg._nonzero_entries(minus_i)
             assert sum(len(row) for row in g.moved) <= 25
         # beside the three violations, maps that move one basis row of T and
-        # fix the others and every w_i, so only some of the period rows move
+        # fix the others and every w_i, so only some of the period components move
         one_row = []
         for j, t in enumerate(t_split.basis):
             others = [row for i, row in enumerate(t_split.basis) if i != j]
             kernel = linalg.integer_kernel((*subs.w_rows, *others))
             phi = next(row for row in kernel if sum(a * b for a, b in zip(row, t)))
             one_row.append(_rank_one_map(subs, _unit(1), phi))
+        moved_periods = 0
         for g in [*extended, *(g for g, _ in _shape_violations(subs)), *one_row]:
             disp = dense_displacements(g.matrix, vectors)
             cert, alpha = k3_module._read(g, rows, 19, t_split.rank)
             assert products == [linalg._nonzero_entries(disp)]
             products.clear()
             assert cert.fixes_e0 == (not any(disp[0]))
-            assert cert.fixes_t_pointwise == (not any(map(any, disp[19:22])))
-            assert cert.fixes_period == (not any(map(any, disp[22:])))
+            assert cert.fixes_t_pointwise == cert.fixes_period == (not any(map(any, disp[19:22])))
+            if any(map(any, dense_displacements(g.matrix, period))):
+                moved_periods += 1
+                assert not cert.fixes_period
             assert cert == torelli_certificate(g, sigma, t_split, subs.e0)
             products.clear()
             multiples = [None if any(d[1:]) else d[0] for d in disp[:19]]
             assert alpha == (None if None in multiples else tuple(multiples[1:]))
+        assert moved_periods >= 3
 
     def test_verify_witness_on_perturbed_generators(self, extended, subs, suite_seed):
         # M^T G M - G read as D^T + M^T D with D = G (M - I) keeps the
@@ -643,17 +775,24 @@ class TestTorelliAndAlpha:
 
     def test_torelli_minus_identity_fails_e0(self, subs):
         sigma = period_point(subs.tbar.induced_gram(), subs.t.induced_gram())
-        neg = verify_isometry(linalg.mat_neg(linalg.identity(22)), subs.ambient)
+        neg = verify_isometry(mat_neg(linalg.identity(22)), subs.ambient)
         cert = torelli_certificate(neg, sigma, subs.t, subs.e0)
         assert not cert.fixes_e0
         assert not cert.fixes_period
         assert not cert.passed
 
+    def test_torelli_period_needs_t_coordinates(self, subs):
+        # sigma's coordinates are taken in T's basis, which is what lets the
+        # period follow from T; Tbar has one row too few
+        sigma = period_point(subs.tbar.induced_gram(), subs.t.induced_gram())
+        with pytest.raises(ShapeViolationError, match="coordinate"):
+            torelli_certificate(identity_isometry(subs.ambient), sigma, subs.tbar, subs.e0)
+
     def test_alpha_identity_zero(self, subs):
         assert alpha_map(identity_isometry(subs.ambient), subs) == (0,) * 18
 
     def test_alpha_shape_violation(self, subs):
-        neg = verify_isometry(linalg.mat_neg(linalg.identity(22)), subs.ambient)
+        neg = verify_isometry(mat_neg(linalg.identity(22)), subs.ambient)
         with pytest.raises(ShapeViolationError):
             alpha_map(neg, subs)
 
@@ -732,7 +871,6 @@ class TestFullPipeline:
     def test_parabolic_restriction_attains_bound(self, full_report, subs):
         # restrict the eighteen ambient isometries to N and read the
         # unipotent coordinates there
-        from salemlat.isometry import restrict_to_embedding
         from salemlat.parabolic import parabolic_group_rank
 
         l_lat = subs.l.induced_gram()
@@ -867,7 +1005,7 @@ class TestFullPipeline:
     def test_extension_stage_has_no_run_context(self):
         # run_k3 calls the public functions as every caller does; what they
         # share lives on the lattice and embedding objects
-        for f in (build_phi, extension_order, extend_to_lambda):
+        for f in (build_phi, extension_order, extend_to_lambda, eichler_extension):
             assert "context" not in inspect.signature(f).parameters
         assert not {"_RunContext", "_block_inverse", "_projection"} & set(vars(k3_module))
 
@@ -985,7 +1123,7 @@ class TestFullPipeline:
         ambient = k3_lattice()
         minus_identity = verify_isometry(
             [[-(i == j) for j in range(ambient.rank)] for i in range(ambient.rank)], ambient)
-        monkeypatch.setattr(k3_module, "extend_to_lambda", lambda *args: minus_identity)
+        monkeypatch.setattr(k3_module, "eichler_extension", lambda *args: minus_identity)
         report = run_k3(DEFAULT_PRIMES)
         checks = {c.name: c for c in report.checks}
         assert not checks["phis_fix_e0"].passed
@@ -998,7 +1136,7 @@ class TestFullPipeline:
         # x -> x + (phi . x) f0 fixes e0, T and the period but moves a w_i
         # off Z e0: a failed check, not a ShapeViolationError out of run_k3
         g = _shape_violations(subs)[2][0]
-        monkeypatch.setattr(k3_module, "extend_to_lambda", lambda *args: g)
+        monkeypatch.setattr(k3_module, "eichler_extension", lambda *args: g)
         report = run_k3(DEFAULT_PRIMES)
         checks = {c.name: c for c in report.checks}
         assert checks["phis_fix_e0"].passed and checks["phis_fix_t_pointwise"].passed
@@ -1006,6 +1144,40 @@ class TestFullPipeline:
         assert checks["alpha_rank_18"].detail == (
             "phi_1: w image does not differ by a multiple of e0")
         assert report.alpha_vectors is None and report.group_rank is None
+
+    def test_generator_moving_tbar_skips_the_alpha_vectors(self, subs, monkeypatch):
+        # x -> x + (phi . x) f0 with phi Tbar's first row fixes e0 but moves
+        # Tbar: the alpha vectors are not read, and the detail says so
+        g = _shape_violations(subs)[1][0]
+        monkeypatch.setattr(k3_module, "eichler_extension", lambda *args: g)
+        report = run_k3(DEFAULT_PRIMES)
+        checks = {c.name: c for c in report.checks}
+        assert checks["phis_fix_e0"].passed and not checks["phis_fix_t_pointwise"].passed
+        assert not checks["alpha_rank_18"].passed
+        assert checks["alpha_rank_18"].detail.startswith("skipped: ")
+        assert report.alpha_vectors is None and report.group_rank is None
+
+    def test_injected_reflection_fails_phis_commute(self, subs, monkeypatch):
+        # generator 7 replaced by the reflection in v_11, which fixes e0 and
+        # does not commute with phi_1: phis_commute fails and names it
+        reflection = reflection_in_vector(k3_lattice(), _unit(6))
+        extend = k3_module.eichler_extension
+
+        def reflection_at_seven(phi, l_emb, tbar_emb):
+            if phi.matrix == build_phi(7, phi.lattice).matrix:
+                return reflection
+            return extend(phi, l_emb, tbar_emb)
+
+        monkeypatch.setattr(k3_module, "eichler_extension", reflection_at_seven)
+        report = run_k3(DEFAULT_PRIMES)
+        checks = {c.name: c for c in report.checks}
+        assert checks["extensions_integral"].passed and checks["phis_fix_e0"].passed
+        assert not checks["phis_commute"].passed
+        assert checks["phis_commute"].detail.startswith("phi_7: ")
+        assert report.group_rank is None
+        first = extend(build_phi(1, subs.l.induced_gram()), subs.l, subs.tbar)
+        assert (dense_mat_mul(first.matrix, reflection.matrix)
+                != dense_mat_mul(reflection.matrix, first.matrix))
 
     def test_failed_selection_reports_and_omits_rank(self):
         report = run_k3(SMALL_PRIME_SELECTION)
@@ -1039,6 +1211,18 @@ GOLDEN_REPORTS = (
 
 
 class TestGoldenReports:
+    def test_failing_selections_witness_a_positive_nbar_norm(self):
+        # the two failing selections: Nbar's witness is a vector of positive
+        # norm, the first witness sign asked for
+        failing = 0
+        for primes, _ in GOLDEN_REPORTS:
+            check = {c.name: c for c in verify_construction(primes)}["nbar_elliptic_rank_18"]
+            if not check.passed:
+                failing += 1
+                nbar = build_sublattices(primes).nbar.induced_gram()
+                assert nbar.norm(check.witness) > 0
+        assert failing == 2
+
     @pytest.mark.parametrize("primes, digest", GOLDEN_REPORTS)
     def test_report_digest(self, primes, digest):
         report = run_k3(primes)
@@ -1085,9 +1269,9 @@ class TestSearchFreeExtension:
         def failing_at_five(phi, l_emb, tbar_emb):
             if phi.matrix == build_phi(5, phi.lattice).matrix:
                 raise NonIntegralExtensionError("not integral")
-            return extend_to_lambda(phi, l_emb, tbar_emb)
+            return eichler_extension(phi, l_emb, tbar_emb)
 
-        monkeypatch.setattr(k3_module, "extend_to_lambda", failing_at_five)
+        monkeypatch.setattr(k3_module, "eichler_extension", failing_at_five)
         report = run_k3(DEFAULT_PRIMES)
         check = report.checks[-1]
         assert check.name == "extensions_integral" and not check.passed
@@ -1104,8 +1288,9 @@ def _dense_witness(lat, matrix):
 
 
 class TestSparseExtensionStage:
-    """build_phi and extend_to_lambda emit M - I into the verification core,
-    which derives the dense M; verify_isometry is its dense front."""
+    """build_phi, eichler_extension and extend_to_lambda emit M - I into the
+    verification core, which derives the dense M; verify_isometry is its
+    dense front."""
 
     @staticmethod
     def assert_matches_dense_front(g, lat):
@@ -1128,9 +1313,12 @@ class TestSparseExtensionStage:
             for i in range(1, 19):
                 phi = build_phi(i, l_lat)
                 self.assert_matches_dense_front(phi, l_lat)
-                self.assert_matches_dense_front(
-                    extend_to_lambda(phi, subs.l, subs.tbar), subs.ambient)
-        assert passed >= 7
+                big = eichler_extension(phi, subs.l, subs.tbar)
+                self.assert_matches_dense_front(big, subs.ambient)
+                projected = extend_to_lambda(phi, subs.l, subs.tbar)
+                self.assert_matches_dense_front(projected, subs.ambient)
+                assert big.matrix == projected.matrix
+        assert passed >= 8  # DEFAULT_PRIMES and at least 7 scan selections
 
     def test_perturbed_rows_keep_the_dense_witness(self, subs, suite_seed):
         # one entry of M - I changed, or one entry added, fails in the core
@@ -1166,8 +1354,8 @@ class TestSparseExtensionStage:
 
     def test_run_k3_never_calls_the_dense_front(self, monkeypatch):
         # the extension stage verifies every generator through the sparse
-        # core, and the reading rows (sigma's integral components among
-        # them) are made once per run, not once per generator
+        # core; sigma's integral components are made once per run, for the
+        # minimal sublattice, and never for the reading rows
         def refused(*args):
             raise AssertionError("the dense front was called")
 
@@ -1187,14 +1375,13 @@ class TestSparseExtensionStage:
             if digest is not None:
                 text = dumps_certificate(report_to_json(report))
                 assert hashlib.sha256(text.encode()).hexdigest() == digest
-            assert len(components) == (2 if report.all_passed else 0)
+            assert len(components) == (1 if report.all_passed else 0)
         assert run_k3(DEFAULT_PRIMES).group_rank == 18
 
     def test_each_generator_is_read_by_one_product(self, monkeypatch):
         # the reading rows are converted once per run and each of the 18
         # generators is read by one product with them; sigma's integral
-        # components are still made twice, for the rows and the minimal
-        # sublattice
+        # components are made once, for the minimal sublattice alone
         made, products, components = [], [], []
         reading_rows, product = k3_module._reading_rows, k3_module._sparse_mul
         integral_components = k3_module._integral_components
@@ -1217,7 +1404,7 @@ class TestSparseExtensionStage:
         assert run_k3(DEFAULT_PRIMES).group_rank == 18
         assert len(made) == 1
         assert products.count(True) == 18
-        assert len(components) == 2
+        assert len(components) == 1
 
 
 class TestParabolicRankOnN:

@@ -357,6 +357,18 @@ def test_k3_pipeline_makes_no_search_and_no_wide_inverse():
     assert "integer_kernel" in split
 
 
+def test_k3_pipeline_builds_transvections_and_multiplies_no_pairs():
+    # run_k3 builds each generator on Lambda as an Eichler transvection and
+    # reads commutation off each generator's form: neither it nor those
+    # helpers reach the projection extension or the pairwise commutator
+    k3_src = SOURCE / "k3.py"
+    run = _names(_function(k3_src, "run_k3"))
+    assert {"eichler_extension", "_commutation_failure"} <= run
+    for name in ("run_k3", "eichler_extension", "_transvection", "_commutation_failure"):
+        assert not {"_commute", "extend_to_lambda", "_projection"} & _names(
+            _function(k3_src, name)), name
+
+
 def test_one_small_prime_table():
     # the primes to 37 are written once; _factorize splits them off itself,
     # so rho never sees an even number
