@@ -23,7 +23,9 @@ of Nbar genuinely depends on the prime selection; it is verified per run
 and a failure is reported with an explicit witness vector. The e1-block
 and the e2-block pair to zero, so the lattices split into orthogonal
 summands, N = Z e0 + 9 + 9, Nbar = 9 + 9 and L = U + 9 + 9, and every
-lattice kernel runs per summand. The extension stage reads only the
+lattice kernel runs per summand. N and L are Nbar's embedding bordered by
+e0, and by e0 and f0, so they and N's definite quotient hold Nbar's two
+9-row parts, each reduced once per run. The extension stage reads only the
 nonzero entries of each g - I, about 21 of 484; one product with rows made
 once per run gives each generator's Torelli facts and alpha vector.
 """
@@ -169,9 +171,9 @@ def build_sublattices(primes: PrimeSelection) -> K3Sublattices:
     rows += [minus(_E1, pj, _V1 + j) for j, pj in enumerate(primes.p_list)]
     rows += [minus(_E2, qj, _V2 + j) for j, qj in enumerate(primes.q_list)]
     nbar = SublatticeEmbedding.from_rows(ambient, rows)
-    n = SublatticeEmbedding.from_rows(ambient, [list(_unit(_E0))] + rows)
-    l = SublatticeEmbedding.from_rows(
-        ambient, [list(_unit(_E0)), list(_unit(_F0))] + rows)
+    # e0 and f0 pair to zero with Nbar, so N and L hold Nbar's summands
+    n = nbar.bordered([_unit(_E0)])
+    l = nbar.bordered([_unit(_E0), _unit(_F0)])
     t = orthogonal_complement(n)
     # Tbar = L^perp = T meet f0^perp is spanned by the c T with (c T, f0) = 0
     # (the f0 column of T G), a primitive basis as T and that kernel are
@@ -675,8 +677,9 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
            skip_extension: bool = False) -> K3ConstructionReport:
     """Build, verify, and certify the whole construction for one selection.
 
-    disc_order = |L*/L| = |det G_L|, the last pivot of signature(L)'s
-    congruence run; L is nondegenerate whenever the structural checks pass."""
+    disc_order = |L*/L| = |det G_L| and quartic_a = det Tbar = 4ac - b^2, each
+    the product of the last pivots of the lattice's kept congruence runs; L is
+    nondegenerate whenever the structural checks pass."""
     subs = build_sublattices(primes)
     checks = _structural_checks(subs)
     l_lat, tbar_lat = subs.l.induced_gram(), subs.tbar.induced_gram()
@@ -684,16 +687,14 @@ def run_k3(primes: PrimeSelection = DEFAULT_PRIMES,
 
     report = K3ConstructionReport(primes=primes, checks=())
     if structural_ok:
-        tbar_gram = tbar_lat.gram
         stacked = linalg.row_stack(subs.n.basis, subs.t.basis)
         report = replace(
             report,
             disc_order=abs(l_lat.determinant()),
             sum_index_l_tbar=index_of_sum(subs.l, subs.tbar),
             n_plus_t_corank=subs.ambient.rank - linalg.rational_rank(stacked),
-            tbar_gram=tbar_gram,
-            quartic_a=(tbar_gram[0][0] * tbar_gram[1][1]
-                       - tbar_gram[0][1] * tbar_gram[0][1]))
+            tbar_gram=tbar_lat.gram,
+            quartic_a=tbar_lat.determinant())
 
     if skip_extension or not structural_ok:
         return replace(report, checks=tuple(checks))

@@ -10,13 +10,19 @@ normal forms; the discriminant group is the Smith diagonal of the Gram
 matrix's HNF. A basis whose rows each have a private column, as echelon
 forms do, is independent without a Bareiss rank. What is derived from an
 object is kept by it and made once: a lattice keeps its orthogonal
-summands, their congruence runs and inverses, an embedding its Gram
-lattice, pairing rows and orthogonal projection. The summands are the
-connected components of the graph of nonzero Gram entries (linalg's
-component walk); signature, determinant, inverse, radical and short
-vectors work per summand, so the K3 lattices N = 1 + 9 + 9, Nbar = 9 + 9
-and L = U + 9 + 9 run eliminations of at most 9 rows. linalg's HNFs,
-kernels and ranks split a basis into blocks the same way.
+summands and one part per summand, holding that summand's congruence run
+and inverse, an embedding its Gram lattice, pairing rows, primitivity and
+orthogonal projection. The summands are the connected components of the
+graph of nonzero Gram entries (linalg's component walk); signature,
+determinant, inverse, radical and short vectors work per summand. A
+lattice built as an orthogonal sum holds the parts of its pieces: a
+direct_sum, the Gram lattice of an embedding bordered by rows orthogonal
+to the embedding it keeps, and the quotient by a radical that is a zero
+summand. So the K3 lattices N = 1 + 9 + 9, L = U + 9 + 9 and N's definite
+quotient hold the two 9-row parts of Nbar = 9 + 9, and each block is
+reduced once. These objects are all that share: no module keeps anything
+past one call of a public function. linalg's HNFs, kernels and ranks
+split a basis into blocks the same way.
 """
 
 from __future__ import annotations
@@ -45,6 +51,29 @@ class RadicalRankError(ValueError):
 
 class UnsupportedSignatureError(ValueError):
     pass
+
+
+class _Part:
+    """The Gram block of one orthogonal summand, with its congruence run and
+    inverse, each made once; every lattice that holds the part reads them."""
+
+    def __init__(self, block: IntMatrix) -> None:
+        self.block = block
+
+    @cached_property
+    def run(self) -> tuple[tuple, IntVector, IntVector]:
+        """One symmetric Bareiss run on the block: its (p_k, prev_k), its pivot
+        order and its reduced rows (see _congruence_bareiss), the rows read one
+        after another into one tuple; kept as m lists per summand, they made a
+        skip-extension run_k3 collect garbage about 40% more often."""
+        rows = [list(row) for row in self.block]
+        pairs, perm = _congruence_bareiss(rows, len(rows))
+        return tuple(pairs), tuple(perm), tuple(x for row in rows for x in row)
+
+    @cached_property
+    def inverse(self) -> tuple[IntMatrix, int]:
+        """(adj, det) of the block from one Bareiss inverse; ValueError when singular."""
+        return linalg.integral_inverse(self.block)
 
 
 @dataclass(frozen=True)
@@ -100,20 +129,16 @@ class GramLattice:
         diagonal = [((i, 1),) + row for i, row in enumerate(self.entries)]
         return tuple(tuple(cols) for _, cols in linalg._components(diagonal, self.rank)[0])
 
-    def _block(self, coords) -> list[list[int]]:
-        """The Gram matrix of the summand on coords, as fresh rows."""
-        return [[self.gram[i][j] for j in coords] for i in coords]
-
     @cached_property
+    def _parts(self) -> tuple[_Part, ...]:
+        """One part per summand, in the order of summands, made once."""
+        return tuple(_Part(tuple(tuple(self.gram[i][j] for j in s) for i in s))
+                     for s in self.summands)
+
+    @property
     def _congruence(self) -> tuple[tuple[tuple, IntVector, IntVector], ...]:
-        """One symmetric Bareiss run on each summand, made once: its (p_k, prev_k),
-        its pivot order and its reduced rows (see _congruence_bareiss), the rows
-        read one after another into one tuple; kept as m lists per summand, they
-        made a skip-extension run_k3 collect garbage about 40% more often."""
-        blocks = [self._block(s) for s in self.summands]
-        runs = [_congruence_bareiss(rows, len(rows)) for rows in blocks]
-        return tuple((tuple(pairs), tuple(perm), tuple(x for row in rows for x in row))
-                     for (pairs, perm), rows in zip(runs, blocks))
+        """The congruence run of each summand, read off its part."""
+        return tuple(part.run for part in self._parts)
 
     def determinant(self) -> int:
         """det G, the product of each summand's last congruence pivot: 0 when G
@@ -122,13 +147,13 @@ class GramLattice:
 
     @cached_property
     def _inverse(self) -> tuple[linalg.SparseRows, int]:
-        """(adj G by its nonzero entries, det G) from one Bareiss inverse per
-        summand, made once; ValueError when G is degenerate.
+        """(adj G by its nonzero entries, det G) from the inverse of each
+        summand's part, made once; ValueError when G is degenerate.
 
         adj G is block diagonal, and on summand i it is adj(G_i) times the
         determinants of the other summands.
         """
-        inverses = [linalg.integral_inverse(self._block(s)) for s in self.summands]
+        inverses = [part.inverse for part in self._parts]
         det = prod(d for _, d in inverses)
         rows: list = [()] * self.rank
         for coords, (adj, d) in zip(self.summands, inverses):
@@ -153,8 +178,18 @@ class GramLattice:
     @cached_property
     def _radical_quotient(self) -> "GramLattice":
         """The form of L / Zv for a rank-1 radical Zv, made once: that induced
-        on the section the u_i span, kept without the section, which refers to L."""
-        return SublatticeEmbedding(self, self._radical_split[1][1:]).induced_gram()
+        on the section the u_i span, kept without the section, which refers to L.
+        For v = e_j, row j of G is zero, so {j} is a summand and the section is
+        the other unit vectors: the quotient is G without row and column j, and
+        it holds the other summands' parts."""
+        v, rows = self._radical_split
+        j = next(i for i, x in enumerate(v) if x)
+        if v[j] != 1 or any(v[j + 1:]):
+            return SublatticeEmbedding(self, rows[1:]).induced_gram()
+        gram = tuple((*row[:j], *row[j + 1:]) for i, row in enumerate(self.gram) if i != j)
+        return _holding(gram, [(tuple(i - (i > j) for i in coords), part)
+                               for coords, part in zip(self.summands, self._parts)
+                               if coords != (j,)])
 
     def __repr__(self) -> str:
         return f"GramLattice(rank={self.rank})"
@@ -184,16 +219,28 @@ def diagonal_lattice(entries) -> GramLattice:
         [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
+def _holding(gram: IntMatrix, parts) -> GramLattice:
+    """The lattice of gram that holds the given (coordinates, part) pairs as
+    its summands: gram must be block diagonal on them, each part's block must
+    be gram on its coordinates, and they come in order of first coordinate, as
+    summands lists them. They are set as the cached properties would be."""
+    lattice = GramLattice(gram)
+    lattice.__dict__["summands"] = tuple(coords for coords, _ in parts)
+    lattice.__dict__["_parts"] = tuple(part for _, part in parts)
+    return lattice
+
+
 def direct_sum(*lattices: GramLattice) -> GramLattice:
+    """The orthogonal sum, which holds the parts of the lattices' summands."""
     total = sum(l.rank for l in lattices)
-    g = [[0] * total for _ in range(total)]
-    offset = 0
+    rows, parts = [], []
     for lat in lattices:
-        for i in range(lat.rank):
-            for j in range(lat.rank):
-                g[offset + i][offset + j] = lat.gram[i][j]
-        offset += lat.rank
-    return GramLattice.from_rows(g)
+        offset = len(rows)
+        rows += [(0,) * offset + tuple(row) + (0,) * (total - offset - lat.rank)
+                 for row in lat.gram]
+        parts += [(tuple(i + offset for i in coords), part)
+                  for coords, part in zip(lat.summands, lat._parts)]
+    return _holding(tuple(rows), parts)
 
 
 class SignatureTriple(NamedTuple):
@@ -335,6 +382,7 @@ class SublatticeEmbedding:
 
     ambient: GramLattice
     basis: IntMatrix
+    _kept = None  # the embedding whose basis ends this one's, set by bordered
 
     def __post_init__(self) -> None:
         if not _has_private_columns(self.basis) and linalg.rational_rank(self.basis) != self.rank:
@@ -351,6 +399,15 @@ class SublatticeEmbedding:
     def rank(self) -> int:
         return len(self.basis)
 
+    def bordered(self, rows) -> "SublatticeEmbedding":
+        """The embedding with the given rows followed by this basis, which keeps
+        this embedding: it takes its pairing rows, its Gram lattice as a summand
+        when the rows pair to zero with it, and its primitivity when the rows
+        are unit vectors off its support."""
+        emb = SublatticeEmbedding.from_rows(self.ambient, (*rows, *self.basis))
+        object.__setattr__(emb, "_kept", self)
+        return emb
+
     @cached_property
     def _rows(self) -> linalg.SparseRows:
         """The basis B by its nonzero entries."""
@@ -358,8 +415,13 @@ class SublatticeEmbedding:
 
     @cached_property
     def _pairing_rows(self) -> linalg.SparseRows:
-        """B G by its nonzero entries, B the basis and G the ambient Gram matrix."""
-        return linalg._sparse_mul(self._rows, self.ambient.entries, self.ambient.rank)
+        """B G by its nonzero entries, B the basis and G the ambient Gram matrix;
+        a bordered embedding takes those of its kept basis from the kept one."""
+        kept, g = self._kept, self.ambient
+        if kept is None:
+            return linalg._sparse_mul(self._rows, g.entries, g.rank)
+        return (linalg._sparse_mul(self._rows[:self.rank - kept.rank], g.entries, g.rank)
+                + kept._pairing_rows)
 
     @cached_property
     def _lift(self) -> linalg.SparseRows:
@@ -368,6 +430,15 @@ class SublatticeEmbedding:
 
     @cached_property
     def _gram(self) -> GramLattice:
+        """B G B^T; for a bordered embedding whose k added rows pair to zero with
+        the kept basis, the direct sum of their k x k Gram lattice and the kept
+        one's, which holds the kept parts."""
+        kept = self._kept
+        if kept is not None:
+            k = self.rank - kept.rank
+            top = linalg._sparse_mul(self._pairing_rows[:k], self._lift, self.rank, tuple)
+            if not any(x for row in top for x in row[k:]):
+                return direct_sum(GramLattice(tuple(row[:k] for row in top)), kept._gram)
         return GramLattice(linalg._sparse_mul(self._pairing_rows, self._lift, self.rank, tuple))
 
     def induced_gram(self) -> GramLattice:
@@ -385,6 +456,20 @@ class SublatticeEmbedding:
         adj, _ = self._gram._inverse
         return linalg._sparse_mul(adj, self._pairing_rows, self.ambient.rank)
 
+    @cached_property
+    def _primitive(self) -> bool:
+        """Whether the rows span a primitive sublattice, that is whether the
+        columns of B span Z^r: the row HNF of B^T is the identity. Rows e_j
+        added to a kept basis K that vanishes at each j leave Z^n / (K + sum Z e_j)
+        = Z^n / K with the free factors Z e_j taken out, so then the bordered
+        embedding is primitive exactly when the kept one is."""
+        kept = self._kept
+        if kept is not None and all(len(r) == 1 == r[0][1] and not kept._lift[r[0][0]]
+                                    for r in self._rows[:self.rank - kept.rank]):
+            return kept._primitive
+        hnf = linalg.hermite_normal_form(linalg.transpose(self.basis))
+        return hnf == linalg.identity(self.rank)
+
     def spans_same(self, other: "SublatticeEmbedding") -> bool:
         return (linalg.hermite_normal_form(self.basis)
                 == linalg.hermite_normal_form(other.basis))
@@ -397,10 +482,9 @@ def saturation(emb: SublatticeEmbedding) -> SublatticeEmbedding:
 
 
 def is_primitive(emb: SublatticeEmbedding) -> bool:
-    """Whether the independent rows B span a primitive sublattice, that is
-    whether the columns of B span Z^r: the row HNF of B^T is the identity."""
-    hnf = linalg.hermite_normal_form(linalg.transpose(emb.basis))
-    return hnf == linalg.identity(emb.rank)
+    """Whether the independent rows B span a primitive sublattice, as the
+    embedding keeps it."""
+    return emb._primitive
 
 
 def orthogonal_complement(emb: SublatticeEmbedding) -> SublatticeEmbedding:
@@ -444,10 +528,9 @@ def radical(lattice: GramLattice) -> SublatticeEmbedding:
     summands need an integer kernel.
     """
     kernel = []
-    for coords, (pairs, _, _) in zip(lattice.summands, lattice._congruence):
-        if pairs[-1][0] == 0:
-            kernel += linalg._embed(linalg.integer_kernel(lattice._block(coords)), coords,
-                                    lattice.rank)
+    for coords, part in zip(lattice.summands, lattice._parts):
+        if part.run[0][-1][0] == 0:
+            kernel += linalg._embed(linalg.integer_kernel(part.block), coords, lattice.rank)
     return SublatticeEmbedding(lattice, linalg.hermite_normal_form(kernel))
 
 

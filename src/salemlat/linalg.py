@@ -432,11 +432,35 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     The result is a canonical basis of the row space, so two integer
     matrices span the same sublattice iff their HNFs are equal. It is the
     blocks' HNF rows by pivot column (the larger echelon row first), as the
-    blocks' columns are disjoint.
+    blocks' columns are disjoint. An input in Hermite form is returned as
+    it is, and a block of one row, the row with a positive pivot: neither
+    is eliminated.
     """
+    if _in_hermite_form(a):
+        return freeze(a)
     comps, _ = _components(_nonzero_entries(a), len(a[0]) if a else 0)
-    hnf = [row for rows, cols in comps for row in _hermite([list(a[i]) for i in rows], cols)]
+    hnf = [row for rows, cols in comps
+           for row in ((_positive(a[rows[0]]),) if len(rows) == 1
+                       else _hermite([list(a[i]) for i in rows], cols))]
     return tuple(sorted(hnf, reverse=True))
+
+
+def _positive(row) -> IntVector:
+    """A nonzero row with its first nonzero entry made positive: its HNF."""
+    return tuple(-x for x in row) if next(x for x in row if x) < 0 else tuple(row)
+
+
+def _in_hermite_form(a) -> bool:
+    """Whether a is its own HNF: every row is nonzero, with a positive first
+    nonzero entry in a column right of the previous row's, above which every
+    entry lies in [0, it)."""
+    last = -1
+    for i, row in enumerate(a):
+        j = next((j for j, x in enumerate(row) if x), -1)
+        if j <= last or row[j] < 0 or any(not 0 <= above[j] < row[j] for above in a[:i]):
+            return False
+        last = j
+    return True
 
 
 def _hermite(rows: list[list[int]], cols: list[int]) -> IntMatrix:

@@ -912,10 +912,11 @@ class TestFullPipeline:
         # completed by an integer kernel) and, with it, one per summand of
         # G_L = U + 9 + 9, which L keeps for every generator; per-generator
         # work would show up as 18 or more calls. No discriminant group: the
-        # report reads |L*/L| off det G_L. Congruence runs, one per summand:
-        # N = 1 + 9 + 9, Nbar = 9 + 9, L = 2 + 9 + 9, Tbar = 1 + 1 (diagonal
-        # here) and the definite quotient of N, 9 + 9, in vectors_of_norm
-        # (represents reuses the run of N); period_point reuses the run of Tbar.
+        # report reads |L*/L| off det G_L. Congruence runs, one per part:
+        # N = 1 + 9 + 9 makes e0's and Nbar's two 9-row parts, which Nbar,
+        # L = 2 + 9 + 9 and N's definite quotient 9 + 9 (in vectors_of_norm)
+        # hold; then L's U and Tbar = 1 + 1 (diagonal here). period_point
+        # reuses the runs of Tbar, and quartic_a is their last pivots.
         runs = []
         inverted = []
 
@@ -944,7 +945,7 @@ class TestFullPipeline:
         monkeypatch.setattr(lattice_module, "discriminant_group", counted_disc)
         # k3 binds no such name; a re-import would be counted too
         monkeypatch.setattr(k3_module, "discriminant_group", counted_disc, raising=False)
-        plain = [1, 9, 9] + [9, 9] + [2, 9, 9] + [1, 1] + [9, 9]
+        plain = [1, 9, 9] + [2] + [1, 1]
         for skip_extension, inverses in ((True, []), (False, [2, 9, 9])):
             runs.clear()
             inverted.clear()
@@ -986,7 +987,8 @@ class TestFullPipeline:
     def test_plain_congruence_runs_see_at_most_nine_rows(self, monkeypatch):
         # every Gram matrix of a full run splits into orthogonal summands of
         # at most 9 rows, the ambient U^3 + E8(-1)^2 included, and each plain
-        # congruence run sees one summand
+        # congruence run sees one summand; Nbar's two 9-row blocks are
+        # reduced once, for N, Nbar, L and N's quotient together
         rows = []
         core = lattice_module._congruence_bareiss
 
@@ -1000,7 +1002,7 @@ class TestFullPipeline:
         report = run_k3(DEFAULT_PRIMES)
         assert report.all_passed and report.group_rank == 18
         assert max(rows) == 9
-        assert Counter(rows) == Counter({9: 8, 8: 2, 2: 4, 1: 3})
+        assert Counter(rows) == Counter({9: 2, 8: 2, 2: 4, 1: 3})
 
     def test_extension_stage_has_no_run_context(self):
         # run_k3 calls the public functions as every caller does; what they
@@ -1058,6 +1060,32 @@ class TestFullPipeline:
         assert max(ncols for _, ncols, _ in widths) == 10
         assert max(width for _, _, width in widths) == 10
 
+    def test_hermite_eliminations_are_nbar_once_and_l_plus_tbar(self, monkeypatch):
+        # N and L border Nbar by the unit rows e0 and f0, off Nbar's support,
+        # so both read Nbar's primitivity: one HNF of a transposed basis,
+        # Nbar's 22 x 18. The bases of T and t_split and identity(3) are in
+        # Hermite form and every other block has one row, so only Nbar's two
+        # 10 x 9 blocks and the two 10 x 10 blocks of L + Tbar are eliminated
+        shapes, blocks = [], []
+        front, hermite = linalg.hermite_normal_form, linalg._hermite
+
+        def counted_front(a):
+            shapes.append((len(a), len(a[0]) if a else 0))
+            return front(a)
+
+        def counted_hermite(rows, cols):
+            blocks.append((len(rows), len(cols)))
+            return hermite(rows, cols)
+
+        monkeypatch.setattr(linalg, "hermite_normal_form", counted_front)
+        monkeypatch.setattr(linalg, "_hermite", counted_hermite)
+        for skip_extension in (True, False):
+            shapes.clear()
+            blocks.clear()
+            assert run_k3(DEFAULT_PRIMES, skip_extension).all_passed
+            assert [s for s in shapes if s[1] < s[0]] == [(22, 18)]
+            assert blocks == [(10, 9), (10, 9), (10, 10), (10, 10)]
+
     def test_isometries_are_verified_without_their_determinants(self, monkeypatch):
         # every phi and every extension satisfies M^T G M = G on a
         # nondegenerate G, which forces det M = +-1; the determinants of the
@@ -1078,9 +1106,10 @@ class TestFullPipeline:
         assert args == []
 
     def test_induced_grams_are_computed_once(self, monkeypatch):
-        # one Gram product per basis: N, Nbar, L, Tbar and the quotient of
-        # N, and with the extension stage T; every later induced_gram() of
-        # an embedding returns the lattice it keeps
+        # one Gram lattice per basis: N, Nbar, L and Tbar, and with the
+        # extension stage T; the quotient of N by its radical e0 is no
+        # embedding but N's Gram matrix without e0's row and column. Every
+        # later induced_gram() of an embedding returns the lattice it keeps
         calls = Counter()
         kept = lattice_module.SublatticeEmbedding.__dict__["_gram"]
 
@@ -1091,16 +1120,17 @@ class TestFullPipeline:
         prop = functools.cached_property(counted)
         prop.__set_name__(lattice_module.SublatticeEmbedding, "_gram")
         monkeypatch.setattr(lattice_module.SublatticeEmbedding, "_gram", prop)
-        for skip_extension, grams in ((True, 5), (False, 6)):
+        for skip_extension, grams in ((True, 4), (False, 5)):
             calls.clear()
             assert run_k3(DEFAULT_PRIMES, skip_extension).all_passed
             assert sum(calls.values()) == grams
             assert set(calls.values()) == {1}
 
     def test_failing_selection_runs_the_symmetric_core_per_summand(self, monkeypatch):
-        # plain runs for the signatures of N, Nbar, L and Tbar, one per
-        # summand; one augmented run each on the whole of N, Nbar and Tbar
-        # for their witnesses, whose pivot order the certificate records
+        # plain runs for the signatures of N, L and Tbar, one per part, with
+        # Nbar's two parts made for N and held by Nbar and L; one augmented
+        # run each on the whole of N, Nbar and Tbar for their witnesses,
+        # whose pivot order the certificate records
         calls = []
         core = lattice_module._congruence_bareiss
 
@@ -1113,8 +1143,8 @@ class TestFullPipeline:
         failed = {c.name for c in report.checks if not c.passed}
         assert {"nbar_elliptic_rank_18", "tbar_positive_definite_rank_2"} <= failed
         assert calls == [(1, 0), (9, 0), (9, 0), (19, 19),    # N
-                         (9, 0), (9, 0), (18, 18),            # Nbar
-                         (2, 0), (9, 0), (9, 0),              # L
+                         (18, 18),                            # Nbar
+                         (2, 0),                              # L
                          (1, 0), (1, 0), (2, 2)]              # Tbar
 
     def test_failed_torelli_check_skips_the_alpha_vectors(self, monkeypatch):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from salemlat import lattice as lattice_module
 from salemlat import linalg
@@ -835,3 +837,113 @@ class TestRepresents:
                 continue
             reference, _ = represents(quot, n)
             assert ours == reference
+
+
+@st.composite
+def orthogonal_pieces(draw, kinds=("definite", "definite", "zero", "parabolic")):
+    """1 to 4 lattices of total rank at most 9 of the given kinds: seeded
+    definite blocks of one sign, the zero form of rank 1 and seeded parabolic
+    U^T (0 + D) U."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sign = draw(st.sampled_from((1, -1)))
+    pieces, room = [], 9
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        n = draw(st.integers(1, min(4, room))) if room else 0
+        if n == 0:
+            break
+        if kind == "zero":
+            piece = GramLattice.from_rows([[0]])
+        elif kind == "parabolic" and n > 1:
+            piece = seeded_parabolic(rng, n - 1)[0]
+            piece = GramLattice.from_rows(linalg.mat_scale(piece.gram, -sign))
+        else:
+            piece = seeded_definite(rng, n, sign)
+        pieces.append(piece)
+        room -= piece.rank
+    return pieces
+
+
+def answers(lat):
+    """What a lattice answers, each failure by its type."""
+    def attempt(f, *args):
+        try:
+            return f(*args)
+        except ValueError as exc:
+            return type(exc)
+
+    return (lat.summands, signature(lat), lat.determinant(), attempt(lambda: lat._inverse),
+            [attempt(represents, lat, t) for t in range(-6, 7)],
+            [attempt(vectors_of_norm, lat, t) for t in (-4, -2, 2, 4)])
+
+
+class TestSharedParts:
+    """Lattices built from pieces hold the pieces' parts, and answer as the
+    same Gram matrix built fresh, which reduces every block itself."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(orthogonal_pieces())
+    def test_direct_sum(self, pieces):
+        total = direct_sum(*pieces)
+        assert list(map(id, total._parts)) == [id(p) for lat in pieces for p in lat._parts]
+        assert answers(total) == answers(GramLattice(total.gram))
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(orthogonal_pieces(), st.integers(0, 2**32))
+    def test_bordered_embedding(self, pieces, seed):
+        # the first piece's coordinates border an embedding of the others,
+        # by unit rows or by sums of them, or by a row that pairs with the
+        # kept basis; that basis is the unit rows of the others, some doubled
+        # or summed, and at times one meets a bordering coordinate
+        if len(pieces) < 2:
+            return
+        rng = random.Random(seed)
+        ambient = direct_sum(*pieces)
+        k, n = pieces[0].rank, ambient.rank
+        unit = linalg.identity(n)
+        kept_rows = [list(unit[i]) for i in range(k, n)]
+        for row in kept_rows:
+            if rng.random() < 0.2:
+                row[:] = [2 * x for x in row]
+        if len(kept_rows) > 1 and rng.random() < 0.3:
+            kept_rows[0] = [x + y for x, y in zip(kept_rows[0], kept_rows[1])]
+        added = [list(unit[i]) for i in range(k)]
+        move = rng.choice(("none", "none", "sum", "meet kept", "kept meets", "double"))
+        if move == "double":
+            added[0] = [2 * x for x in added[0]]
+        elif move == "kept meets":
+            kept_rows[0] = [x + y for x, y in zip(kept_rows[0], unit[rng.randrange(k)])]
+        elif move == "meet kept" or (move == "sum" and k > 1):
+            j = rng.randrange(1, k) if move == "sum" else rng.randrange(k, n)
+            added[0] = [x + y for x, y in zip(added[0], unit[j])]
+        kept = SublatticeEmbedding.from_rows(ambient, kept_rows)
+        emb = kept.bordered(added)
+        fresh = SublatticeEmbedding(ambient, emb.basis)
+        assert emb == fresh and emb._kept is kept and fresh._kept is None
+        assert emb._pairing_rows == fresh._pairing_rows
+        assert is_primitive(emb) == is_primitive(fresh)
+        lat = emb.induced_gram()
+        assert lat == fresh.induced_gram()
+        kept_parts = list(map(id, kept.induced_gram()._parts))
+        orthogonal = not any(ambient.pairing(a, b) for a in added for b in kept_rows)
+        assert (list(map(id, lat._parts[-len(kept_parts):])) == kept_parts) == orthogonal
+        assert answers(lat) == answers(fresh.induced_gram())
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(orthogonal_pieces(kinds=("definite",)), st.integers(0, 4))
+    def test_quotient_by_a_zero_summand(self, pieces, at):
+        # with e_j the zero form among definite pieces (parabolic when they
+        # are negative), the quotient by the radical is the Gram matrix
+        # without e_j and holds the other parts
+        at = min(at, len(pieces))
+        lat = direct_sum(*pieces[:at], GramLattice.from_rows([[0]]), *pieces[at:])
+        fresh = GramLattice(lat.gram)
+        assert signature(fresh).n_zero == 1
+        quotient = quotient_by_radical(lat)
+        v, rows = fresh._radical_split
+        j = sum(piece.rank for piece in pieces[:at])
+        assert v == linalg.identity(lat.rank)[j]
+        assert quotient == SublatticeEmbedding(fresh, rows[1:]).induced_gram()
+        assert list(map(id, quotient._parts)) == [
+            id(part) for coords, part in zip(lat.summands, lat._parts) if coords != (j,)]
+        assert answers(quotient) == answers(GramLattice(quotient.gram))
+        assert answers(lat) == answers(fresh)

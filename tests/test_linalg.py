@@ -1,6 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from salemlat import linalg
 
@@ -172,6 +175,71 @@ class TestHermite:
             if linalg.det_bareiss(u) in (1, -1):
                 assert (linalg.hermite_normal_form(a)
                         == linalg.hermite_normal_form(b))
+
+
+def full_hermite(a):
+    """The HNF by one elimination of the whole matrix, with no fast path."""
+    n = len(a[0]) if a else 0
+    return tuple(sorted(linalg._hermite([list(row) for row in a], list(range(n))), reverse=True))
+
+
+@st.composite
+def hermite_inputs(draw):
+    """(kind, a): a sparse random matrix ("plain"), its HNF ("echelon"), that
+    HNF with one row negated or two rows swapped ("bent"), or one row."""
+    n = draw(st.integers(1, 6))
+    entry = st.just(0) | st.integers(-9, 9)
+    a = tuple(tuple(row) for row in draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5)))
+    kind = draw(st.sampled_from(("plain", "echelon", "bent", "single")))
+    if kind == "single":
+        return kind, a[:1]
+    if kind == "plain":
+        return kind, a
+    h = full_hermite(a)
+    if kind == "bent" and h:
+        i = draw(st.integers(0, len(h) - 1))
+        j = draw(st.integers(0, len(h) - 1))
+        h = list(h)
+        if i == j:
+            h[i] = tuple(-x for x in h[i])
+        else:
+            h[i], h[j] = h[j], h[i]
+        h = tuple(h)
+    return kind, h
+
+
+class TestHermiteFastPaths:
+    """An input in Hermite form and a block of one row skip the elimination."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(hermite_inputs())
+    def test_fast_paths_match_the_full_elimination(self, kind_and_matrix):
+        kind, a = kind_and_matrix
+        expected = full_hermite(a)
+        if kind in ("echelon", "single"):
+            # neither reaches the elimination core
+            with mock.patch.object(linalg, "_hermite", side_effect=AssertionError):
+                assert linalg.hermite_normal_form(a) == expected
+        else:
+            assert linalg.hermite_normal_form(a) == expected
+        if kind == "echelon":
+            assert expected == a
+        if kind == "bent" and a != expected:
+            assert not linalg._in_hermite_form(a)
+
+    def test_one_row_blocks_and_hermite_inputs(self):
+        # a negated row is made positive; rows of disjoint supports are
+        # blocks of one row each; an HNF is returned as it is
+        assert linalg.hermite_normal_form(((0, -2, 4),)) == ((0, 2, -4),)
+        assert linalg.hermite_normal_form(((0, 0),)) == ()
+        blocks = ((0, 0, -3), (-1, 2, 0))
+        with mock.patch.object(linalg, "_hermite", side_effect=AssertionError):
+            assert linalg.hermite_normal_form(blocks) == ((1, -2, 0), (0, 0, 3))
+            h = ((2, 1, 5), (0, 3, 2), (0, 0, 7))
+            assert linalg.hermite_normal_form(h) == h
+        # an entry above a pivot outside [0, pivot) is not Hermite form
+        assert linalg.hermite_normal_form(((2, 3), (0, 3))) == ((2, 0), (0, 3))
 
 
 class TestCharPoly:

@@ -318,6 +318,47 @@ def test_only_constant_tables_are_cached():
     assert references == len(cached)
 
 
+_MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter",
+                  "deque", "ChainMap", "WeakValueDictionary", "WeakKeyDictionary", "WeakSet"}
+
+
+def _shared_statements(body):
+    """The statements of a module or class body, into if, try and with blocks
+    and class bodies, but not into function bodies."""
+    for node in body:
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _shared_statements(getattr(node, field, []))
+
+
+def _is_mutable_container(value) -> bool:
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                ) in _MUTABLE_CALLS
+    return False
+
+
+def test_no_module_level_mutable_state():
+    # a container bound at module or class level, or a name rebound through
+    # global, outlives an op: a memo there lets a benchmark skip work that a
+    # user running one input pays for, and keeps garbage alive until the
+    # next op. What lattices and embeddings share lives on those objects
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{node.lineno} global" for node in ast.walk(tree)
+                  if isinstance(node, ast.Global)]
+        for node in _shared_statements(tree.body):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and \
+                    node.value is not None and _is_mutable_container(node.value):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_block_split_runs_the_private_cores():
     # HNF, integer kernel and rank split a matrix by the one component walk
     # of linalg, as the orthogonal summands of a Gram matrix do, and run a
